@@ -4,7 +4,7 @@ from .core import (BitString, BoolFunction, OneWayProtocol, ProtocolFunction,
                    Restriction, TableFunction, distance, protocol_error, restrict)
 from .distributions import (Distribution, JointDistribution, NoisyHypercube,
                             ProductJoint, TableJoint, binary_entropy, derive_rng,
-                            kl_divergence, mutual_information, sample_noisy_copy)
+                            kl_divergence, sample_noisy_copy)
 from .sampling import (SharedRandomness, TranscriptStats, correlated_sample,
                        one_way_correlated_sample, truncation_limit)
 from .uncertain import (ErrorEstimate, RunResult, UncertainInstance, choose_sample_count,

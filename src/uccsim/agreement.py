@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from .distributions import _flip_mask, binary_entropy, popcount_table
+from .distributions import binary_entropy, flip_mask, popcount_table, uniform_bits
 
 __all__ = [
     "sample_perturbed_pair", "normalized_distance", "hamming_ball_size",
@@ -26,20 +26,12 @@ __all__ = [
 AUDIT_MAX_BITS = 20
 
 
-def _uniform_bits(size: int, rng: np.random.Generator) -> int:
-    value = 0
-    for chunk_start in range(0, size, 62):
-        width = min(62, size - chunk_start)
-        value |= int(rng.integers(1 << width)) << chunk_start
-    return value
-
-
 def sample_perturbed_pair(size_y: int, rho: float, rng: np.random.Generator) -> tuple[int, int]:
     """A uniform function and a rho-perturbed copy, as size_y-bit integers."""
     if not 0.0 <= rho <= 0.5:
         raise ValueError("rho must lie in [0, 1/2]")
-    f = _uniform_bits(size_y, rng)
-    return f, f ^ _flip_mask(size_y, rho, rng)
+    f = uniform_bits(size_y, rng)
+    return f, f ^ flip_mask(size_y, rho, rng)
 
 
 def normalized_distance(f: int, g: int, size_y: int) -> float:

@@ -24,7 +24,7 @@ from .distributions import (Distribution, NoisyHypercube, ProductJoint, derive_r
                             kl_divergence)
 from .oracle import exact_one_way_cc
 from .sampling import SharedRandomness, correlated_sample
-from .uncertain import estimate_uncertain_error, generate_instance, run_trials
+from .uncertain import ErrorEstimate, generate_instance, run_trials
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +83,7 @@ def _cmd_uncertain_run(args) -> int:
                                          r.correct, r.bits, r.sampling_ok))
               for r in records]
     _emit(args.out, lines)
-    est = estimate_uncertain_error(instance, args.theta, args.trials, seed, jobs=args.jobs)
+    est = ErrorEstimate.from_records(records)
     print(f"error_rate={est.error_rate:.6f} half_width={est.half_width:.6f} "
           f"mean_bits={est.mean_bits:.2f} sampling_failures={est.sampling_failures} "
           f"trials={est.trials}")
@@ -95,6 +95,8 @@ def _cmd_csample_bench(args) -> int:
     size = args.universe
     if size < 2 or size & (size - 1):
         raise ValueError("universe size must be a power of two >= 2")
+    if args.trials < 1:
+        raise ValueError("need at least one trial")
     q = Distribution.uniform(size)
     tilts = [int(t) for t in args.tilt_grid.split(",")]
     lines = [_header("csample-bench", seed, args),
@@ -140,13 +142,20 @@ def _cmd_lowerbound_sweep(args) -> int:
 def _load_strategy(path: str):
     with open(path) as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError("strategy file must hold a JSON object")
     kind = doc.get("kind")
-    if kind == "identity":
-        return agr.identity_strategy
-    if kind == "constant":
-        return agr.constant_strategy(int(doc["value"]))
-    if kind == "codewords":
-        return agr.NearestCodewordStrategy(doc["codewords"], int(doc["size_y"]))
+    try:
+        if kind == "identity":
+            return agr.identity_strategy
+        if kind == "constant":
+            return agr.constant_strategy(int(doc["value"]))
+        if kind == "codewords":
+            return agr.NearestCodewordStrategy(doc["codewords"], int(doc["size_y"]))
+    except KeyError as exc:
+        raise ValueError(f"{kind} strategy lacks the field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{kind} strategy has an ill-typed field: {exc}") from None
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 
@@ -185,6 +194,8 @@ def _cmd_oracle_cc(args) -> int:
 
 
 def _cmd_family_audit(args) -> int:
+    if args.samples < 1:
+        raise ValueError("need at least one sample")
     seed = _master_seed(args.seed)
     rng = derive_rng(seed, 0)
     budget = args.q * args.n

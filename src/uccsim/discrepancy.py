@@ -16,6 +16,9 @@ from .distributions import popcount_table
 
 # tensor_power refuses to build anything wider than this.
 MAX_TENSOR_DIM = 4096
+# spectral_norm's relative stopping tolerance and iteration cap
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 200_000
 
 
 def coordinate_block(a: float) -> np.ndarray:
@@ -62,12 +65,12 @@ def block_norm_bound(a: float) -> float:
     return 1.0 + math.sqrt(2.0) * a + a * a + a ** 4 / 2.0 + a ** 5 / math.sqrt(2.0)
 
 
-def spectral_norm(matrix, tol: float = 1e-12, max_iter: int = 200_000) -> float:
+def spectral_norm(matrix) -> float:
     """Largest singular value via power iteration on A^T A.
 
     Deterministic start vector (all ones plus a unit bump on the first
-    coordinate); iterates until the Rayleigh quotient moves by at most tol
-    relative to its size.
+    coordinate); iterates until the Rayleigh quotient moves by at most
+    POWER_TOL relative to its size, or POWER_MAX_ITER times.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -79,14 +82,14 @@ def spectral_norm(matrix, tol: float = 1e-12, max_iter: int = 200_000) -> float:
     v[0] += 1.0
     v /= np.linalg.norm(v)
     lam = float(v @ b @ v)
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = b @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
         lam_new = float(v @ b @ v)
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= POWER_TOL * max(1.0, abs(lam_new)):
             lam = lam_new
             break
         lam = lam_new

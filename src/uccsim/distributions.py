@@ -247,7 +247,7 @@ class NoisyHypercube(JointDistribution):
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
         x = int(rng.integers(self.size_x))
-        y = x ^ _flip_mask(self.n, self.p, rng)
+        y = x ^ flip_mask(self.n, self.p, rng)
         return x, y
 
     def mutual_information(self) -> float:
@@ -271,7 +271,19 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _flip_mask(n: int, p: float, rng: np.random.Generator) -> int:
+def uniform_bits(n: int, rng: np.random.Generator) -> int:
+    """A uniform n-bit integer drawn in 62-bit chunks from the low end.
+
+    For n <= 62 this is the single draw rng.integers(1 << n).
+    """
+    value = 0
+    for start in range(0, n, 62):
+        value |= int(rng.integers(1 << min(62, n - start))) << start
+    return value
+
+
+def flip_mask(n: int, p: float, rng: np.random.Generator) -> int:
+    """An n-bit integer whose bits are set independently with probability p."""
     flips = rng.random(n) < p
     if n <= 62:
         return int(np.sum(flips * (1 << np.arange(n, dtype=np.uint64)), dtype=np.uint64))
@@ -285,29 +297,7 @@ def sample_noisy_copy(x: BitString, p: float, rng: np.random.Generator) -> BitSt
     """Flip each bit of x independently with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("flip probability must lie in [0, 1]")
-    return BitString(x.value ^ _flip_mask(x.n, p, rng), x.n)
-
-
-# Thin functional facade mirroring the named operations.
-
-def marginal_x(mu: JointDistribution) -> Distribution:
-    return mu.marginal_x()
-
-
-def marginal_y(mu: JointDistribution) -> Distribution:
-    return mu.marginal_y()
-
-
-def conditional_y_given_x(mu: JointDistribution, x: int) -> Distribution:
-    return mu.conditional_y_given_x(x)
-
-
-def sample(mu: JointDistribution, rng: np.random.Generator) -> tuple[int, int]:
-    return mu.sample(rng)
-
-
-def mutual_information(mu: JointDistribution) -> float:
-    return mu.mutual_information()
+    return BitString(x.value ^ flip_mask(x.n, p, rng), x.n)
 
 
 def joint_from_json_dict(doc: dict) -> JointDistribution:

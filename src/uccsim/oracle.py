@@ -8,8 +8,6 @@ names are immaterial, so partitions stand in for all assignments.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import BoolFunction, OneWayProtocol, distance
@@ -57,48 +55,41 @@ def _partition_error(weight1: np.ndarray, weight_all: np.ndarray, labels: list[i
     return float(err)
 
 
-def exact_one_way_cc(f: BoolFunction, mu: JointDistribution, eps: float) -> int:
-    """Minimum ceil(log2(parts)) of a one-way protocol with error at most eps."""
+def best_protocol(f: BoolFunction, mu: JointDistribution, eps: float) -> OneWayProtocol:
+    """A cost-minimal one-way protocol with error at most eps.
+
+    One pruned search: partitions with no fewer parts than the best found so
+    far are skipped, so the result is the first partition, in enumeration
+    order, with the fewest parts.  Each part decides by mass-weighted majority.
+    """
     _check_size(f, mu)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     weight_all = np.stack([mu.row_masses(x) for x in range(f.size_x)])
     weight1 = np.stack([mu.row_masses(x) * f.row(x) for x in range(f.size_x)])
-    best_parts = None
+    best, best_parts = None, f.size_x + 1
     for labels in _set_partitions(f.size_x):
         parts = max(labels) + 1
-        if best_parts is not None and parts >= best_parts:
+        if parts >= best_parts:
             continue
         if _partition_error(weight1, weight_all, labels) <= eps + 1e-12:
-            best_parts = parts
-            if best_parts == 1:
+            best, best_parts = labels, parts
+            if parts == 1:
                 break
-    if best_parts is None:
-        raise ValueError("no protocol meets the error budget")
-    return math.ceil(math.log2(best_parts)) if best_parts > 1 else 0
-
-
-def best_protocol(f: BoolFunction, mu: JointDistribution, eps: float) -> OneWayProtocol:
-    """A cost-minimal protocol witnessing exact_one_way_cc."""
-    _check_size(f, mu)
-    weight_all = np.stack([mu.row_masses(x) for x in range(f.size_x)])
-    weight1 = np.stack([mu.row_masses(x) * f.row(x) for x in range(f.size_x)])
-    best = None
-    for labels in _set_partitions(f.size_x):
-        parts = max(labels) + 1
-        err = _partition_error(weight1, weight_all, labels)
-        if err <= eps + 1e-12 and (best is None or parts < best[0]):
-            best = (parts, labels.copy())
     if best is None:
         raise ValueError("no protocol meets the error budget")
-    parts, labels = best
-    deciders = np.zeros((parts, f.size_y), dtype=np.uint8)
-    for part in range(parts):
-        rows = [x for x, lab in enumerate(labels) if lab == part]
+    deciders = np.zeros((best_parts, f.size_y), dtype=np.uint8)
+    for part in range(best_parts):
+        rows = [x for x, lab in enumerate(best) if lab == part]
         ones = weight1[rows].sum(axis=0)
         total = weight_all[rows].sum(axis=0)
         deciders[part] = (ones * 2 > total).astype(np.uint8)
-    return OneWayProtocol(np.array(labels), deciders)
+    return OneWayProtocol(np.array(best), deciders)
+
+
+def exact_one_way_cc(f: BoolFunction, mu: JointDistribution, eps: float) -> int:
+    """Minimum ceil(log2(parts)) of a one-way protocol with error at most eps."""
+    return best_protocol(f, mu, eps).cost_bits()
 
 
 def certify_family_membership(f: BoolFunction, g: BoolFunction, mu: JointDistribution,

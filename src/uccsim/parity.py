@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BitString, BoolFunction, OneWayProtocol, _as_index
-from .distributions import popcount_table, sample_noisy_copy
+from .distributions import popcount_table, sample_noisy_copy, uniform_bits
 
 
 def _mask_value(mask, n: int) -> int:
@@ -93,22 +93,15 @@ def sample_close_masks(n: int, q: float, rng: np.random.Generator) -> tuple[BitS
     """Draw a uniform mask and a (q/2)-noisy copy of it."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    s = BitString(int(rng.integers(1 << n)) if n <= 62 else _big_uniform(n, rng), n)
+    s = BitString(uniform_bits(n, rng), n)
     t = sample_noisy_copy(s, q / 2.0, rng)
     return s, t
-
-
-def _big_uniform(n: int, rng: np.random.Generator) -> int:
-    value = 0
-    for i, b in enumerate(rng.integers(0, 2, size=n)):
-        value |= int(b) << i
-    return value
 
 
 def sample_game_instance(n: int, p: float, q: float, rng: np.random.Generator):
     """Draw ((S, x), (T, y)): close masks, plus noisy-hypercube inputs."""
     s, t = sample_close_masks(n, q, rng)
-    x = BitString(int(rng.integers(1 << n)) if n <= 62 else _big_uniform(n, rng), n)
+    x = BitString(uniform_bits(n, rng), n)
     y = sample_noisy_copy(x, p, rng)
     return (s, x), (t, y)
 

@@ -30,6 +30,8 @@ DEFAULT_MAX_CANDIDATES = 10_000_000
 # new false matches entering this long after Alice's entry have intensity
 # below 2^-(2*EXTRA_ROUNDS) and are not simulated
 EXTRA_ROUNDS = 64
+# constant factor of the one-way payload cap, see truncation_limit
+TRUNCATION_C1 = 4.0
 
 _TAG_CANDIDATES = 1
 _TAG_HASH = 2
@@ -176,8 +178,7 @@ class _DenseRun:
 
 
 def correlated_sample(p: Distribution, q: Distribution, eps: float, shared: SharedRandomness,
-                      max_candidates: int = DEFAULT_MAX_CANDIDATES,
-                      max_rounds: int | None = None):
+                      max_candidates: int = DEFAULT_MAX_CANDIDATES):
     """Interactive correlated sampling; returns (a, b, stats).
 
     Alice's output a is exactly p-distributed.  On agreement failure or a
@@ -188,7 +189,7 @@ def correlated_sample(p: Distribution, q: Distribution, eps: float, shared: Shar
         raise ValueError("distributions live on different universes")
     if not ((p.probs > 0) & (q.probs > 0)).any():
         raise ValueError("supports do not overlap")
-    runner = _DenseRun(p.probs, q.probs, eps, shared, max_candidates, max_rounds)
+    runner = _DenseRun(p.probs, q.probs, eps, shared, max_candidates, None)
     a, b, bits_alice, rounds, terminated = runner.run()
     stats = TranscriptStats(bits_alice=bits_alice, bits_bob=rounds, rounds=rounds,
                             success=bool(terminated and a == b))
@@ -298,18 +299,18 @@ class _LazyProductRun:
         return None
 
 
-def truncation_limit(mu: JointDistribution, m: int, eps: float, c1: float = 4.0) -> int:
+def truncation_limit(mu: JointDistribution, m: int, eps: float) -> int:
     """Hard cap, in bits, on the one-way sampling payload."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if m < 0:
         raise ValueError("m must be nonnegative")
     info = mu.mutual_information()
-    return math.ceil(c1 * (m * info / eps + math.log2(1.0 / eps) / eps))
+    return math.ceil(TRUNCATION_C1 * (m * info / eps + math.log2(1.0 / eps) / eps))
 
 
 def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
-                              shared: SharedRandomness, c1: float = 4.0):
+                              shared: SharedRandomness):
     """Sample m points from mu's conditional given x with one message from Alice.
 
     Alice holds the conditional, Bob only the marginal over his side; since
@@ -319,7 +320,7 @@ def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
     stats.success reports whether the lists agree, and a failed run keeps
     Bob's fallback samples rather than hiding the mismatch.
     """
-    limit = truncation_limit(mu, m, eps, c1)
+    limit = truncation_limit(mu, m, eps)
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), TranscriptStats(0, 0, 1, True)

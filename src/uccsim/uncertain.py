@@ -207,10 +207,11 @@ def run_trials(instance: UncertainInstance, theta: float, trials: int, master_se
     return [record for chunk in chunks for record in chunk]
 
 
-def wilson_half_width(p_hat: float, n: int, z: float = WILSON_Z) -> float:
-    """Half-width of the Wilson score interval for a binomial proportion."""
+def wilson_half_width(p_hat: float, n: int) -> float:
+    """Half-width of the Wilson 95% score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one observation")
+    z = WILSON_Z
     return (z / (1.0 + z * z / n)) * math.sqrt(p_hat * (1.0 - p_hat) / n
                                                + z * z / (4.0 * n * n))
 
@@ -223,15 +224,18 @@ class ErrorEstimate:
     trials: int
     sampling_failures: int
 
+    @classmethod
+    def from_records(cls, records: list[TrialRecord]) -> "ErrorEstimate":
+        """Error rate against g, with a Wilson 95% half-width, of finished trials."""
+        rate = sum(not r.correct for r in records) / len(records)
+        return cls(error_rate=rate,
+                   mean_bits=float(np.mean([r.bits for r in records])),
+                   half_width=wilson_half_width(rate, len(records)),
+                   trials=len(records),
+                   sampling_failures=sum(not r.sampling_ok for r in records))
+
 
 def estimate_uncertain_error(instance: UncertainInstance, theta: float, trials: int,
                              master_seed: int, jobs: int = 1) -> ErrorEstimate:
     """Monte Carlo error of the protocol against g, with a Wilson 95% half-width."""
-    records = run_trials(instance, theta, trials, master_seed, jobs)
-    wrong = sum(not r.correct for r in records)
-    rate = wrong / len(records)
-    return ErrorEstimate(error_rate=rate,
-                         mean_bits=float(np.mean([r.bits for r in records])),
-                         half_width=wilson_half_width(rate, len(records)),
-                         trials=len(records),
-                         sampling_failures=sum(not r.sampling_ok for r in records))
+    return ErrorEstimate.from_records(run_trials(instance, theta, trials, master_seed, jobs))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from uccsim import uncertain
 from uccsim.agreement import greedy_covering_code
 from uccsim.cli import main
 
@@ -39,6 +40,28 @@ def test_uncertain_run_deterministic_and_job_invariant(tmp_path):
                      "--jobs", jobs, "--out", str(out)]) == 0
         outs.append(read(out))
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_uncertain_run_runs_each_trial_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    run_once = uncertain.run_uncertain_protocol
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run_once(*args, **kwargs)
+
+    monkeypatch.setattr(uncertain, "run_uncertain_protocol", counted)
+    out = tmp_path / "runs.csv"
+    assert main(["uncertain-run", "--n", "4", "--k", "1", "--delta", "0.05",
+                 "--theta", "0.4", "--trials", "10", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 10
+    rows = [line.split(",") for line in read(out).splitlines()[2:]]
+    summary = dict(token.split("=") for token in capsys.readouterr().out.split())
+    wrong = sum(row[3] != row[4] for row in rows)
+    assert summary["error_rate"] == f"{wrong / len(rows):.6f}"
+    assert summary["mean_bits"] == f"{sum(int(row[6]) for row in rows) / len(rows):.2f}"
+    assert summary["sampling_failures"] == str(sum(row[7] == "0" for row in rows))
 
 
 def test_csample_bench_output(tmp_path, capsys):
@@ -144,10 +167,22 @@ def test_usage_errors_exit_one():
     assert info.value.code == 1
 
 
-def test_validation_errors_exit_two(capsys):
+def test_validation_errors_exit_two(tmp_path, capsys):
     assert main(["uncertain-run", "--n", "4", "--k", "1", "--delta", "1.0",
                  "--theta", "0.4", "--trials", "5"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["family-audit", "--n", "8", "--q", "0.2", "--p", "0.1",
+                 "--samples", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["csample-bench", "--universe", "16", "--eps", "0.1",
+                 "--trials", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+    for name, doc in (("missing.json", {"kind": "constant"}), ("list.json", [1])):
+        strategy = tmp_path / name
+        strategy.write_text(json.dumps(doc))
+        assert main(["agreement-audit", "--size-y", "8", "--delta2", "0.2",
+                     "--strategy", str(strategy)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_seed_from_environment(tmp_path, monkeypatch):
