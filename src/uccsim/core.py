@@ -15,6 +15,8 @@ import numpy as np
 
 # Dense truth tables are capped at 2^14 per side.
 MAX_SIDE = 1 << 14
+# distance() compares about this many entries at a time
+DISTANCE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,17 @@ class BitString:
         return "".join(str((self.value >> i) & 1) for i in range(self.n - 1, -1, -1))
 
 
+def _as_bits(values, what: str) -> np.ndarray:
+    """values as a uint8 array, or ValueError unless every entry is 0 or 1."""
+    try:
+        values = np.asarray(values, dtype=np.uint8)
+    except OverflowError:
+        raise ValueError(f"{what} entries must be 0/1") from None
+    if values.max(initial=0) > 1:
+        raise ValueError(f"{what} entries must be 0/1")
+    return values
+
+
 def _as_index(x, size: int, side: str) -> int:
     """Accept an int or a BitString and return a checked integer index."""
     if isinstance(x, BitString):
@@ -109,13 +122,11 @@ class TableFunction(BoolFunction):
     """A boolean function backed by a dense uint8 truth table."""
 
     def __init__(self, table):
-        table = np.asarray(table, dtype=np.uint8)
+        table = _as_bits(table, "table")
         if table.ndim != 2:
             raise ValueError("table must be 2-D")
         if table.shape[0] > MAX_SIDE or table.shape[1] > MAX_SIDE:
             raise ValueError(f"table sides capped at {MAX_SIDE}")
-        if not np.isin(table, (0, 1)).all():
-            raise ValueError("table entries must be 0/1")
         self.table = table
         self.size_x, self.size_y = table.shape
 
@@ -156,13 +167,11 @@ class OneWayProtocol:
 
     def __init__(self, assignment, deciders):
         assignment = np.asarray(assignment, dtype=np.int64)
-        deciders = np.asarray(deciders, dtype=np.uint8)
+        deciders = _as_bits(deciders, "decider")
         if assignment.ndim != 1 or deciders.ndim != 2:
             raise ValueError("assignment must be 1-D and deciders 2-D")
         if deciders.shape[0] < 1:
             raise ValueError("need at least one decider")
-        if not np.isin(deciders, (0, 1)).all():
-            raise ValueError("decider entries must be 0/1")
         if assignment.min(initial=0) < 0 or assignment.max(initial=0) >= deciders.shape[0]:
             raise ValueError("assignment targets an unknown decider")
         self.assignment = assignment
@@ -216,11 +225,14 @@ def _check_same_rectangle(f, g, mu) -> None:
 def distance(f: BoolFunction, g: BoolFunction, mu) -> float:
     """Mass, under mu, of the inputs where f and g disagree."""
     _check_same_rectangle(f, g, mu)
+    rows = max(1, DISTANCE_BLOCK // f.size_y)
     total = 0.0
-    for x in range(f.size_x):
-        diff = f.row(x) != g.row(x)
-        if diff.any():
-            total += float(mu.row_masses(x)[diff].sum())
+    for lo in range(0, f.size_x, rows):
+        xs = range(lo, min(lo + rows, f.size_x))
+        diff = np.stack([f.row(x) for x in xs]) != np.stack([g.row(x) for x in xs])
+        dx, dy = np.divmod(np.flatnonzero(diff), f.size_y)
+        if len(dx):
+            total += float(mu.mass_array(lo + dx, dy).sum())
     return total
 
 

@@ -17,13 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoolFunction, OneWayProtocol, TableFunction, distance, protocol_error
+from .core import MAX_SIDE, BoolFunction, OneWayProtocol, TableFunction, distance, protocol_error
 from .distributions import JointDistribution, ProductJoint, derive_rng
 from .sampling import SharedRandomness, one_way_correlated_sample
 
 _DIST_TOL = 1e-12
 # the eps-corruption path sorts every point mass
 CORRUPT_MAX_BITS = 10
+# at most 2^FLIP_CHUNK_BITS candidate points are drawn per round of the delta-flip set
+FLIP_CHUNK_BITS = 20
 
 WILSON_Z = 1.959963984540054
 
@@ -46,6 +48,59 @@ def choose_sample_count(k: int, theta: float) -> int:
     while not ok(m):
         m += 1
     return m
+
+
+def _prefix_within(masses: np.ndarray, spent: float, budget: float) -> tuple[int, float]:
+    """Longest prefix of masses that fits in budget after spent, and the total spent then.
+
+    The running sum is np.cumsum seeded with spent: the same additions in the
+    same order as a loop that stops at the first mass that would overflow.
+    """
+    cum = np.cumsum(np.concatenate(([spent], masses)))
+    take = int(np.searchsorted(cum[1:], budget + _DIST_TOL, side="right"))
+    return take, float(cum[take])
+
+
+def _first_occurrences(draws: np.ndarray) -> np.ndarray:
+    """The distinct values of draws, in the order of their first occurrence.
+
+    One sort of (value << FLIP_CHUNK_BITS) | position puts each value's first
+    position first; draws holds at most 2^FLIP_CHUNK_BITS values.
+    """
+    shift = FLIP_CHUNK_BITS
+    keys = np.sort((draws << shift) | np.arange(len(draws)))
+    values = keys >> shift
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return draws[np.sort(keys[first] & ((1 << shift) - 1))]
+
+
+def _flip_random_points(flat_f: np.ndarray, flat_g: np.ndarray, mu: JointDistribution,
+                        delta: float, rng: np.random.Generator) -> None:
+    """Flip flat_f along a uniformly random order of all points until one would overflow delta.
+
+    The order is never built.  The first occurrences of i.i.d. uniform draws,
+    skipping points already flipped (where flat_f != flat_g), come in a
+    uniformly random order, so the flipped set has the law of a prefix of a
+    random permutation.
+    """
+    total = flat_f.size
+    # A uniform point has mean mass 1/total, so about delta * total points get
+    # flipped; the first chunk usually covers them.
+    chunk = min(1 << FLIP_CHUNK_BITS, total, 1024 + int(1.25 * delta * total))
+    spent = 0.0
+    flipped = 0
+    while flipped < total:
+        points = _first_occurrences(rng.integers(0, total, size=chunk))
+        if flipped:
+            points = points[flat_f[points] == flat_g[points]]
+        take, spent = _prefix_within(mu.mass_array(*np.divmod(points, mu.size_y)),
+                                     spent, delta)
+        # sorted, the scattered writes walk the table in order
+        flat_f[np.sort(points[:take])] ^= 1
+        if take < len(points):
+            return
+        flipped += take
 
 
 @dataclass
@@ -78,12 +133,18 @@ def generate_instance(n: int, k: int, eps: float, delta: float, rng: np.random.G
     The protocol is a uniformly random assignment into 2^k parts with uniform
     random deciders; g is its function with an eps-mass corruption applied to
     the lightest points first, and f flips a random subset of mass at most
-    delta chosen under mu.
+    delta chosen under mu.  The tables are dense, so n is at most 14 and
+    2^k * 2^n at most 4^14; larger requests raise before allocating.
     """
     if not 0.0 <= delta < 1.0 or not 0.0 <= eps < 1.0:
         raise ValueError("eps and delta must lie in [0, 1)")
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
+    max_bits = MAX_SIDE.bit_length() - 1
+    if n > max_bits:
+        raise ValueError(f"n = {n} is over the dense-table bound n <= {max_bits}")
+    if k + n > 2 * max_bits:
+        raise ValueError(f"2^k deciders of 2^n bits exceed the 4^{max_bits}-entry table cap")
     size = 1 << n
     if mu is None:
         mu = ProductJoint.uniform_bits(n)
@@ -93,35 +154,16 @@ def generate_instance(n: int, k: int, eps: float, delta: float, rng: np.random.G
     assignment = rng.integers(0, parts, size=size)
     deciders = rng.integers(0, 2, size=(parts, size), dtype=np.uint8)
     protocol = OneWayProtocol(assignment, deciders)
-    g_table = deciders[assignment].copy()
+    g_table = deciders[assignment]
     if eps > 0.0:
         if n > CORRUPT_MAX_BITS:
             raise ValueError(f"eps-corruption path capped at n <= {CORRUPT_MAX_BITS}")
         masses = np.concatenate([mu.row_masses(x) for x in range(size)])
         order = np.argsort(masses, kind="stable")
-        flat = g_table.reshape(-1)
-        spent = 0.0
-        for point in order:
-            if spent + masses[point] > eps + _DIST_TOL:
-                break
-            flat[point] ^= 1
-            spent += masses[point]
+        take, _ = _prefix_within(masses[order], 0.0, eps)
+        g_table.reshape(-1)[order[:take]] ^= 1
     f_table = g_table.copy()
-    flat_f = f_table.reshape(-1)
-    perm = rng.permutation(size * size)
-    spent = 0.0
-    chunk = 1 << 20
-    for start in range(0, len(perm), chunk):
-        block = perm[start:start + chunk]
-        masses = mu.mass_array(block // size, block % size)
-        for point, mass in zip(block, masses):
-            if spent + mass > delta + _DIST_TOL:
-                break
-            flat_f[point] ^= 1
-            spent += mass
-        else:
-            continue
-        break
+    _flip_random_points(f_table.reshape(-1), g_table.reshape(-1), mu, delta, rng)
     instance = UncertainInstance(mu=mu, protocol=protocol, g=TableFunction(g_table),
                                  f=TableFunction(f_table), k=k, eps=eps, delta=delta)
     instance.verify()

@@ -171,6 +171,9 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     assert main(["uncertain-run", "--n", "4", "--k", "1", "--delta", "1.0",
                  "--theta", "0.4", "--trials", "5"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["uncertain-run", "--n", "15", "--k", "1", "--delta", "0.05",
+                 "--theta", "0.3", "--trials", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
     assert main(["family-audit", "--n", "8", "--q", "0.2", "--p", "0.1",
                  "--samples", "0"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,11 +1,13 @@
 """Tests for bitstrings, boolean functions, protocols, and distance measures."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from uccsim.core import (
+    DISTANCE_BLOCK,
     BitString,
     OneWayProtocol,
     TableFunction,
@@ -15,7 +17,7 @@ from uccsim.core import (
     protocol_from_json_dict,
     restrict,
 )
-from uccsim.distributions import TableJoint
+from uccsim.distributions import NoisyHypercube, TableJoint
 from uccsim.parity import ParityFunction, parity_protocol
 
 
@@ -106,6 +108,10 @@ def test_table_function_validation():
         TableFunction([[0, 2], [1, 0]])
     with pytest.raises(ValueError):
         TableFunction([0, 1])
+    with pytest.raises(ValueError):
+        TableFunction([[-1, 0]])
+    with pytest.raises(ValueError):
+        TableFunction([[2.0, 0]])
 
 
 def test_distance_identical_is_zero():
@@ -143,6 +149,22 @@ def test_distance_matches_brute_force():
         g = TableFunction(rng.integers(0, 2, size=(8, 8)))
         assert distance(f, g, mu) == pytest.approx(
             brute_distance(f, g, mu_table), abs=1e-12)
+
+
+def test_distance_matches_brute_force_across_row_blocks():
+    n = 11
+    size = 1 << n
+    assert size * size > 2 * DISTANCE_BLOCK
+    mu = NoisyHypercube(n, 0.2)
+    rng = np.random.default_rng(13)
+    f = TableFunction(rng.integers(0, 2, size=(size, size)))
+    g_table = f.to_table().copy()
+    g_table[rng.random((size, size)) < 0.01] ^= 1
+    g = TableFunction(g_table)
+    expected = math.fsum(float(mass) for x in range(size)
+                         for mass in mu.row_masses(x)[f.row(x) != g.row(x)])
+    assert distance(f, g, mu) == pytest.approx(expected, abs=1e-12)
+    assert distance(f, f, mu) == 0.0
 
 
 def test_distance_symmetry_and_triangle():
@@ -195,6 +217,10 @@ def test_protocol_validation():
         OneWayProtocol([0, 0], [[0, 3]])
     with pytest.raises(ValueError):
         OneWayProtocol([[0]], [[0, 1]])
+    for assignment, deciders in (([0, 0], [[0, 2]]), ([0, 0], [[-1, 0]]),
+                                 ([0, 1], np.array([[1, 0], [0, -1]]))):
+        with pytest.raises(ValueError):
+            OneWayProtocol(assignment, deciders)
 
 
 def test_protocol_error_parity_protocol_is_exact():

@@ -1,12 +1,15 @@
 """Tests for the uncertain-context protocol, instance generation, and trials."""
 
+import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from uccsim.core import distance, protocol_error
-from uccsim.distributions import NoisyHypercube, ProductJoint, derive_rng
+from uccsim.distributions import NoisyHypercube, ProductJoint, TableJoint, derive_rng
 from uccsim.sampling import SharedRandomness, one_way_correlated_sample, truncation_limit
 from uccsim.uncertain import (
     choose_sample_count,
@@ -86,6 +89,82 @@ def test_generate_instance_rejects_bad_budgets():
         generate_instance(4, 2, 0.0, 1.0, rng)
     with pytest.raises(ValueError):
         generate_instance(4, 2, 1.0, 0.1, rng)
+
+
+def reference_corruption(table, mu, eps):
+    """The eps-corruption as a plain loop: flip the lightest points while they fit."""
+    table = table.copy()
+    size = table.shape[1]
+    masses = np.concatenate([mu.row_masses(x) for x in range(size)])
+    flat = table.reshape(-1)
+    spent = 0.0
+    for point in np.argsort(masses, kind="stable"):
+        if spent + masses[point] > eps + 1e-12:
+            break
+        flat[point] ^= 1
+        spent += masses[point]
+    return table
+
+
+def test_eps_corruption_matches_reference_loop():
+    for n, mu in ((5, None), (6, NoisyHypercube(6, 0.1)), (6, NoisyHypercube(6, 0.3))):
+        for eps in (0.01, 0.05, 0.2, 0.5):
+            for seed in range(3):
+                inst = generate_instance(n, 2, eps, 0.05, np.random.default_rng(seed), mu=mu)
+                clean = inst.protocol.deciders[inst.protocol.assignment]
+                assert np.array_equal(inst.g.to_table(),
+                                      reference_corruption(clean, inst.mu, eps))
+
+
+def flip_set_law(masses, delta):
+    """Exact law of the points flipped along a uniformly random order, stopping at overflow."""
+    law = Counter()
+    orders = list(itertools.permutations(range(len(masses))))
+    for order in orders:
+        spent, chosen = 0.0, []
+        for point in order:
+            if spent + masses[point] > delta + 1e-12:
+                break
+            chosen.append(point)
+            spent += masses[point]
+        law[frozenset(chosen)] += 1 / len(orders)
+    return law
+
+
+def test_flip_set_has_the_law_of_a_random_order_prefix():
+    masses = [0.1, 0.2, 0.3, 0.4]
+    delta = 0.35
+    mu = TableJoint(np.reshape(masses, (2, 2)))
+    law = flip_set_law(masses, delta)
+    runs = 3000
+    seen = Counter()
+    for seed in range(runs):
+        inst = generate_instance(1, 0, 0.0, delta, np.random.default_rng(seed), mu=mu)
+        flipped = inst.f.to_table() != inst.g.to_table()
+        seen[frozenset(np.flatnonzero(flipped).tolist())] += 1
+    assert set(seen) <= set(law)
+    for points, p in law.items():
+        sigma = math.sqrt(runs * p * (1.0 - p))
+        assert abs(seen[points] - runs * p) <= 4.0 * sigma, (sorted(points), seen[points], p)
+
+
+def test_generate_instance_memory_below_old_permutation():
+    n = 12
+    tracemalloc.start()
+    try:
+        generate_instance(n, 2, 0.0, 0.05, np.random.default_rng(135))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 ** n) * 8
+
+
+def test_generate_instance_rejects_oversized_domain():
+    rng = np.random.default_rng(136)
+    with pytest.raises(ValueError):
+        generate_instance(15, 1, 0.0, 0.05, rng)
+    with pytest.raises(ValueError):
+        generate_instance(4, 30, 0.0, 0.05, rng)
 
 
 def test_run_single_decider_uses_it():
