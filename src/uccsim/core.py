@@ -93,7 +93,8 @@ def _as_index(x, size: int, side: str) -> int:
 class BoolFunction:
     """A total 0/1-valued function on [0, size_x) x [0, size_y).
 
-    Subclasses implement row(x); __call__ and to_table derive from it.
+    Subclasses implement row(x); __call__, rows and to_table derive from it,
+    and subclasses that hold a table override rows with a block read.
     """
 
     size_x: int
@@ -102,13 +103,17 @@ class BoolFunction:
     def row(self, x: int) -> np.ndarray:
         raise NotImplementedError
 
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The rows x in [lo, hi) stacked into one (hi - lo) x size_y array."""
+        return np.stack([self.row(x) for x in range(lo, hi)])
+
     def __call__(self, x, y) -> int:
         xi = _as_index(x, self.size_x, "x")
         yi = _as_index(y, self.size_y, "y")
         return int(self.row(xi)[yi])
 
     def to_table(self) -> np.ndarray:
-        return np.stack([self.row(x) for x in range(self.size_x)])
+        return self.rows(0, self.size_x)
 
     def to_json_dict(self) -> dict:
         n = int(math.log2(self.size_x)) if self.size_x == self.size_y and (
@@ -133,8 +138,8 @@ class TableFunction(BoolFunction):
     def row(self, x: int) -> np.ndarray:
         return self.table[x]
 
-    def to_table(self) -> np.ndarray:
-        return self.table
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return self.table[lo:hi]
 
     @classmethod
     def constant(cls, size_x: int, size_y: int, bit: int) -> "TableFunction":
@@ -210,6 +215,9 @@ class ProtocolFunction(BoolFunction):
     def row(self, x: int) -> np.ndarray:
         return self.protocol.deciders[self.protocol.assignment[x]]
 
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return self.protocol.deciders[self.protocol.assignment[lo:hi]]
+
     def to_json_dict(self) -> dict:
         inner = self.protocol.to_json_dict()
         return {"kind": "protocol_function", "n": None, "payload": inner["payload"]}
@@ -225,11 +233,11 @@ def _check_same_rectangle(f, g, mu) -> None:
 def distance(f: BoolFunction, g: BoolFunction, mu) -> float:
     """Mass, under mu, of the inputs where f and g disagree."""
     _check_same_rectangle(f, g, mu)
-    rows = max(1, DISTANCE_BLOCK // f.size_y)
+    block = max(1, DISTANCE_BLOCK // f.size_y)
     total = 0.0
-    for lo in range(0, f.size_x, rows):
-        xs = range(lo, min(lo + rows, f.size_x))
-        diff = np.stack([f.row(x) for x in xs]) != np.stack([g.row(x) for x in xs])
+    for lo in range(0, f.size_x, block):
+        hi = min(lo + block, f.size_x)
+        diff = f.rows(lo, hi) != g.rows(lo, hi)
         dx, dy = np.divmod(np.flatnonzero(diff), f.size_y)
         if len(dx):
             total += float(mu.mass_array(lo + dx, dy).sum())

@@ -32,6 +32,8 @@ DEFAULT_MAX_CANDIDATES = 10_000_000
 EXTRA_ROUNDS = 64
 # constant factor of the one-way payload cap, see truncation_limit
 TRUNCATION_C1 = 4.0
+# guided_choice buckets uniforms by their top GUIDE_BITS bits
+GUIDE_BITS = 12
 
 _TAG_CANDIDATES = 1
 _TAG_HASH = 2
@@ -82,6 +84,28 @@ def decode_product_index(index: int, d: int, m: int) -> list[int]:
         digits.append(index % d)
         index //= d
     return digits
+
+
+def guided_choice(probs: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Exactly rng.choice(len(probs), size=size, p=probs), with few binary searches.
+
+    The same normalised cumsum, the same rng.random(size) draw and the same
+    side="right" lookup.  A uniform u in bucket b = floor(u * 2^GUIDE_BITS)
+    has answer #{cdf <= b / 2^GUIDE_BITS} unless a cdf step lies in that
+    bucket; only those uniforms are searched.
+    """
+    cdf = np.cumsum(probs, dtype=np.float64)
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    buckets = 1 << GUIDE_BITS
+    # scaling by a power of two is exact, so cdf <= b / 2^G iff ceil(cdf * 2^G) <= b
+    below = np.cumsum(np.bincount(np.ceil(cdf * buckets).astype(np.int64),
+                                  minlength=buckets + 1))
+    guide = np.where(below[:-1] == below[1:], below[:-1], -1)
+    idx = guide[(u * buckets).astype(np.int64)]
+    step = idx < 0
+    idx[step] = np.searchsorted(cdf, u[step], side="right")
+    return idx
 
 
 def _hash_block(mult: int, shift: int, indices: np.ndarray, s: int) -> np.ndarray:
@@ -254,12 +278,16 @@ class _LazyProductRun:
 
     def run(self):
         rng_out = self.shared.stream(_TAG_OUTPUT)
-        a_digits = rng_out.choice(len(self.p_fac), size=self.m, p=self.p_fac)
+        a_digits = guided_choice(self.p_fac, self.m, rng_out)
         level_frac = rng_out.random()
         position = rng_out.standard_exponential()
+        # sum log2(P/Q) over the drawn digits only: an undrawn digit with
+        # P = Q = 0 would put 0 * nan into the sum
+        counts = np.bincount(a_digits, minlength=len(self.p_fac))
+        drawn = np.flatnonzero(counts)
         with np.errstate(divide="ignore"):
-            log_ratio = float(np.sum(np.log2(self.p_fac[a_digits]))
-                              - np.sum(np.log2(self.q_fac[a_digits])))
+            log_ratio = float(counts[drawn] @ (np.log2(self.p_fac[drawn])
+                                               - np.log2(self.q_fac[drawn])))
         if math.isinf(log_ratio):
             entry_round = None
         else:
@@ -279,8 +307,7 @@ class _LazyProductRun:
         return a_digits, self._fallback_digits(), self.max_rounds, False
 
     def _fallback_digits(self) -> np.ndarray:
-        rng = self.shared.stream(_TAG_FALLBACK)
-        return rng.choice(len(self.q_fac), size=self.m, p=self.q_fac)
+        return guided_choice(self.q_fac, self.m, self.shared.stream(_TAG_FALLBACK))
 
     def _termination_round(self, entry_round, events) -> int | None:
         """Earliest round with exactly one matching candidate, if any."""

@@ -181,6 +181,21 @@ class RunResult:
     sampling_ok: bool
 
 
+def decider_errors(deciders: np.ndarray, bob: np.ndarray, alice_bits: np.ndarray) -> np.ndarray:
+    """Share of Bob's samples on which each decider disagrees with Alice's bit.
+
+    Sample i pairs Bob's point bob[i] with Alice's revealed bit alice_bits[i];
+    the score counts each (point, bit) pair once, so it takes one bincount
+    and one integer product.  Integer counts over len(bob) give the same
+    floats as the mean of the per-sample comparisons.
+    """
+    size_y = deciders.shape[1]
+    counts = np.bincount(bob * 2 + alice_bits, minlength=2 * size_y).reshape(size_y, 2)
+    # a decider bit 1 disagrees with the zeros revealed at y, a bit 0 with the ones
+    disagree = counts[:, 1].sum() + deciders @ (counts[:, 0] - counts[:, 1])
+    return disagree / len(bob)
+
+
 def run_uncertain_protocol(instance: UncertainInstance, x: int, y: int, theta: float,
                            shared: SharedRandomness) -> RunResult:
     """One full run: correlate samples, reveal f there, let Bob pick a decider.
@@ -194,12 +209,7 @@ def run_uncertain_protocol(instance: UncertainInstance, x: int, y: int, theta: f
     m = choose_sample_count(instance.k, theta)
     sample_eps = (theta / 10.0) ** 2
     alice, bob, stats = one_way_correlated_sample(instance.mu, x, m, sample_eps, shared)
-    alice_bits = instance.f.row(x)[alice]
-    if m > 0:
-        disagree = instance.protocol.deciders[:, bob] != alice_bits[None, :]
-        errors = disagree.mean(axis=1)
-    else:
-        errors = np.zeros(instance.protocol.message_count)
+    errors = decider_errors(instance.protocol.deciders, bob, instance.f.row(x)[alice])
     chosen = int(np.argmin(errors))
     output = int(instance.protocol.deciders[chosen, y])
     return RunResult(output=output, bits=stats.bits_alice + m, errors=errors,

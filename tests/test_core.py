@@ -9,6 +9,7 @@ import pytest
 from uccsim.core import (
     DISTANCE_BLOCK,
     BitString,
+    BoolFunction,
     OneWayProtocol,
     TableFunction,
     distance,
@@ -165,6 +166,37 @@ def test_distance_matches_brute_force_across_row_blocks():
                          for mass in mu.row_masses(x)[f.row(x) != g.row(x)])
     assert distance(f, g, mu) == pytest.approx(expected, abs=1e-12)
     assert distance(f, f, mu) == 0.0
+
+
+class RowReads(BoolFunction):
+    """Only row(x): rows() falls back to stacking single rows."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.size_x, self.size_y = inner.size_x, inner.size_y
+
+    def row(self, x):
+        return self.inner.row(x)
+
+
+def test_block_reads_match_row_reads():
+    n = 11
+    size = 1 << n
+    mu = NoisyHypercube(n, 0.1)
+    rng = np.random.default_rng(14)
+    protocol = OneWayProtocol(rng.integers(0, 4, size=size),
+                              rng.integers(0, 2, size=(4, size)))
+    p = protocol.as_function()
+    g_table = p.rows(0, size).copy()
+    g_table[rng.random((size, size)) < 0.01] ^= 1
+    g = TableFunction(g_table)
+    parity = ParityFunction(BitString(5, 3), 3)
+    for fn in (p, g, parity):
+        for lo, hi in ((0, 1), (1, 5), (0, fn.size_x)):
+            assert np.array_equal(fn.rows(lo, hi), RowReads(fn).rows(lo, hi))
+    # same blocks, same order of additions: bit for bit
+    assert distance(p, g, mu) == distance(RowReads(p), RowReads(g), mu)
+    assert protocol_error(protocol, g, mu) == distance(RowReads(p), RowReads(g), mu)
 
 
 def test_distance_symmetry_and_triangle():

@@ -1,15 +1,21 @@
 """Tests for the correlated sampling protocols, interactive and one-way."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from uccsim import sampling
 from uccsim.distributions import Distribution, NoisyHypercube, ProductJoint, TableJoint
 from uccsim.sampling import (
+    DEFAULT_MAX_CANDIDATES,
     SharedRandomness,
+    _DenseRun,
+    _LazyProductRun,
     correlated_sample,
     decode_product_index,
+    guided_choice,
     hash_bits_per_round,
     one_way_correlated_sample,
     product_probs,
@@ -261,8 +267,37 @@ def test_one_way_matches_interactive_when_within_budget():
 
 
 def test_one_way_lazy_and_dense_paths_agree_statistically():
-    # The implicit large-universe path must deliver the same contract as the
-    # dense one at matching parameters.
+    # Both realizations run on one small universe.  They draw from different
+    # streams, so their lists differ seed by seed; Alice's digit frequencies
+    # and the agreement rates must match within 4 sigma.
+    mu = NoisyHypercube(2, 0.2)
+    x, m, eps = 1, 2, 0.05
+    p = mu.conditional_y_given_x(x).probs
+    q = mu.marginal_y().probs
+    sub_eps = eps / 2.0
+    budget = truncation_limit(mu, m, eps) // hash_bits_per_round(sub_eps)
+    trials = 2000
+    freq = {"lazy": np.zeros(4), "dense": np.zeros(4)}
+    agree = {"lazy": 0, "dense": 0}
+    for seed in range(trials):
+        a, b, _, ok = _LazyProductRun(p, q, m, sub_eps, SharedRandomness((17, seed)),
+                                      budget).run()
+        freq["lazy"] += np.bincount(a, minlength=4)
+        agree["lazy"] += ok and np.array_equal(a, b)
+        a_idx, b_idx, _, _, ok = _DenseRun(product_probs(p, m), product_probs(q, m), sub_eps,
+                                           SharedRandomness((17, seed)),
+                                           DEFAULT_MAX_CANDIDATES, budget).run()
+        freq["dense"] += np.bincount(decode_product_index(a_idx, 4, m), minlength=4)
+        agree["dense"] += ok and a_idx == b_idx
+    draws = trials * m
+    sigma = np.sqrt(2.0 * p * (1.0 - p) / draws)
+    assert np.all(np.abs(freq["lazy"] - freq["dense"]) / draws <= 4.0 * sigma)
+    rate = {path: count / trials for path, count in agree.items()}
+    pooled = (rate["lazy"] + rate["dense"]) / 2.0
+    assert min(rate.values()) >= 1.0 - eps
+    assert abs(rate["lazy"] - rate["dense"]) <= 4.0 * math.sqrt(2.0 * pooled * (1.0 - pooled)
+                                                                / trials)
+    # and the lazy path keeps the agreement contract where the dense one cannot run
     mu = NoisyHypercube(12, 0.1)
     agree = 0
     trials = 200
@@ -273,6 +308,66 @@ def test_one_way_lazy_and_dense_paths_agree_statistically():
                                                 SharedRandomness((17, seed)))
         agree += stats.success
     assert agree / trials >= 0.85
+
+
+def test_guided_choice_equals_rng_choice():
+    noisy = [NoisyHypercube(8, p).conditional_y_given_x(x).probs
+             for p in (0.1, 0.01) for x in (0, 77, 255)]
+    shaped = [np.full(16, 1.0 / 16),
+              np.r_[0.0, 0.0, np.full(6, 1.0 / 6)],
+              np.r_[0.25, 0.0, 0.0, 0.5, 0.0, 0.25],
+              np.r_[np.full(5, 0.2), 0.0, 0.0, 0.0],
+              np.eye(7)[3],
+              np.array([1.0])]
+    for probs in noisy + shaped:
+        for m in (0, 1, 9935):
+            for seed in range(5):
+                expected_rng = np.random.default_rng(seed)
+                expected = expected_rng.choice(len(probs), size=m, p=probs)
+                rng = np.random.default_rng(seed)
+                got = guided_choice(probs, m, rng)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
+                # the same draws were consumed
+                assert rng.random() == expected_rng.random()
+
+
+def test_lazy_run_never_enters_on_a_digit_bob_cannot_draw():
+    # Digit 0 has Q-mass 0, so once Alice draws it her candidate never enters
+    # Bob's set; digit 3 has no mass on either side and must not turn the
+    # log-ratio into nan.
+    p = np.array([0.5, 0.5, 0.0, 0.0])
+    q = np.array([0.0, 0.5, 0.5, 0.0])
+    runner = _LazyProductRun(p, q, 20, 0.1, SharedRandomness(31), 40)
+    entries = []
+    scan = runner._termination_round
+    runner._termination_round = lambda entry, events: entries.append(entry) or scan(entry, events)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a_digits, _, _, _ = runner.run()
+    assert 0 in a_digits
+    assert entries == [None]
+
+
+def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
+    # The real cap never binds at these sizes; cut it to three rounds of hash
+    # bits so every run here hits max_rounds.
+    mu = NoisyHypercube(8, 0.1)
+    m, eps = 20, 0.02
+    s = hash_bits_per_round(eps / 2.0)
+    q = mu.marginal_y().probs
+    uncapped = {seed: one_way_correlated_sample(mu, 101, m, eps, SharedRandomness((32, seed)))
+                for seed in range(10)}
+    monkeypatch.setattr(sampling, "truncation_limit", lambda mu, m, eps: 3 * s)
+    for seed, (full_alice, _, full_stats) in uncapped.items():
+        assert full_stats.bits_alice > 3 * s
+        shared = SharedRandomness((32, seed))
+        alice, bob, stats = one_way_correlated_sample(mu, 101, m, eps, shared)
+        assert stats.bits_alice == 3 * s
+        assert not stats.success
+        assert np.array_equal(alice, full_alice)
+        fallback = shared.stream(sampling._TAG_FALLBACK).choice(len(q), size=m, p=q)
+        assert np.array_equal(bob, fallback)
 
 
 def test_communication_scales_with_divergence():

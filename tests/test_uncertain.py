@@ -13,6 +13,7 @@ from uccsim.distributions import NoisyHypercube, ProductJoint, TableJoint, deriv
 from uccsim.sampling import SharedRandomness, one_way_correlated_sample, truncation_limit
 from uccsim.uncertain import (
     choose_sample_count,
+    decider_errors,
     estimate_uncertain_error,
     generate_instance,
     run_trials,
@@ -176,6 +177,25 @@ def test_run_single_decider_uses_it():
         assert result.chosen == 0
         assert result.errors.shape == (1,)
         assert result.output == inst.protocol.evaluate(x, y)
+
+
+def test_decider_errors_equal_per_sample_gather():
+    rng = np.random.default_rng(129)
+    size_y = 64
+    for k in range(7):
+        deciders = rng.integers(0, 2, size=(1 << k, size_y), dtype=np.uint8)
+        for m in (1, 2, 37, 9935):
+            bob = rng.integers(0, size_y, size=m)
+            alice_bits = rng.integers(0, 2, size=m, dtype=np.uint8)
+            reference = (deciders[:, bob] != alice_bits[None, :]).mean(axis=1)
+            got = decider_errors(deciders, bob, alice_bits)
+            assert got.dtype == reference.dtype
+            assert np.array_equal(got, reference)
+            # Bob's list differs from the points Alice revealed f on
+            alice = rng.integers(0, size_y, size=m)
+            f_row = rng.integers(0, 2, size=size_y, dtype=np.uint8)
+            reference = (deciders[:, bob] != f_row[alice][None, :]).mean(axis=1)
+            assert np.array_equal(decider_errors(deciders, bob, f_row[alice]), reference)
 
 
 def test_run_exact_instance_scores_true_decider_zero():
