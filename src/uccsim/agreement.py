@@ -79,22 +79,25 @@ class NearestCodewordStrategy:
 
 
 def greedy_covering_code(size_y: int, radius: int) -> list[int]:
-    """Greedy set cover of {0,1}^size_y by Hamming balls; size_y <= 14."""
+    """Greedy set cover of {0,1}^size_y by Hamming balls; size_y <= 14.
+
+    Each step takes the first word whose ball holds the most uncovered words.
+    """
     if size_y > 14:
         raise ValueError("greedy cover only built for size_y <= 14")
-    size = 1 << size_y
-    pc = popcount_table(size_y)
-    uncovered = np.ones(size, dtype=bool)
-    words = np.arange(size)
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    words = np.arange(1 << size_y)
+    ball = np.flatnonzero(popcount_table(size_y) <= radius)
+    uncovered = np.ones(len(words), dtype=bool)
     code: list[int] = []
     while uncovered.any():
-        best_word, best_gain = -1, -1
-        for w in words:
-            gain = int(np.count_nonzero(uncovered & (pc[words ^ w] <= radius)))
-            if gain > best_gain:
-                best_word, best_gain = int(w), gain
-        code.append(best_word)
-        uncovered &= pc[words ^ best_word] > radius
+        gain = np.zeros(len(words), dtype=np.int64)
+        for offset in ball:
+            gain += uncovered[words ^ offset]
+        best = int(np.argmax(gain))
+        code.append(best)
+        uncovered[best ^ ball] = False
     return code
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import BitString
+from .core import BitString, _as_index
 
 # NoisyHypercube only materializes a dense joint table up to this many bits.
 MATERIALIZE_MAX_N = 7
@@ -80,7 +80,7 @@ class JointDistribution:
     size_y: int
 
     def mass(self, x: int, y: int) -> float:
-        return float(self.row_masses(x)[y])
+        return float(self.row_masses(x)[_as_index(y, self.size_y, "y")])
 
     def mass_array(self, xs, ys) -> np.ndarray:
         """Joint masses of aligned index arrays, vectorized where possible."""
@@ -139,7 +139,7 @@ class TableJoint(JointDistribution):
         self.size_x, self.size_y = table.shape
 
     def row_masses(self, x: int) -> np.ndarray:
-        return self.table[x]
+        return self.table[_as_index(x, self.size_x, "x")]
 
     def mass_array(self, xs, ys) -> np.ndarray:
         return self.table[np.asarray(xs), np.asarray(ys)]
@@ -175,7 +175,7 @@ class ProductJoint(JointDistribution):
         return cls(Distribution.uniform(1 << n), Distribution.uniform(1 << n))
 
     def row_masses(self, x: int) -> np.ndarray:
-        return self.px.probs[x] * self.py.probs
+        return self.px.probs[_as_index(x, self.size_x, "x")] * self.py.probs
 
     def mass_array(self, xs, ys) -> np.ndarray:
         return self.px.probs[np.asarray(xs)] * self.py.probs[np.asarray(ys)]
@@ -187,7 +187,7 @@ class ProductJoint(JointDistribution):
         return self.py
 
     def conditional_y_given_x(self, x: int) -> Distribution:
-        if self.px.probs[x] <= 0:
+        if self.px.probs[_as_index(x, self.size_x, "x")] <= 0:
             raise ValueError(f"conditional undefined: x={x} has zero mass")
         return self.py
 
@@ -221,13 +221,15 @@ class NoisyHypercube(JointDistribution):
         self._pc = popcount_table(n)
         d = np.arange(n + 1, dtype=np.float64)
         self._cond_by_distance = (p ** d) * ((1.0 - p) ** (n - d))
+        # x is uniform, and flipping uniform bits leaves y uniform too.
+        self._uniform = Distribution.uniform(self.size_x)
 
     def mass(self, x: int, y: int) -> float:
-        d = (x ^ y).bit_count()
+        d = (_as_index(x, self.size_x, "x") ^ _as_index(y, self.size_y, "y")).bit_count()
         return float(self._cond_by_distance[d]) / self.size_x
 
     def row_masses(self, x: int) -> np.ndarray:
-        d = self._pc[np.arange(self.size_y) ^ x]
+        d = self._pc[np.arange(self.size_y) ^ _as_index(x, self.size_x, "x")]
         return self._cond_by_distance[d] / self.size_x
 
     def mass_array(self, xs, ys) -> np.ndarray:
@@ -235,14 +237,13 @@ class NoisyHypercube(JointDistribution):
         return self._cond_by_distance[d] / self.size_x
 
     def marginal_x(self) -> Distribution:
-        return Distribution.uniform(self.size_x)
+        return self._uniform
 
     def marginal_y(self) -> Distribution:
-        # Flipping uniform bits leaves them uniform.
-        return Distribution.uniform(self.size_y)
+        return self._uniform
 
     def conditional_y_given_x(self, x: int) -> Distribution:
-        d = self._pc[np.arange(self.size_y) ^ x]
+        d = self._pc[np.arange(self.size_y) ^ _as_index(x, self.size_x, "x")]
         return Distribution(self._cond_by_distance[d])
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
@@ -285,12 +286,7 @@ def uniform_bits(n: int, rng: np.random.Generator) -> int:
 def flip_mask(n: int, p: float, rng: np.random.Generator) -> int:
     """An n-bit integer whose bits are set independently with probability p."""
     flips = rng.random(n) < p
-    if n <= 62:
-        return int(np.sum(flips * (1 << np.arange(n, dtype=np.uint64)), dtype=np.uint64))
-    value = 0
-    for i in np.flatnonzero(flips):
-        value |= 1 << int(i)
-    return value
+    return int.from_bytes(np.packbits(flips, bitorder="little").tobytes(), "little")
 
 
 def sample_noisy_copy(x: BitString, p: float, rng: np.random.Generator) -> BitString:

@@ -3,7 +3,9 @@
 Ground truth for everything else: enumerate all set partitions of Alice's
 domain, give each part the mass-weighted majority decider, and take the
 cheapest partition meeting the error budget.  Feasible because message
-names are immaterial, so partitions stand in for all assignments.
+names are immaterial, so partitions stand in for all assignments.  A part's
+error and decider depend only on its set of rows, so both come from one
+table of per-column sums over all 2^|X| row sets.
 """
 
 from __future__ import annotations
@@ -17,23 +19,19 @@ MAX_X = 8
 MAX_Y = 16
 
 
-def _set_partitions(count: int):
-    """Yield partitions of range(count) as block-index vectors (restricted growth)."""
-    labels = [0] * count
-    while True:
-        yield labels.copy()
-        # advance the restricted growth string
-        i = count - 1
-        while i > 0:
-            if labels[i] <= max(labels[:i]):
-                labels[i] += 1
-                for j in range(i + 1, count):
-                    labels[j] = 0
-                break
-            labels[i] = 0
-            i -= 1
-        else:
-            return
+def _set_partitions(count: int) -> np.ndarray:
+    """Every partition of range(count) as a row of block labels.
+
+    Rows are the restricted growth strings in lexicographic order: each
+    label is at most one more than the largest label before it.
+    """
+    labels = np.zeros((1, count), dtype=np.uint8)
+    for i in range(1, count):
+        choices = labels[:, :i].max(axis=1).astype(np.intp) + 2
+        starts = np.cumsum(choices) - choices
+        labels = np.repeat(labels, choices, axis=0)
+        labels[:, i] = np.arange(len(labels)) - np.repeat(starts, choices)
+    return labels
 
 
 def _check_size(f: BoolFunction, mu: JointDistribution) -> None:
@@ -43,48 +41,41 @@ def _check_size(f: BoolFunction, mu: JointDistribution) -> None:
         raise ValueError("distribution rectangle does not match the function")
 
 
-def _partition_error(weight1: np.ndarray, weight_all: np.ndarray, labels: list[int]) -> float:
-    """Best achievable error for one partition: per part and column take the minority mass."""
-    err = 0.0
-    parts = max(labels) + 1
-    for part in range(parts):
-        rows = [x for x, lab in enumerate(labels) if lab == part]
-        ones = weight1[rows].sum(axis=0)
-        total = weight_all[rows].sum(axis=0)
-        err += np.minimum(ones, total - ones).sum()
-    return float(err)
-
-
 def best_protocol(f: BoolFunction, mu: JointDistribution, eps: float) -> OneWayProtocol:
     """A cost-minimal one-way protocol with error at most eps.
 
-    One pruned search: partitions with no fewer parts than the best found so
-    far are skipped, so the result is the first partition, in enumeration
-    order, with the fewest parts.  Each part decides by mass-weighted majority.
+    The result is the first partition, in enumeration order, with the fewest
+    parts among those meeting eps.  Each part decides by mass-weighted
+    majority; a partition errs by its parts' minority masses.
     """
     _check_size(f, mu)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    weight_all = np.stack([mu.row_masses(x) for x in range(f.size_x)])
-    weight1 = np.stack([mu.row_masses(x) * f.row(x) for x in range(f.size_x)])
-    best, best_parts = None, f.size_x + 1
-    for labels in _set_partitions(f.size_x):
-        parts = max(labels) + 1
-        if parts >= best_parts:
-            continue
-        if _partition_error(weight1, weight_all, labels) <= eps + 1e-12:
-            best, best_parts = labels, parts
-            if parts == 1:
-                break
-    if best is None:
+    weight_all = mu.to_table()
+    weight1 = weight_all * f.to_table()
+    # ones[s] and total[s]: column sums over row set s, its rows added in index order
+    ones = np.zeros((1 << f.size_x, f.size_y))
+    total = np.zeros_like(ones)
+    for x in range(f.size_x):
+        ones[1 << x: 2 << x] = ones[: 1 << x] + weight1[x]
+        total[1 << x: 2 << x] = total[: 1 << x] + weight_all[x]
+    set_error = np.minimum(ones, total - ones).sum(axis=1)
+    labels = _set_partitions(f.size_x)
+    shifts = np.arange(f.size_x, dtype=np.uint8)
+    # row set of each part of each partition; absent parts get the empty set
+    masks = np.stack([((labels == part) << shifts).sum(axis=1, dtype=np.uint8)
+                      for part in range(f.size_x)], axis=1)
+    error = np.zeros(len(labels))
+    for part_sets in masks.T:
+        error += set_error[part_sets]
+    feasible = np.flatnonzero(error <= eps + 1e-12)
+    if feasible.size == 0:
         raise ValueError("no protocol meets the error budget")
-    deciders = np.zeros((best_parts, f.size_y), dtype=np.uint8)
-    for part in range(best_parts):
-        rows = [x for x, lab in enumerate(best) if lab == part]
-        ones = weight1[rows].sum(axis=0)
-        total = weight_all[rows].sum(axis=0)
-        deciders[part] = (ones * 2 > total).astype(np.uint8)
-    return OneWayProtocol(np.array(best), deciders)
+    parts = labels.max(axis=1) + 1
+    best = feasible[np.argmin(parts[feasible])]
+    part_sets = masks[best, :parts[best]]
+    deciders = (ones[part_sets] * 2 > total[part_sets]).astype(np.uint8)
+    return OneWayProtocol(labels[best], deciders)
 
 
 def exact_one_way_cc(f: BoolFunction, mu: JointDistribution, eps: float) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, JointDistribution
+from .distributions import Distribution, JointDistribution, derive_rng
 
 HASH_PRIME = (1 << 31) - 1
 # one-way runs materialize the product universe only up to this size
@@ -59,7 +59,7 @@ class SharedRandomness:
             else (int(seed),)
 
     def stream(self, tag: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence([*self.seed, int(tag)]))
+        return derive_rng(*self.seed, tag)
 
 
 def hash_bits_per_round(eps: float) -> int:

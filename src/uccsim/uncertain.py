@@ -12,6 +12,7 @@ parameter theta, never on the input length.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -247,15 +248,19 @@ def _trial_slice(instance: UncertainInstance, theta: float, master_seed: int,
 
 def run_trials(instance: UncertainInstance, theta: float, trials: int, master_seed: int,
                jobs: int = 1) -> list[TrialRecord]:
-    """Independent seeded trials; identical output for any jobs value."""
+    """Independent seeded trials; identical output for any jobs value.
+
+    At most min(jobs, trials, cpu count) worker processes are started.
+    """
     if trials < 1:
         raise ValueError("no trials requested")
-    if jobs <= 1:
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers <= 1:
         return _trial_slice(instance, theta, master_seed, 0, trials)
-    bounds = np.linspace(0, trials, jobs + 1, dtype=int)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunks = pool.map(_trial_slice, [instance] * jobs, [theta] * jobs,
-                          [master_seed] * jobs, bounds[:-1], bounds[1:])
+    bounds = np.linspace(0, trials, workers + 1, dtype=int)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = pool.map(_trial_slice, [instance] * workers, [theta] * workers,
+                          [master_seed] * workers, bounds[:-1], bounds[1:])
     return [record for chunk in chunks for record in chunk]
 
 

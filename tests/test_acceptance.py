@@ -169,9 +169,9 @@ def test_criterion_05_block_norm_closed_form(capsys):
             worst_residual = max(worst_residual,
                                  float(np.linalg.norm(gram @ vec - lam * vec)))
     seconds = time.time() - start
-    ok = worst_gap <= 1e-8 and worst_residual <= 1e-9 and bound_ok and seconds < 10
+    ok = worst_gap <= 1e-12 and worst_residual <= 1e-9 and bound_ok and seconds < 10
     report(capsys, 5, "block spectral norm matches closed form", ok,
-           f"950 grid points, worst norm gap {worst_gap:.2e} (cap 1e-8), worst "
+           f"950 grid points, worst norm gap {worst_gap:.2e} (cap 1e-12), worst "
            f"eigenvector residual {worst_residual:.2e} (cap 1e-9), {seconds:.2f}s")
 
 

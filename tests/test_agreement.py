@@ -17,7 +17,7 @@ from uccsim.agreement import (
     normalized_distance,
     sample_perturbed_pair,
 )
-from uccsim.distributions import Distribution, binary_entropy
+from uccsim.distributions import Distribution, binary_entropy, popcount_table
 
 
 def test_sample_perturbed_pair_zero_rho():
@@ -101,6 +101,35 @@ def test_greedy_code_covers_at_radius():
     code = greedy_covering_code(size, radius)
     for f in range(1 << size):
         assert min((f ^ c).bit_count() for c in code) <= radius
+
+
+def reference_covering_code(size_y, radius):
+    """Greedy cover that scans every word for the largest gain, first one wins."""
+    size = 1 << size_y
+    pc = popcount_table(size_y)
+    uncovered = np.ones(size, dtype=bool)
+    words = np.arange(size)
+    code = []
+    while uncovered.any():
+        best_word, best_gain = -1, -1
+        for w in words:
+            gain = int(np.count_nonzero(uncovered & (pc[words ^ w] <= radius)))
+            if gain > best_gain:
+                best_word, best_gain = int(w), gain
+        code.append(best_word)
+        uncovered &= pc[words ^ best_word] > radius
+    return code
+
+
+def test_greedy_code_matches_per_word_scan():
+    points = [(size, radius) for size in range(1, 9) for radius in range(size + 1)]
+    for size, radius in points + [(9, 3), (10, 2)]:
+        assert greedy_covering_code(size, radius) == reference_covering_code(size, radius)
+
+
+def test_greedy_code_rejects_negative_radius():
+    with pytest.raises(ValueError):
+        greedy_covering_code(6, -1)
 
 
 def test_nearest_codeword_tie_break_deterministic():

@@ -14,11 +14,13 @@ from uccsim.distributions import (
     TableJoint,
     binary_entropy,
     derive_rng,
+    flip_mask,
     joint_from_json_dict,
     kl_divergence,
     sample_noisy_copy,
     uniform_bits,
 )
+from uccsim.sampling import SharedRandomness, one_way_correlated_sample
 
 
 def reference_noisy_table(n, p):
@@ -202,6 +204,45 @@ def test_sample_matches_distribution_tv():
             counts[x, y] += 1
         tv = 0.5 * np.abs(counts / draws - mu.to_table()).sum()
         assert tv <= 0.02
+
+
+def test_flip_mask_bit_order_and_stream_position():
+    for n in (0, 1, 8, 62, 63, 64, 130):
+        rng, ref = np.random.default_rng(57), np.random.default_rng(57)
+        flips = ref.random(n) < 0.3
+        expect = sum(1 << i for i in np.flatnonzero(flips).tolist())
+        assert flip_mask(n, 0.3, rng) == expect
+        assert rng.random() == ref.random()
+
+
+def test_joints_reject_out_of_range_x():
+    joints = (TableJoint(np.full((4, 2), 1 / 8)),
+              ProductJoint(Distribution.uniform(4), Distribution.uniform(2)),
+              NoisyHypercube(2, 0.1))
+    for mu in joints:
+        for bad in (-1, mu.size_x):
+            with pytest.raises(IndexError):
+                mu.row_masses(bad)
+            with pytest.raises(IndexError):
+                mu.conditional_y_given_x(bad)
+            with pytest.raises(IndexError):
+                mu.mass(bad, 0)
+        for bad in (-1, mu.size_y):
+            with pytest.raises(IndexError):
+                mu.mass(0, bad)
+
+
+def test_one_way_sample_rejects_out_of_range_x():
+    mu = NoisyHypercube(3, 0.1)
+    for bad in (-1, mu.size_x):
+        with pytest.raises(IndexError):
+            one_way_correlated_sample(mu, bad, 3, 0.1, SharedRandomness(1))
+
+
+def test_noisy_hypercube_marginals_built_once():
+    mu = NoisyHypercube(4, 0.2)
+    assert mu.marginal_x() is mu.marginal_x() is mu.marginal_y()
+    assert np.array_equal(mu.marginal_x().probs, np.full(16, 1 / 16))
 
 
 def test_derive_rng_streams():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import tracemalloc
 from collections import Counter
 
@@ -11,6 +12,7 @@ import pytest
 from uccsim.core import distance, protocol_error
 from uccsim.distributions import NoisyHypercube, ProductJoint, TableJoint, derive_rng
 from uccsim.sampling import SharedRandomness, one_way_correlated_sample, truncation_limit
+from uccsim import uncertain
 from uccsim.uncertain import (
     choose_sample_count,
     decider_errors,
@@ -295,6 +297,39 @@ def test_run_trials_parallel_matches_serial():
     parallel = run_trials(inst, 0.4, 40, master_seed=41, jobs=4)
     assert serial == parallel
     assert [r.trial for r in serial] == list(range(40))
+
+
+class SerialPool:
+    """Stand-in for ProcessPoolExecutor: records max_workers and maps in-process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_run_trials_starts_no_more_workers_than_trials_or_cores(monkeypatch):
+    rng = np.random.default_rng(135)
+    inst = generate_instance(4, 1, 0.0, 0.05, rng)
+    serial = run_trials(inst, 0.4, 3, master_seed=42, jobs=1)
+    monkeypatch.setattr(uncertain, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "started", [])
+    for cores, expect in ((64, 3), (2, 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert run_trials(inst, 0.4, 3, master_seed=42, jobs=10 ** 6) == serial
+        assert SerialPool.started[-1] == expect
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_trials(inst, 0.4, 3, master_seed=42, jobs=10 ** 6) == serial
+    assert SerialPool.started == [3, 2]
 
 
 def test_wilson_half_width_values():
