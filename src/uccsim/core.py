@@ -90,6 +90,14 @@ def _as_index(x, size: int, side: str) -> int:
     return x
 
 
+def _as_indices(values, size: int, side: str) -> np.ndarray:
+    """values as an index array, or IndexError unless every entry lies in [0, size)."""
+    values = np.asarray(values)
+    if values.min(initial=0) < 0 or values.max(initial=0) >= size:
+        raise IndexError(f"{side} index out of range [0, {size})")
+    return values
+
+
 class BoolFunction:
     """A total 0/1-valued function on [0, size_x) x [0, size_y).
 
@@ -115,13 +123,6 @@ class BoolFunction:
     def to_table(self) -> np.ndarray:
         return self.rows(0, self.size_x)
 
-    def to_json_dict(self) -> dict:
-        n = int(math.log2(self.size_x)) if self.size_x == self.size_y and (
-            self.size_x & (self.size_x - 1)) == 0 else None
-        return {"kind": "table", "n": n,
-                "payload": {"size_x": self.size_x, "size_y": self.size_y,
-                            "rows": self.to_table().tolist()}}
-
 
 class TableFunction(BoolFunction):
     """A boolean function backed by a dense uint8 truth table."""
@@ -144,23 +145,6 @@ class TableFunction(BoolFunction):
     @classmethod
     def constant(cls, size_x: int, size_y: int, bit: int) -> "TableFunction":
         return cls(np.full((size_x, size_y), bit, dtype=np.uint8))
-
-
-@dataclass
-class Restriction:
-    """One-argument function y -> f(x, y) produced by fixing Alice's input."""
-
-    table: np.ndarray
-
-    def __call__(self, y) -> int:
-        yi = _as_index(y, len(self.table), "y")
-        return int(self.table[yi])
-
-
-def restrict(f: BoolFunction, x) -> Restriction:
-    """Fix Alice's input, returning the induced function of y alone."""
-    xi = _as_index(x, f.size_x, "x")
-    return Restriction(np.array(f.row(xi), dtype=np.uint8, copy=True))
 
 
 class OneWayProtocol:
@@ -198,11 +182,6 @@ class OneWayProtocol:
     def as_function(self) -> "ProtocolFunction":
         return ProtocolFunction(self)
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "one_way_protocol", "n": None,
-                "payload": {"assignment": self.assignment.tolist(),
-                            "deciders": self.deciders.tolist()}}
-
 
 class ProtocolFunction(BoolFunction):
     """The boolean function computed by a one-way protocol."""
@@ -217,10 +196,6 @@ class ProtocolFunction(BoolFunction):
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         return self.protocol.deciders[self.protocol.assignment[lo:hi]]
-
-    def to_json_dict(self) -> dict:
-        inner = self.protocol.to_json_dict()
-        return {"kind": "protocol_function", "n": None, "payload": inner["payload"]}
 
 
 def _check_same_rectangle(f, g, mu) -> None:
@@ -247,23 +222,3 @@ def distance(f: BoolFunction, g: BoolFunction, mu) -> float:
 def protocol_error(protocol: OneWayProtocol, g: BoolFunction, mu) -> float:
     """Distance between the function a protocol computes and a target g."""
     return distance(protocol.as_function(), g, mu)
-
-
-def function_from_json_dict(doc: dict) -> BoolFunction:
-    kind = doc.get("kind")
-    payload = doc.get("payload", {})
-    if kind == "table":
-        return TableFunction(payload["rows"])
-    if kind == "protocol_function":
-        return ProtocolFunction(OneWayProtocol(payload["assignment"], payload["deciders"]))
-    if kind == "parity":
-        from .parity import ParityFunction
-        return ParityFunction(payload["mask"], doc["n"])
-    raise ValueError(f"unknown function kind {kind!r}")
-
-
-def protocol_from_json_dict(doc: dict) -> OneWayProtocol:
-    if doc.get("kind") != "one_way_protocol":
-        raise ValueError(f"unknown protocol kind {doc.get('kind')!r}")
-    payload = doc["payload"]
-    return OneWayProtocol(payload["assignment"], payload["deciders"])

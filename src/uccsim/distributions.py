@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import BitString, _as_index
+from .core import BitString, _as_index, _as_indices
 
 # NoisyHypercube only materializes a dense joint table up to this many bits.
 MATERIALIZE_MAX_N = 7
@@ -49,9 +49,6 @@ class Distribution:
     def sample(self, rng: np.random.Generator, size=None):
         return rng.choice(self.size, size=size, p=self.probs)
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "dense", "n": None, "payload": {"probs": self.probs.tolist()}}
-
     @classmethod
     def uniform(cls, size: int) -> "Distribution":
         return cls(np.full(size, 1.0 / size))
@@ -59,7 +56,7 @@ class Distribution:
     @classmethod
     def point_mass(cls, size: int, at: int) -> "Distribution":
         probs = np.zeros(size)
-        probs[at] = 1.0
+        probs[_as_index(at, size, "point")] = 1.0
         return cls(probs)
 
 
@@ -83,8 +80,8 @@ class JointDistribution:
         return float(self.row_masses(x)[_as_index(y, self.size_y, "y")])
 
     def mass_array(self, xs, ys) -> np.ndarray:
-        """Joint masses of aligned index arrays, vectorized where possible."""
-        return np.array([self.mass(int(x), int(y)) for x, y in zip(xs, ys)])
+        """Joint masses of aligned index arrays; IndexError for an index off the rectangle."""
+        raise NotImplementedError
 
     def row_masses(self, x: int) -> np.ndarray:
         """Joint masses of (x, y) for all y, as a vector over y."""
@@ -104,9 +101,7 @@ class JointDistribution:
         return Distribution(row / total)
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        x = int(self.marginal_x().sample(rng))
-        y = int(self.conditional_y_given_x(x).sample(rng))
-        return x, y
+        raise NotImplementedError
 
     def mutual_information(self) -> float:
         """I(X;Y) in bits, the divergence of the joint from the product of marginals."""
@@ -142,7 +137,7 @@ class TableJoint(JointDistribution):
         return self.table[_as_index(x, self.size_x, "x")]
 
     def mass_array(self, xs, ys) -> np.ndarray:
-        return self.table[np.asarray(xs), np.asarray(ys)]
+        return self.table[_as_indices(xs, self.size_x, "x"), _as_indices(ys, self.size_y, "y")]
 
     def marginal_x(self) -> Distribution:
         return Distribution(self.table.sum(axis=1))
@@ -156,9 +151,6 @@ class TableJoint(JointDistribution):
 
     def to_table(self) -> np.ndarray:
         return self.table
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "dense_joint", "n": None, "payload": {"table": self.table.tolist()}}
 
 
 class ProductJoint(JointDistribution):
@@ -178,7 +170,8 @@ class ProductJoint(JointDistribution):
         return self.px.probs[_as_index(x, self.size_x, "x")] * self.py.probs
 
     def mass_array(self, xs, ys) -> np.ndarray:
-        return self.px.probs[np.asarray(xs)] * self.py.probs[np.asarray(ys)]
+        return (self.px.probs[_as_indices(xs, self.size_x, "x")]
+                * self.py.probs[_as_indices(ys, self.size_y, "y")])
 
     def marginal_x(self) -> Distribution:
         return self.px
@@ -196,10 +189,6 @@ class ProductJoint(JointDistribution):
 
     def mutual_information(self) -> float:
         return 0.0
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "product", "n": None,
-                "payload": {"px": self.px.probs.tolist(), "py": self.py.probs.tolist()}}
 
 
 class NoisyHypercube(JointDistribution):
@@ -233,7 +222,7 @@ class NoisyHypercube(JointDistribution):
         return self._cond_by_distance[d] / self.size_x
 
     def mass_array(self, xs, ys) -> np.ndarray:
-        d = self._pc[np.asarray(xs) ^ np.asarray(ys)]
+        d = self._pc[_as_indices(xs, self.size_x, "x") ^ _as_indices(ys, self.size_y, "y")]
         return self._cond_by_distance[d] / self.size_x
 
     def marginal_x(self) -> Distribution:
@@ -258,9 +247,6 @@ class NoisyHypercube(JointDistribution):
         if self.n > MATERIALIZE_MAX_N:
             raise ValueError(f"dense table only materialized for n <= {MATERIALIZE_MAX_N}")
         return super().to_table()
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "noisy_hypercube", "n": self.n, "payload": {"p": self.p}}
 
 
 def binary_entropy(x: float) -> float:
@@ -294,15 +280,3 @@ def sample_noisy_copy(x: BitString, p: float, rng: np.random.Generator) -> BitSt
     if not 0.0 <= p <= 1.0:
         raise ValueError("flip probability must lie in [0, 1]")
     return BitString(x.value ^ flip_mask(x.n, p, rng), x.n)
-
-
-def joint_from_json_dict(doc: dict) -> JointDistribution:
-    kind = doc.get("kind")
-    payload = doc.get("payload", {})
-    if kind == "dense_joint":
-        return TableJoint(payload["table"])
-    if kind == "product":
-        return ProductJoint(Distribution(payload["px"]), Distribution(payload["py"]))
-    if kind == "noisy_hypercube":
-        return NoisyHypercube(doc["n"], payload["p"])
-    raise ValueError(f"unknown joint distribution kind {kind!r}")

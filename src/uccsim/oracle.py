@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoolFunction, OneWayProtocol, distance
+from .core import BoolFunction, OneWayProtocol
 from .distributions import JointDistribution
 
 MAX_X = 8
@@ -81,11 +81,3 @@ def best_protocol(f: BoolFunction, mu: JointDistribution, eps: float) -> OneWayP
 def exact_one_way_cc(f: BoolFunction, mu: JointDistribution, eps: float) -> int:
     """Minimum ceil(log2(parts)) of a one-way protocol with error at most eps."""
     return best_protocol(f, mu, eps).cost_bits()
-
-
-def certify_family_membership(f: BoolFunction, g: BoolFunction, mu: JointDistribution,
-                              k: int, eps: float, delta: float) -> bool:
-    """True iff both functions cost at most k bits at error eps and are delta-close."""
-    if distance(f, g, mu) > delta + 1e-12:
-        return False
-    return exact_one_way_cc(f, mu, eps) <= k and exact_one_way_cc(g, mu, eps) <= k

@@ -44,9 +44,6 @@ class ParityFunction(BoolFunction):
         yi = _as_index(y, self.size_y, "y")
         return ((xi ^ yi) & self.mask).bit_count() & 1
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "parity", "n": self.n, "payload": {"mask": self.mask}}
-
 
 def parity_eval(mask: BitString, x: BitString, y: BitString) -> int:
     """Parity of x xor y on the mask's coordinates."""
@@ -104,13 +101,3 @@ def sample_game_instance(n: int, p: float, q: float, rng: np.random.Generator):
     x = BitString(uniform_bits(n, rng), n)
     y = sample_noisy_copy(x, p, rng)
     return (s, x), (t, y)
-
-
-def reduced_game_eval(s_mask: BitString, x: BitString, t_mask: BitString, y: BitString) -> int:
-    """Value of the combined game: Bob's mask applied to x xor y.
-
-    Alice's mask is part of her input but never enters the value.
-    """
-    if not s_mask.n == x.n == t_mask.n == y.n:
-        raise ValueError("all inputs must share a length")
-    return parity_eval(t_mask, x, y)

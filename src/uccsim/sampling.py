@@ -348,10 +348,11 @@ def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
     Bob's fallback samples rather than hiding the mismatch.
     """
     limit = truncation_limit(mu, m, eps)
+    # read before the m = 0 return, so an x off the domain raises for every m
+    p_fac = mu.conditional_y_given_x(x).probs
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), TranscriptStats(0, 0, 1, True)
-    p_fac = mu.conditional_y_given_x(x).probs
     q_fac = mu.marginal_y().probs
     sub_eps = eps / 2.0
     s = hash_bits_per_round(sub_eps)

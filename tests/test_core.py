@@ -1,6 +1,5 @@
 """Tests for bitstrings, boolean functions, protocols, and distance measures."""
 
-import json
 import math
 
 import numpy as np
@@ -13,12 +12,9 @@ from uccsim.core import (
     OneWayProtocol,
     TableFunction,
     distance,
-    function_from_json_dict,
     protocol_error,
-    protocol_from_json_dict,
-    restrict,
 )
-from uccsim.distributions import NoisyHypercube, TableJoint
+from uccsim.distributions import NoisyHypercube, ProductJoint, TableJoint
 from uccsim.parity import ParityFunction, parity_protocol
 
 
@@ -73,35 +69,12 @@ def test_bitstring_xor_preserves_length():
     assert c.n == 3 and c.value == 0b110
 
 
-def test_restrict_parity_single_bit():
-    # Parity on bit 1 with n=1 and x=0: the restriction is y -> y_1.
-    f = ParityFunction(BitString(0b1, 1), 1)
-    r = restrict(f, 0)
-    assert [r(y) for y in range(2)] == [0, 1]
-
-
-def test_restrict_constant():
-    f = TableFunction.constant(4, 4, 1)
-    for x in range(4):
-        r = restrict(f, x)
-        assert all(r(y) == 1 for y in range(4))
-
-
-def test_restrict_parity_two_bits():
-    # Parity on bits {1,2}, n=2, x="10" (value 2): restriction is 1 xor y_1 xor y_2.
-    f = ParityFunction(BitString(0b11, 2), 2)
-    r = restrict(f, BitString.from_string("10"))
-    for y in range(4):
-        yb = BitString(y, 2)
-        assert r(y) == 1 ^ yb.bit(1) ^ yb.bit(2)
-
-
-def test_restrict_domain_mismatch():
+def test_call_domain_mismatch():
     f = TableFunction.constant(4, 4, 0)
     with pytest.raises(IndexError):
-        restrict(f, 4)
+        f(4, 0)
     with pytest.raises(ValueError):
-        restrict(f, BitString(0, 3))
+        f(BitString(0, 3), 0)
 
 
 def test_table_function_validation():
@@ -129,6 +102,9 @@ def test_distance_complement_is_one():
     g = TableFunction(1 - table)
     mu = TableJoint(noisy_pair_table(3, 0.1))
     assert distance(f, g, mu) == pytest.approx(1.0, abs=1e-12)
+    parity = ParityFunction(BitString(0b01, 2), 2)
+    flipped = TableFunction(1 - parity.to_table())
+    assert distance(parity, flipped, ProductJoint.uniform_bits(2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distance_adjacent_parities_equals_flip_rate():
@@ -284,32 +260,3 @@ def test_protocol_evaluate_reproducible():
     first = [[protocol.evaluate(x, y) for y in range(16)] for x in range(16)]
     second = [[protocol.evaluate(x, y) for y in range(16)] for x in range(16)]
     assert first == second
-
-
-def test_function_json_round_trip():
-    rng = np.random.default_rng(22)
-    table_fn = TableFunction(rng.integers(0, 2, size=(4, 4)))
-    parity_fn = ParityFunction(BitString(0b101, 3), 3)
-    proto_fn = parity_protocol(BitString(0b01, 2), 2).as_function()
-    for f in (table_fn, parity_fn, proto_fn):
-        doc = json.loads(json.dumps(f.to_json_dict()))
-        g = function_from_json_dict(doc)
-        assert (g.size_x, g.size_y) == (f.size_x, f.size_y)
-        for x in range(f.size_x):
-            for y in range(f.size_y):
-                assert g(x, y) == f(x, y)
-
-
-def test_protocol_json_round_trip():
-    rng = np.random.default_rng(23)
-    protocol = OneWayProtocol(rng.integers(0, 3, size=8),
-                              rng.integers(0, 2, size=(3, 8)))
-    doc = json.loads(json.dumps(protocol.to_json_dict()))
-    back = protocol_from_json_dict(doc)
-    assert np.array_equal(back.assignment, protocol.assignment)
-    assert np.array_equal(back.deciders, protocol.deciders)
-
-
-def test_function_json_unknown_kind():
-    with pytest.raises(ValueError):
-        function_from_json_dict({"kind": "mystery", "payload": {}})

@@ -1,6 +1,5 @@
 """Tests for distributions, the noisy pair model, and information measures."""
 
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from uccsim.distributions import (
     binary_entropy,
     derive_rng,
     flip_mask,
-    joint_from_json_dict,
     kl_divergence,
     sample_noisy_copy,
     uniform_bits,
@@ -46,6 +44,9 @@ def test_distribution_uniform_and_point_mass():
     assert np.allclose(u.probs, 1 / 8)
     pm = Distribution.point_mass(8, 3)
     assert pm.probs[3] == 1.0 and pm.probs.sum() == 1.0
+    for bad in (-1, 8):
+        with pytest.raises(IndexError):
+            Distribution.point_mass(8, bad)
 
 
 def test_kl_basic_values():
@@ -227,16 +228,24 @@ def test_joints_reject_out_of_range_x():
                 mu.conditional_y_given_x(bad)
             with pytest.raises(IndexError):
                 mu.mass(bad, 0)
+            with pytest.raises(IndexError):
+                mu.mass_array([0, bad], [0, 0])
         for bad in (-1, mu.size_y):
             with pytest.raises(IndexError):
                 mu.mass(0, bad)
+            with pytest.raises(IndexError):
+                mu.mass_array([0, 0], [0, bad])
+    # out of range on both sides, though the XOR of the two lies in range
+    with pytest.raises(IndexError):
+        NoisyHypercube(3, 0.1).mass_array([8], [8])
 
 
 def test_one_way_sample_rejects_out_of_range_x():
     mu = NoisyHypercube(3, 0.1)
     for bad in (-1, mu.size_x):
-        with pytest.raises(IndexError):
-            one_way_correlated_sample(mu, bad, 3, 0.1, SharedRandomness(1))
+        for m in (0, 3):
+            with pytest.raises(IndexError):
+                one_way_correlated_sample(mu, bad, m, 0.1, SharedRandomness(1))
 
 
 def test_noisy_hypercube_marginals_built_once():
@@ -251,18 +260,6 @@ def test_derive_rng_streams():
     c = derive_rng(5, 2).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_joint_json_round_trip():
-    dense = TableJoint(reference_noisy_table(2, 0.3))
-    implicit = NoisyHypercube(4, 0.15)
-    product = ProductJoint(Distribution([0.25, 0.75]), Distribution.uniform(4))
-    for mu in (dense, implicit, product):
-        doc = json.loads(json.dumps(mu.to_json_dict()))
-        back = joint_from_json_dict(doc)
-        assert (back.size_x, back.size_y) == (mu.size_x, mu.size_y)
-        for x in range(min(mu.size_x, 8)):
-            assert np.allclose(back.row_masses(x), mu.row_masses(x))
 
 
 def test_noisy_hypercube_validation():

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from uccsim.core import BitString, TableFunction, distance, protocol_error
-from uccsim.distributions import NoisyHypercube, ProductJoint, TableJoint
-from uccsim.oracle import _set_partitions, best_protocol, certify_family_membership, exact_one_way_cc
+from uccsim.core import BitString, TableFunction, protocol_error
+from uccsim.distributions import NoisyHypercube, TableJoint
+from uccsim.oracle import _set_partitions, best_protocol, exact_one_way_cc
 from uccsim.parity import ParityFunction
 from uccsim.uncertain import generate_instance
 
@@ -180,32 +180,6 @@ def test_majority_deciders_are_locally_optimal():
             flipped[i, y] ^= 1
             worse = OneWayProtocol(protocol.assignment, flipped)
             assert protocol_error(worse, f, mu) >= base - 1e-12
-
-
-def test_certify_family_membership_parity_pair():
-    n, p, q = 3, 0.25, 2 / 3
-    mu = NoisyHypercube(n, p)
-    s = BitString(0b011, n)
-    t = BitString(0b001, n)
-    assert (s ^ t).weight() <= q * n
-    f = ParityFunction(s, n)
-    g = ParityFunction(t, n)
-    assert certify_family_membership(f, g, mu, k=1, eps=0.0, delta=p * q * n)
-
-
-def test_certify_family_membership_constant():
-    mu = uniform_joint(4, 4)
-    c = TableFunction.constant(4, 4, 1)
-    assert certify_family_membership(c, c, mu, k=0, eps=0.0, delta=0.0)
-
-
-def test_certify_family_membership_complement_fails():
-    n = 2
-    mu = ProductJoint.uniform_bits(n)
-    f = ParityFunction(BitString(0b01, n), n)
-    g = TableFunction(1 - f.to_table())
-    assert distance(f, g, mu) == pytest.approx(1.0, abs=1e-12)
-    assert not certify_family_membership(f, g, mu, k=1, eps=0.0, delta=0.3)
 
 
 def test_generated_instance_respects_budget():

@@ -12,7 +12,6 @@ from uccsim.parity import (
     parity_distance,
     parity_eval,
     parity_protocol,
-    reduced_game_eval,
     sample_close_masks,
     sample_game_instance,
 )
@@ -60,10 +59,11 @@ def test_parity_function_matches_eval():
     for n in (1, 2, 3):
         for mask in range(1 << n):
             f = ParityFunction(BitString(mask, n), n)
+            table = f.to_table()
             for x in range(1 << n):
                 for y in range(1 << n):
                     expect = parity_eval(BitString(mask, n), BitString(x, n), BitString(y, n))
-                    assert f(x, y) == expect
+                    assert f(x, y) == table[x, y] == expect
 
 
 def test_parity_protocol_zero_error_any_distribution():
@@ -165,32 +165,3 @@ def test_sample_game_instance_shapes_and_rates():
         input_flips += (x ^ y).weight()
     assert abs(mask_flips / (samples * n) - q / 2) <= 0.01
     assert abs(input_flips / (samples * n) - p) <= 0.01
-
-
-def test_reduced_game_eval_empty_mask():
-    rng = np.random.default_rng(75)
-    for _ in range(20):
-        s = BitString(int(rng.integers(16)), 4)
-        x = BitString(int(rng.integers(16)), 4)
-        y = BitString(int(rng.integers(16)), 4)
-        assert reduced_game_eval(s, x, BitString(0, 4), y) == 0
-
-
-def test_reduced_game_eval_ignores_first_mask():
-    rng = np.random.default_rng(76)
-    for _ in range(50):
-        s1 = BitString(int(rng.integers(16)), 4)
-        s2 = BitString(int(rng.integers(16)), 4)
-        t = BitString(int(rng.integers(16)), 4)
-        x = BitString(int(rng.integers(16)), 4)
-        y = BitString(int(rng.integers(16)), 4)
-        assert reduced_game_eval(s1, x, t, y) == reduced_game_eval(s2, x, t, y)
-
-
-def test_reduced_game_eval_hand_example():
-    # With the second mask {2} and x=01, y=00, the value is bit 2 of 01, i.e. 0.
-    t = BitString.from_string("10")
-    x = BitString.from_string("01")
-    y = BitString.from_string("00")
-    s = BitString.from_string("11")
-    assert reduced_game_eval(s, x, t, y) == 0
