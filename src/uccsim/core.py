@@ -9,6 +9,7 @@ distances are weighted by a joint input distribution.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +80,15 @@ def _as_bits(values, what: str) -> np.ndarray:
 
 
 def _as_index(x, size: int, side: str) -> int:
-    """Accept an int or a BitString and return a checked integer index."""
+    """Accept an integer (numpy's too) or a BitString and return a checked index.
+
+    A float, string or other non-integer raises TypeError, not truncation.
+    """
     if isinstance(x, BitString):
         if (1 << x.n) != size:
             raise ValueError(f"{side} bitstring length {x.n} does not match domain size {size}")
         x = x.value
-    x = int(x)
+    x = operator.index(x)
     if not 0 <= x < size:
         raise IndexError(f"{side} index {x} out of range [0, {size})")
     return x

@@ -45,9 +45,20 @@ class Distribution:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
         self.probs = probs / probs.sum()
         self.size = len(probs)
+        self._cdf = None
 
     def sample(self, rng: np.random.Generator, size=None):
-        return rng.choice(self.size, size=size, p=self.probs)
+        """Exactly rng.choice(self.size, size=size, p=self.probs), with the cdf built once.
+
+        The same normalised cumsum, the same rng.random(size) draw and the
+        same side="right" lookup, without choice's per-call checks of probs.
+        """
+        if self._cdf is None:
+            cdf = np.cumsum(self.probs)
+            cdf /= cdf[-1]
+            self._cdf = cdf
+        index = self._cdf.searchsorted(rng.random(size), side="right")
+        return int(index) if size is None else index
 
     @classmethod
     def uniform(cls, size: int) -> "Distribution":

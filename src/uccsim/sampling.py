@@ -10,8 +10,9 @@ so far.  Bob's reply each round is a single continue/terminate bit.
 
 Two realizations of the same process: a literal one that materializes the
 candidate stream (small universes), and a lazy one for product universes
-far too large to enumerate, which draws Alice's sample directly and models
-the hash-filtered false candidates as the thinned point process they form.
+far too large to enumerate, which draws Alice's sample counts directly and
+models the hash-filtered false candidates as the thinned point process they
+form.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ DEFAULT_MAX_CANDIDATES = 10_000_000
 EXTRA_ROUNDS = 64
 # constant factor of the one-way payload cap, see truncation_limit
 TRUNCATION_C1 = 4.0
-# guided_choice buckets uniforms by their top GUIDE_BITS bits
-GUIDE_BITS = 12
 
 _TAG_CANDIDATES = 1
 _TAG_HASH = 2
 _TAG_OUTPUT = 3
 _TAG_FALLBACK = 4
+# Bob's pairing of his samples with Alice's revealed bits after a failed run
+_TAG_PAIRING = 5
 
 
 @dataclass(frozen=True)
@@ -86,26 +87,16 @@ def decode_product_index(index: int, d: int, m: int) -> list[int]:
     return digits
 
 
-def guided_choice(probs: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Exactly rng.choice(len(probs), size=size, p=probs), with few binary searches.
+def _multinomial_counts(m: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Counts over len(probs) values of m i.i.d. draws from probs.
 
-    The same normalised cumsum, the same rng.random(size) draw and the same
-    side="right" lookup.  A uniform u in bucket b = floor(u * 2^GUIDE_BITS)
-    has answer #{cdf <= b / 2^GUIDE_BITS} unless a cdf step lies in that
-    bucket; only those uniforms are searched.
+    The draw runs over the support only: numpy hands whatever mass rounding
+    leaves over to the last category, which must not be a zero-mass one.
     """
-    cdf = np.cumsum(probs, dtype=np.float64)
-    cdf /= cdf[-1]
-    u = rng.random(size)
-    buckets = 1 << GUIDE_BITS
-    # scaling by a power of two is exact, so cdf <= b / 2^G iff ceil(cdf * 2^G) <= b
-    below = np.cumsum(np.bincount(np.ceil(cdf * buckets).astype(np.int64),
-                                  minlength=buckets + 1))
-    guide = np.where(below[:-1] == below[1:], below[:-1], -1)
-    idx = guide[(u * buckets).astype(np.int64)]
-    step = idx < 0
-    idx[step] = np.searchsorted(cdf, u[step], side="right")
-    return idx
+    counts = np.zeros(len(probs), dtype=np.int64)
+    support = np.flatnonzero(probs)
+    counts[support] = rng.multinomial(m, probs[support])
+    return counts
 
 
 def _hash_block(mult: int, shift: int, indices: np.ndarray, s: int) -> np.ndarray:
@@ -223,12 +214,13 @@ def correlated_sample(p: Distribution, q: Distribution, eps: float, shared: Shar
 class _LazyProductRun:
     """The same protocol over a product universe too large to materialize.
 
-    Alice's sample is drawn directly from P (coordinate-wise); her candidate's
-    index position and acceptance level give the exact round at which she
-    enters Bob's set.  Other matching candidates form a Poisson process whose
-    per-round intensity is the candidate count between horizons thinned by
-    the hash bits; its events are simulated individually since their total
-    mean is below the error budget.
+    Alice's sample is drawn directly from P as its count vector over the
+    coordinate universe; her candidate's index position and acceptance level
+    give the exact round at which she enters Bob's set.  Other matching
+    candidates form a Poisson process whose per-round intensity is the
+    candidate count between horizons thinned by the hash bits; its events are
+    simulated individually since their total mean is below the error budget.
+    Every draw of a run comes from the one _TAG_OUTPUT stream.
     """
 
     def __init__(self, p_fac: np.ndarray, q_fac: np.ndarray, m: int, eps: float,
@@ -277,37 +269,36 @@ class _LazyProductRun:
         return events
 
     def run(self):
-        rng_out = self.shared.stream(_TAG_OUTPUT)
-        a_digits = guided_choice(self.p_fac, self.m, rng_out)
-        level_frac = rng_out.random()
-        position = rng_out.standard_exponential()
+        """(alice_counts, bob_counts, rounds, terminated, agreed) of one run.
+
+        Both count vectors have one entry per coordinate value and sum to m;
+        agreed says Bob's output is Alice's, which equal counts alone cannot.
+        """
+        rng = self.shared.stream(_TAG_OUTPUT)
+        alice = _multinomial_counts(self.m, self.p_fac, rng)
+        level_frac = rng.random()
+        position = rng.standard_exponential()
         # sum log2(P/Q) over the drawn digits only: an undrawn digit with
-        # P = Q = 0 would put 0 * nan into the sum
-        counts = np.bincount(a_digits, minlength=len(self.p_fac))
-        drawn = np.flatnonzero(counts)
+        # Q = 0 would put 0 * inf into the sum
+        drawn = np.flatnonzero(alice)
         with np.errstate(divide="ignore"):
-            log_ratio = float(counts[drawn] @ (np.log2(self.p_fac[drawn])
-                                               - np.log2(self.q_fac[drawn])))
+            log_ratio = float(alice[drawn] @ (np.log2(self.p_fac[drawn])
+                                              - np.log2(self.q_fac[drawn])))
         if math.isinf(log_ratio):
             entry_round = None
         else:
             accept_round = max(1, math.floor(math.log2(level_frac) + log_ratio) + 1)
             horizon_round = 1 if position <= 1.0 else math.ceil(math.log2(position)) + 1
             entry_round = max(accept_round, horizon_round)
-        rng_noise = self.shared.stream(_TAG_HASH)
         scan_end = self.max_rounds if entry_round is None \
             else min(self.max_rounds, entry_round + EXTRA_ROUNDS)
-        events = self._draw_events(scan_end, rng_noise)
+        events = self._draw_events(scan_end, rng)
         term_round = self._termination_round(entry_round, events)
-        if term_round is not None and term_round <= self.max_rounds:
-            if entry_round is not None and term_round >= entry_round:
-                return a_digits, a_digits.copy(), term_round, True
-            b_digits = self._fallback_digits()
-            return a_digits, b_digits, term_round, True
-        return a_digits, self._fallback_digits(), self.max_rounds, False
-
-    def _fallback_digits(self) -> np.ndarray:
-        return guided_choice(self.q_fac, self.m, self.shared.stream(_TAG_FALLBACK))
+        terminated = term_round is not None and term_round <= self.max_rounds
+        if terminated and entry_round is not None and term_round >= entry_round:
+            return alice, alice.copy(), term_round, True, True
+        bob = _multinomial_counts(self.m, self.q_fac, rng)
+        return alice, bob, term_round if terminated else self.max_rounds, terminated, False
 
     def _termination_round(self, entry_round, events) -> int | None:
         """Earliest round with exactly one matching candidate, if any."""
@@ -343,33 +334,38 @@ def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
     Alice holds the conditional, Bob only the marginal over his side; since
     the marginal is public, Alice simulates Bob's side of the interactive
     protocol and ships exactly the hash bits it would consume, capped at
-    truncation_limit bits.  Returns (alice_samples, bob_samples, stats);
-    stats.success reports whether the lists agree, and a failed run keeps
-    Bob's fallback samples rather than hiding the mismatch.
+    truncation_limit bits.  Returns (alice_counts, bob_counts, stats): how
+    many of each party's m samples fall on each y, as length-size_y vectors.
+    stats.success reports whether the two sample lists agree, and a failed
+    run keeps Bob's fallback counts rather than hiding the mismatch.
+
+    Counts lose nothing a caller needs: each list is m i.i.d. draws, so given
+    its counts its order is a uniformly random arrangement.  On success the
+    lists are equal; a failed run's lists share no order, so a caller pairs
+    them as independent lists.
     """
     limit = truncation_limit(mu, m, eps)
     # read before the m = 0 return, so an x off the domain raises for every m
     p_fac = mu.conditional_y_given_x(x).probs
+    d = mu.size_y
     if m == 0:
-        empty = np.empty(0, dtype=np.int64)
+        empty = np.zeros(d, dtype=np.int64)
         return empty, empty.copy(), TranscriptStats(0, 0, 1, True)
     q_fac = mu.marginal_y().probs
     sub_eps = eps / 2.0
     s = hash_bits_per_round(sub_eps)
     round_budget = limit // s
-    d = mu.size_y
     if m * math.log2(d) <= math.log2(EXPLICIT_UNIVERSE_LIMIT) + 1e-9:
         runner = _DenseRun(product_probs(p_fac, m), product_probs(q_fac, m), sub_eps,
                            shared, DEFAULT_MAX_CANDIDATES, round_budget)
         a_idx, b_idx, _bits, rounds, terminated = runner.run()
-        alice = np.array(decode_product_index(a_idx, d, m), dtype=np.int64)
-        bob = np.array(decode_product_index(b_idx, d, m), dtype=np.int64)
+        alice = np.bincount(decode_product_index(a_idx, d, m), minlength=d)
+        bob = np.bincount(decode_product_index(b_idx, d, m), minlength=d)
+        agreed = a_idx == b_idx
     else:
         runner = _LazyProductRun(p_fac, q_fac, m, sub_eps, shared, round_budget)
-        a_digits, b_digits, rounds, terminated = runner.run()
-        alice = np.asarray(a_digits, dtype=np.int64)
-        bob = np.asarray(b_digits, dtype=np.int64)
+        alice, bob, rounds, terminated, agreed = runner.run()
     payload = s * rounds if terminated else limit
     stats = TranscriptStats(bits_alice=payload, bits_bob=0, rounds=1,
-                            success=bool(terminated and np.array_equal(alice, bob)))
+                            success=bool(terminated and agreed))
     return alice, bob, stats

@@ -11,6 +11,7 @@ parameter theta, never on the input length.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ import numpy as np
 
 from .core import MAX_SIDE, BoolFunction, OneWayProtocol, TableFunction, distance, protocol_error
 from .distributions import JointDistribution, ProductJoint, derive_rng
-from .sampling import SharedRandomness, one_way_correlated_sample
+from .sampling import _TAG_PAIRING, SharedRandomness, one_way_correlated_sample
 
 _DIST_TOL = 1e-12
 # the eps-corruption path sorts every point mass
@@ -31,6 +32,8 @@ FLIP_CHUNK_BITS = 20
 WILSON_Z = 1.959963984540054
 
 
+# cached: every trial of a run asks for the same (k, theta)
+@functools.lru_cache
 def choose_sample_count(k: int, theta: float) -> int:
     """Smallest m with 2^k exp(-theta^2 m / 75) <= 2 theta / 5."""
     if k < 0:
@@ -182,19 +185,17 @@ class RunResult:
     sampling_ok: bool
 
 
-def decider_errors(deciders: np.ndarray, bob: np.ndarray, alice_bits: np.ndarray) -> np.ndarray:
+def decider_errors(deciders: np.ndarray, bob: np.ndarray, ones: np.ndarray) -> np.ndarray:
     """Share of Bob's samples on which each decider disagrees with Alice's bit.
 
-    Sample i pairs Bob's point bob[i] with Alice's revealed bit alice_bits[i];
-    the score counts each (point, bit) pair once, so it takes one bincount
-    and one integer product.  Integer counts over len(bob) give the same
-    floats as the mean of the per-sample comparisons.
+    bob[y] counts Bob's samples at y and ones[y] those of them paired with a
+    revealed 1.  A decider bit 1 disagrees with the bob - ones zeros revealed
+    at y and a bit 0 with the ones, so one integer product scores every
+    decider; integer counts over m give the same floats as the mean of the
+    per-sample comparisons.
     """
-    size_y = deciders.shape[1]
-    counts = np.bincount(bob * 2 + alice_bits, minlength=2 * size_y).reshape(size_y, 2)
-    # a decider bit 1 disagrees with the zeros revealed at y, a bit 0 with the ones
-    disagree = counts[:, 1].sum() + deciders @ (counts[:, 0] - counts[:, 1])
-    return disagree / len(bob)
+    disagree = ones.sum() + deciders @ (bob - 2 * ones)
+    return disagree / bob.sum()
 
 
 def run_uncertain_protocol(instance: UncertainInstance, x: int, y: int, theta: float,
@@ -202,15 +203,24 @@ def run_uncertain_protocol(instance: UncertainInstance, x: int, y: int, theta: f
     """One full run: correlate samples, reveal f there, let Bob pick a decider.
 
     Bob scores every decider against Alice's revealed bits on his own sample
-    list and answers with the lowest-indexed minimizer.  Total communication
-    is the sampling payload plus the m revealed bits.
+    list and answers with the lowest-indexed minimizer.  On success the lists
+    are equal, so Alice's counts at y carry f(x, y).  On failure the lists are
+    independent and each in uniformly random order, so pairing them index by
+    index puts Alice's revealed ones on a uniformly random subset of Bob's
+    samples: a multivariate hypergeometric draw.  Total communication is the
+    sampling payload plus the m revealed bits.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     m = choose_sample_count(instance.k, theta)
     sample_eps = (theta / 10.0) ** 2
     alice, bob, stats = one_way_correlated_sample(instance.mu, x, m, sample_eps, shared)
-    errors = decider_errors(instance.protocol.deciders, bob, instance.f.row(x)[alice])
+    f_row = instance.f.row(x)
+    if stats.success:
+        ones = alice * f_row
+    else:
+        ones = shared.stream(_TAG_PAIRING).multivariate_hypergeometric(bob, int(alice @ f_row))
+    errors = decider_errors(instance.protocol.deciders, bob, ones)
     chosen = int(np.argmin(errors))
     output = int(instance.protocol.deciders[chosen, y])
     return RunResult(output=output, bits=stats.bits_alice + m, errors=errors,

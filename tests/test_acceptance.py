@@ -80,7 +80,7 @@ def test_criterion_01_uncertain_error_bound(capsys):
                     if margin < worst_margin:
                         worst_margin = margin
                         worst_point = (mu_name, k, delta, theta)
-                    ok &= margin >= 0.0 and seconds < 300.0
+                    ok &= margin >= 0.0 and seconds < 60.0
     report(capsys, 1, "uncertain protocol error bound", ok,
            f"36 grid points x {trials} trials, worst margin {worst_margin:+.4f} "
            f"at {worst_point}, slowest point {max_seconds:.0f}s")

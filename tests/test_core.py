@@ -77,6 +77,23 @@ def test_call_domain_mismatch():
         f(BitString(0, 3), 0)
 
 
+def test_call_rejects_non_integer_indices():
+    f = TableFunction(np.eye(4, dtype=np.uint8))
+    for x in (2.7, 2.0, "3", None, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            f(x, 2)
+        with pytest.raises(TypeError):
+            f(2, x)
+    with pytest.raises(TypeError):
+        OneWayProtocol([0, 1, 0, 1], np.eye(2, 4, dtype=np.uint8)).message(1.5)
+    with pytest.raises(TypeError):
+        NoisyHypercube(2, 0.1).row_masses(1.0)
+    # numpy integers and bitstrings of the domain's length still index
+    assert f(np.int64(2), np.uint8(2)) == 1
+    assert f(np.array(3), 3) == 1
+    assert f(BitString(0b10, 2), BitString(0b10, 2)) == 1
+
+
 def test_table_function_validation():
     with pytest.raises(ValueError):
         TableFunction([[0, 2], [1, 0]])

@@ -15,7 +15,6 @@ from uccsim.sampling import (
     _LazyProductRun,
     correlated_sample,
     decode_product_index,
-    guided_choice,
     hash_bits_per_round,
     one_way_correlated_sample,
     product_probs,
@@ -168,7 +167,8 @@ def test_truncation_limit_product_case():
 def test_one_way_zero_samples():
     mu = NoisyHypercube(4, 0.1)
     alice, bob, stats = one_way_correlated_sample(mu, 3, 0, 0.1, SharedRandomness(8))
-    assert alice.size == 0 and bob.size == 0
+    assert alice.shape == bob.shape == (16,)
+    assert not alice.any() and not bob.any()
     assert stats.bits_alice == 0 and stats.success
 
 
@@ -181,7 +181,8 @@ def test_one_way_stats_shape():
         assert stats.rounds == 1
         assert stats.bits_bob == 0
         assert stats.bits_alice <= limit
-        assert alice.shape == bob.shape == (4,)
+        assert alice.shape == bob.shape == (8,)
+        assert alice.sum() == bob.sum() == 4
         if stats.success:
             assert np.array_equal(alice, bob)
 
@@ -227,8 +228,8 @@ def test_one_way_noisy_pairs_agreement():
 
 
 def test_one_way_alice_samples_follow_conditional():
-    # Alice's list must be m i.i.d. draws from the conditional row, whatever
-    # Bob manages to reconstruct.
+    # Alice's counts must be those of m i.i.d. draws from the conditional row,
+    # whatever Bob manages to reconstruct.
     mu = NoisyHypercube(2, 0.2)
     x = 0
     counts = np.zeros(4)
@@ -237,8 +238,7 @@ def test_one_way_alice_samples_follow_conditional():
     for seed in range(trials):
         alice, _, _ = one_way_correlated_sample(mu, x, m, 0.2,
                                                 SharedRandomness((15, seed)))
-        for v in alice:
-            counts[v] += 1
+        counts += alice
     expect = mu.conditional_y_given_x(x).probs
     tv = 0.5 * np.abs(counts / (trials * m) - expect).sum()
     assert tv <= 0.02
@@ -260,15 +260,16 @@ def test_one_way_matches_interactive_when_within_budget():
         a, b, istats = correlated_sample(p, q, eps / 2.0, SharedRandomness((16, seed)))
         if istats.bits_alice <= limit and istats.success:
             compared += 1
-            assert np.array_equal(alice, np.array(decode_product_index(a, 4, m)))
-            assert np.array_equal(bob, np.array(decode_product_index(b, 4, m)))
+            for counts, index in ((alice, a), (bob, b)):
+                digits = decode_product_index(index, 4, m)
+                assert np.array_equal(counts, np.bincount(digits, minlength=4))
             assert stats.bits_alice == s * istats.rounds
     assert compared > 150
 
 
 def test_one_way_lazy_and_dense_paths_agree_statistically():
     # Both realizations run on one small universe.  They draw from different
-    # streams, so their lists differ seed by seed; Alice's digit frequencies
+    # streams, so their counts differ seed by seed; Alice's digit frequencies
     # and the agreement rates must match within 4 sigma.
     mu = NoisyHypercube(2, 0.2)
     x, m, eps = 1, 2, 0.05
@@ -280,10 +281,10 @@ def test_one_way_lazy_and_dense_paths_agree_statistically():
     freq = {"lazy": np.zeros(4), "dense": np.zeros(4)}
     agree = {"lazy": 0, "dense": 0}
     for seed in range(trials):
-        a, b, _, ok = _LazyProductRun(p, q, m, sub_eps, SharedRandomness((17, seed)),
-                                      budget).run()
-        freq["lazy"] += np.bincount(a, minlength=4)
-        agree["lazy"] += ok and np.array_equal(a, b)
+        alice, _, _, ok, agreed = _LazyProductRun(p, q, m, sub_eps,
+                                                  SharedRandomness((17, seed)), budget).run()
+        freq["lazy"] += alice
+        agree["lazy"] += ok and agreed
         a_idx, b_idx, _, _, ok = _DenseRun(product_probs(p, m), product_probs(q, m), sub_eps,
                                            SharedRandomness((17, seed)),
                                            DEFAULT_MAX_CANDIDATES, budget).run()
@@ -310,26 +311,55 @@ def test_one_way_lazy_and_dense_paths_agree_statistically():
     assert agree / trials >= 0.85
 
 
-def test_guided_choice_equals_rng_choice():
-    noisy = [NoisyHypercube(8, p).conditional_y_given_x(x).probs
-             for p in (0.1, 0.01) for x in (0, 77, 255)]
-    shaped = [np.full(16, 1.0 / 16),
-              np.r_[0.0, 0.0, np.full(6, 1.0 / 6)],
-              np.r_[0.25, 0.0, 0.0, 0.5, 0.0, 0.25],
-              np.r_[np.full(5, 0.2), 0.0, 0.0, 0.0],
-              np.eye(7)[3],
-              np.array([1.0])]
-    for probs in noisy + shaped:
-        for m in (0, 1, 9935):
-            for seed in range(5):
-                expected_rng = np.random.default_rng(seed)
-                expected = expected_rng.choice(len(probs), size=m, p=probs)
-                rng = np.random.default_rng(seed)
-                got = guided_choice(probs, m, rng)
-                assert got.dtype == expected.dtype
-                assert np.array_equal(got, expected)
-                # the same draws were consumed
-                assert rng.random() == expected_rng.random()
+def test_lazy_alice_counts_follow_the_multinomial_law():
+    # Per cell, the mean and variance of Alice's counts over seeds must match
+    # those of bincounted rng.choice draws, within 4 sigma of their difference.
+    mu = NoisyHypercube(8, 0.1)
+    q = mu.marginal_y().probs
+    seeds = 2000
+    for x, m in ((0, 37), (173, 9935)):
+        p = mu.conditional_y_given_x(x).probs
+        lazy = np.array([_LazyProductRun(p, q, m, 0.05, SharedRandomness((33, x, seed)), 40)
+                         .run()[0] for seed in range(seeds)])
+        reference = np.array([np.bincount(np.random.default_rng((34, x, seed))
+                                          .choice(256, size=m, p=p), minlength=256)
+                              for seed in range(seeds)])
+        assert lazy.shape == reference.shape == (seeds, 256)
+        assert (lazy.sum(axis=1) == m).all()
+        var = m * p * (1.0 - p)
+        fourth = var * (1.0 + 3.0 * (m - 2) * p * (1.0 - p))
+        mean_sigma = np.sqrt(2.0 * var / seeds)
+        var_sigma = np.sqrt(2.0 * np.maximum(fourth - var ** 2, 0.0) / seeds)
+        assert np.all(np.abs(lazy.mean(axis=0) - reference.mean(axis=0)) <= 4.0 * mean_sigma)
+        assert np.all(np.abs(lazy.var(axis=0) - reference.var(axis=0)) <= 4.0 * var_sigma)
+        # and Alice's mean sits on the multinomial's own, m * p
+        assert np.all(np.abs(lazy.mean(axis=0) - m * p) <= 4.0 * mean_sigma)
+
+
+def test_lazy_run_never_draws_a_zero_mass_cell(monkeypatch):
+    # P and Q have zero-mass cells, the last one included; neither Alice's
+    # counts nor Bob's fallback may land there, whether or not the run ends.
+    table = np.array([[3.0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.0, 0.0],
+                      [1.0, 2.0, 1.0, 1.0, 0.0, 3.0, 0.0, 0.0]])
+    mu = TableJoint(table / table.sum())
+    p_zero = mu.conditional_y_given_x(0).probs == 0
+    q_zero = mu.marginal_y().probs == 0
+    assert p_zero[-1] and q_zero[-1]
+    m, eps = 40, 0.1
+    s = hash_bits_per_round(eps / 2.0)
+    for capped in (False, True):
+        if capped:
+            # one round of hash bits: most runs fall back to Bob's own draw
+            monkeypatch.setattr(sampling, "truncation_limit", lambda mu, m, eps: s)
+        failures = 0
+        for seed in range(300):
+            alice, bob, stats = one_way_correlated_sample(mu, 0, m, eps,
+                                                          SharedRandomness((35, seed)))
+            assert alice.sum() == bob.sum() == m
+            assert not alice[p_zero].any()
+            assert not bob[q_zero].any()
+            failures += not stats.success
+    assert failures > 150
 
 
 def test_lazy_run_never_enters_on_a_digit_bob_cannot_draw():
@@ -344,8 +374,8 @@ def test_lazy_run_never_enters_on_a_digit_bob_cannot_draw():
     runner._termination_round = lambda entry, events: entries.append(entry) or scan(entry, events)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a_digits, _, _, _ = runner.run()
-    assert 0 in a_digits
+        alice, *_ = runner.run()
+    assert alice[0] > 0
     assert entries == [None]
 
 
@@ -355,6 +385,7 @@ def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
     mu = NoisyHypercube(8, 0.1)
     m, eps = 20, 0.02
     s = hash_bits_per_round(eps / 2.0)
+    p = mu.conditional_y_given_x(101).probs
     q = mu.marginal_y().probs
     uncapped = {seed: one_way_correlated_sample(mu, 101, m, eps, SharedRandomness((32, seed)))
                 for seed in range(10)}
@@ -366,8 +397,14 @@ def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
         assert stats.bits_alice == 3 * s
         assert not stats.success
         assert np.array_equal(alice, full_alice)
-        fallback = shared.stream(sampling._TAG_FALLBACK).choice(len(q), size=m, p=q)
-        assert np.array_equal(bob, fallback)
+        # Bob's fallback is the next draw of the run's one stream, after
+        # Alice's counts, her level and position, and the false-match events
+        rng = shared.stream(sampling._TAG_OUTPUT)
+        rng.multinomial(m, p)
+        rng.random()
+        rng.standard_exponential()
+        _LazyProductRun(p, q, m, eps / 2.0, shared, 3)._draw_events(3, rng)
+        assert np.array_equal(bob, rng.multinomial(m, q))
 
 
 def test_communication_scales_with_divergence():

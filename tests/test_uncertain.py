@@ -11,7 +11,8 @@ import pytest
 
 from uccsim.core import distance, protocol_error
 from uccsim.distributions import NoisyHypercube, ProductJoint, TableJoint, derive_rng
-from uccsim.sampling import SharedRandomness, one_way_correlated_sample, truncation_limit
+from uccsim.sampling import (SharedRandomness, TranscriptStats, one_way_correlated_sample,
+                             truncation_limit)
 from uccsim import uncertain
 from uccsim.uncertain import (
     choose_sample_count,
@@ -190,14 +191,53 @@ def test_decider_errors_equal_per_sample_gather():
             bob = rng.integers(0, size_y, size=m)
             alice_bits = rng.integers(0, 2, size=m, dtype=np.uint8)
             reference = (deciders[:, bob] != alice_bits[None, :]).mean(axis=1)
-            got = decider_errors(deciders, bob, alice_bits)
+            counts = np.bincount(bob, minlength=size_y)
+            ones = np.bincount(bob[alice_bits == 1], minlength=size_y)
+            got = decider_errors(deciders, counts, ones)
             assert got.dtype == reference.dtype
             assert np.array_equal(got, reference)
-            # Bob's list differs from the points Alice revealed f on
-            alice = rng.integers(0, size_y, size=m)
+            # the success path: Alice revealed f on Bob's own list
             f_row = rng.integers(0, 2, size=size_y, dtype=np.uint8)
-            reference = (deciders[:, bob] != f_row[alice][None, :]).mean(axis=1)
-            assert np.array_equal(decider_errors(deciders, bob, f_row[alice]), reference)
+            reference = (deciders[:, bob] != f_row[bob][None, :]).mean(axis=1)
+            assert np.array_equal(decider_errors(deciders, counts, counts * f_row), reference)
+
+
+def test_failed_run_scores_like_a_random_per_sample_pairing(monkeypatch):
+    # After a failed sampling run Bob scores his own counts against Alice's
+    # revealed bits paired at random.  Per decider, the mean and variance over
+    # seeds must match those of a per-sample gather under a uniformly random
+    # pairing of the two lists, within 4 sigma of their difference.
+    rng = np.random.default_rng(142)
+    inst = generate_instance(4, 2, 0.0, 0.05, rng)
+    theta, x = 0.4, 5
+    m = choose_sample_count(2, theta)
+    alice = rng.multinomial(m, inst.mu.conditional_y_given_x(x).probs)
+    bob = rng.multinomial(m, inst.mu.marginal_y().probs)
+    failed = TranscriptStats(bits_alice=60, bits_bob=0, rounds=1, success=False)
+    monkeypatch.setattr(uncertain, "one_way_correlated_sample",
+                        lambda *args: (alice, bob, failed))
+    deciders = inst.protocol.deciders
+    revealed = inst.f.row(x)[np.repeat(np.arange(16), alice)]
+    bob_list = np.repeat(np.arange(16), bob)
+    seeds = 3000
+    got = np.array([run_uncertain_protocol(inst, x, 0, theta, SharedRandomness((24, seed)))
+                    .errors for seed in range(seeds)])
+    reference = np.array([(deciders[:, bob_list]
+                           != revealed[np.random.default_rng((25, seed)).permutation(m)])
+                          .mean(axis=1) for seed in range(seeds)])
+
+    def moment_sigma(sample, power):
+        centred = sample - sample.mean(axis=0)
+        return np.sqrt((centred ** (2 * power)).mean(axis=0)
+                       - ((centred ** power).mean(axis=0)) ** 2)
+
+    for power, stat in ((1, np.mean), (2, np.var)):
+        sigma = np.sqrt((moment_sigma(got, power) ** 2 + moment_sigma(reference, power) ** 2)
+                        / seeds)
+        assert np.all(np.abs(stat(got, axis=0) - stat(reference, axis=0)) <= 4.0 * sigma)
+    # a failed run still pays its payload plus the m revealed bits
+    result = run_uncertain_protocol(inst, x, 0, theta, SharedRandomness((24, 0)))
+    assert not result.sampling_ok and result.bits == 60 + m
 
 
 def test_run_exact_instance_scores_true_decider_zero():
