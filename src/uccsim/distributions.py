@@ -111,20 +111,24 @@ class JointDistribution:
             raise ValueError(f"conditional undefined: x={x} has zero mass")
         return Distribution(row / total)
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
+    def conditional_rows(self, xs) -> np.ndarray:
+        """The conditionals of y given each x in xs, one row per x, from one mass_array call."""
+        rows = self.mass_array(np.asarray(xs)[:, None], np.arange(self.size_y))
+        total = rows.sum(axis=1, keepdims=True)
+        if (total <= 0).any():
+            raise ValueError("conditional undefined: an x has zero mass")
+        return rows / total
+
+    def sample(self, rng: np.random.Generator, size=None):
+        """One (x, y) pair of ints, or with numpy's size convention two arrays of that shape."""
         raise NotImplementedError
 
     def mutual_information(self) -> float:
         """I(X;Y) in bits, the divergence of the joint from the product of marginals."""
-        mx = self.marginal_x().probs
-        my = self.marginal_y().probs
-        total = 0.0
-        for x in range(self.size_x):
-            row = self.row_masses(x)
-            pos = row > 0
-            if pos.any():
-                total += float(np.sum(row[pos] * np.log2(row[pos] / (mx[x] * my[pos]))))
-        return max(total, 0.0)
+        table = self.to_table()
+        outer = np.outer(self.marginal_x().probs, self.marginal_y().probs)
+        pos = table > 0
+        return max(float(np.sum(table[pos] * np.log2(table[pos] / outer[pos]))), 0.0)
 
     def to_table(self) -> np.ndarray:
         return np.stack([self.row_masses(x) for x in range(self.size_x)])
@@ -156,9 +160,11 @@ class TableJoint(JointDistribution):
     def marginal_y(self) -> Distribution:
         return Distribution(self.table.sum(axis=0))
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        flat = rng.choice(self.table.size, p=self.table.reshape(-1))
-        return int(flat) // self.size_y, int(flat) % self.size_y
+    def sample(self, rng: np.random.Generator, size=None):
+        flat = rng.choice(self.table.size, size=size, p=self.table.reshape(-1))
+        if size is None:
+            return int(flat) // self.size_y, int(flat) % self.size_y
+        return np.divmod(flat, self.size_y)
 
     def to_table(self) -> np.ndarray:
         return self.table
@@ -195,8 +201,8 @@ class ProductJoint(JointDistribution):
             raise ValueError(f"conditional undefined: x={x} has zero mass")
         return self.py
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        return int(self.px.sample(rng)), int(self.py.sample(rng))
+    def sample(self, rng: np.random.Generator, size=None):
+        return self.px.sample(rng, size), self.py.sample(rng, size)
 
     def mutual_information(self) -> float:
         return 0.0
@@ -246,10 +252,12 @@ class NoisyHypercube(JointDistribution):
         d = self._pc[np.arange(self.size_y) ^ _as_index(x, self.size_x, "x")]
         return Distribution(self._cond_by_distance[d])
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        x = int(rng.integers(self.size_x))
-        y = x ^ flip_mask(self.n, self.p, rng)
-        return x, y
+    def sample(self, rng: np.random.Generator, size=None):
+        """x, then n flip bits per x drawn as flip_mask draws them."""
+        x = rng.integers(self.size_x, size=size)
+        flips = rng.random(np.shape(x) + (self.n,)) < self.p
+        y = x ^ (flips @ (1 << np.arange(self.n)))
+        return (int(x), int(y)) if size is None else (x, y)
 
     def mutual_information(self) -> float:
         return self.n * (1.0 - binary_entropy(self.p))

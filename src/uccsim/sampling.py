@@ -12,7 +12,8 @@ Two realizations of the same process: a literal one that materializes the
 candidate stream (small universes), and a lazy one for product universes
 far too large to enumerate, which draws Alice's sample counts directly and
 models the hash-filtered false candidates as the thinned point process they
-form.
+form.  The lazy one runs many independent runs at once, one per row of its
+arrays.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ _TAG_CANDIDATES = 1
 _TAG_HASH = 2
 _TAG_OUTPUT = 3
 _TAG_FALLBACK = 4
-# Bob's pairing of his samples with Alice's revealed bits after a failed run
-_TAG_PAIRING = 5
 
 
 @dataclass(frozen=True)
@@ -85,18 +84,6 @@ def decode_product_index(index: int, d: int, m: int) -> list[int]:
         digits.append(index % d)
         index //= d
     return digits
-
-
-def _multinomial_counts(m: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Counts over len(probs) values of m i.i.d. draws from probs.
-
-    The draw runs over the support only: numpy hands whatever mass rounding
-    leaves over to the last category, which must not be a zero-mass one.
-    """
-    counts = np.zeros(len(probs), dtype=np.int64)
-    support = np.flatnonzero(probs)
-    counts[support] = rng.multinomial(m, probs[support])
-    return counts
 
 
 def _hash_block(mult: int, shift: int, indices: np.ndarray, s: int) -> np.ndarray:
@@ -211,110 +198,123 @@ def correlated_sample(p: Distribution, q: Distribution, eps: float, shared: Shar
     return a, b, stats
 
 
-class _LazyProductRun:
-    """The same protocol over a product universe too large to materialize.
+def _multinomial_rows(m: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One row of counts per row of probs: m i.i.d. draws from that row, counted per column.
 
-    Alice's sample is drawn directly from P as its count vector over the
-    coordinate universe; her candidate's index position and acceptance level
-    give the exact round at which she enters Bob's set.  Other matching
-    candidates form a Poisson process whose per-round intensity is the
-    candidate count between horizons thinned by the hash bits; its events are
-    simulated individually since their total mean is below the error budget.
-    Every draw of a run comes from the one _TAG_OUTPUT stream.
+    numpy hands whatever mass rounding leaves over to the last category, so
+    each row's heaviest cell is swapped into the last column for the draw:
+    the leftover then never lands on a zero-mass cell.
     """
+    rows = np.arange(len(probs))
+    heavy = probs.argmax(axis=1)
+    moved = probs.copy()
+    moved[rows, heavy], moved[rows, -1] = probs[rows, -1], probs[rows, heavy]
+    counts = rng.multinomial(m, moved)
+    counts[rows, heavy], counts[rows, -1] = counts[rows, -1], counts[rows, heavy]
+    return counts
 
-    def __init__(self, p_fac: np.ndarray, q_fac: np.ndarray, m: int, eps: float,
-                 shared: SharedRandomness, max_rounds: int):
-        self.p_fac = p_fac
-        self.q_fac = q_fac
-        self.m = m
-        self.s = hash_bits_per_round(eps)
-        self.shared = shared
-        self.max_rounds = max_rounds
 
-    def _false_intensity(self, t: int) -> float:
-        # candidates entering Bob's set at round t, thinned by t rounds of hash bits
-        raw = 2.0 if t == 1 else 3.0 * 2.0 ** (2 * t - 3)
-        return raw * 2.0 ** (-self.s * t)
+def _false_match_events(s: int, hi: np.ndarray, rng: np.random.Generator):
+    """False matches of row i entering Bob's set at rounds 1..hi[i]: (row, entry, last) arrays.
 
-    def _tail_mass(self, t0: int, hi: int) -> float:
-        """Sum of the t >= 2 intensities over rounds t0..hi in closed form."""
-        if t0 > hi:
-            return 0.0
-        rho = 2.0 ** (2 - self.s)
-        return (3.0 / 8.0) * (rho ** t0 - rho ** (hi + 1)) / (1.0 - rho)
+    Candidates entering at round t, thinned by t rounds of s hash bits, form
+    a Poisson process of intensity 2 * 2^-s at t = 1 and (3/8) rho^t at
+    t >= 2, with rho = 2^(2-s); a match stays alive a geometric number of
+    further rounds.
+    """
+    rho = 2.0 ** (2 - s)
+    w1 = 2.0 * 2.0 ** -s
+    # the t >= 2 intensities summed over rounds 2..hi in closed form
+    tail = np.where(hi >= 2, (3.0 / 8.0) * (rho ** 2 - rho ** (hi + 1.0)) / (1.0 - rho), 0.0)
+    total = np.where(hi >= 1, w1 + tail, 0.0)
+    row = np.repeat(np.arange(len(hi)), rng.poisson(total))
+    target = rng.random(len(row)) * total[row]
+    row_hi = hi[row]
+    # invert the geometric tail: cumulative mass up to t is
+    # (3/8) (rho^2 - rho^(t+1)) / (1 - rho)
+    rho_pow = np.maximum(rho ** 2 - (target - w1) * (1.0 - rho) / (3.0 / 8.0),
+                         rho ** (row_hi + 1.0))
+    later = np.clip(np.ceil(np.log(rho_pow) / np.log(rho) - 1.0), 2, row_hi)
+    entry = np.where((target < w1) | (row_hi == 1), 1, later).astype(np.int64)
+    extra = rng.geometric(1.0 - 2.0 ** -s, size=len(row)) - 1
+    return row, entry, entry + extra
 
-    def _draw_events(self, hi: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-        """False matches entering at rounds 1..hi; each is (entry, last round alive)."""
-        if hi < 1:
-            return []
-        w1 = self._false_intensity(1)
-        total = w1 + self._tail_mass(2, hi)
-        count = int(rng.poisson(total)) if total > 0 else 0
-        rho = 2.0 ** (2 - self.s)
-        events = []
-        for _ in range(count):
-            target = rng.random() * total
-            if target < w1 or hi == 1:
-                entry = 1
-            else:
-                # invert the geometric tail: cumulative mass up to t is
-                # (3/8) (rho^2 - rho^(t+1)) / (1 - rho)
-                rest = target - w1
-                rho_pow = rho ** 2 - rest * (1.0 - rho) / (3.0 / 8.0)
-                entry = math.ceil(math.log(max(rho_pow, rho ** (hi + 1))) / math.log(rho) - 1.0)
-                entry = min(max(entry, 2), hi)
-            extra = int(rng.geometric(1.0 - 2.0 ** (-self.s))) - 1
-            events.append((entry, entry + extra))
-        return events
 
-    def run(self):
-        """(alice_counts, bob_counts, rounds, terminated, agreed) of one run.
+def _termination_rounds(entry: np.ndarray, ev_row: np.ndarray, ev_entry: np.ndarray,
+                        ev_last: np.ndarray) -> np.ndarray:
+    """Earliest round of each row with exactly one candidate in Bob's set, 0 if none.
 
-        Both count vectors have one entry per coordinate value and sum to m;
-        agreed says Bob's output is Alice's, which equal counts alone cannot.
-        """
-        rng = self.shared.stream(_TAG_OUTPUT)
-        alice = _multinomial_counts(self.m, self.p_fac, rng)
-        level_frac = rng.random()
-        position = rng.standard_exponential()
-        # sum log2(P/Q) over the drawn digits only: an undrawn digit with
-        # Q = 0 would put 0 * inf into the sum
-        drawn = np.flatnonzero(alice)
-        with np.errstate(divide="ignore"):
-            log_ratio = float(alice[drawn] @ (np.log2(self.p_fac[drawn])
-                                              - np.log2(self.q_fac[drawn])))
-        if math.isinf(log_ratio):
-            entry_round = None
-        else:
-            accept_round = max(1, math.floor(math.log2(level_frac) + log_ratio) + 1)
-            horizon_round = 1 if position <= 1.0 else math.ceil(math.log2(position)) + 1
-            entry_round = max(accept_round, horizon_round)
-        scan_end = self.max_rounds if entry_round is None \
-            else min(self.max_rounds, entry_round + EXTRA_ROUNDS)
-        events = self._draw_events(scan_end, rng)
-        term_round = self._termination_round(entry_round, events)
-        terminated = term_round is not None and term_round <= self.max_rounds
-        if terminated and entry_round is not None and term_round >= entry_round:
-            return alice, alice.copy(), term_round, True, True
-        bob = _multinomial_counts(self.m, self.q_fac, rng)
-        return alice, bob, term_round if terminated else self.max_rounds, terminated, False
+    Row i holds Alice's candidate from round entry[i] on (never if entry[i]
+    is 0) and false match j over rounds ev_entry[j]..ev_last[j].  The count
+    changes only at those boundaries, so one sort of the (row, round, +-1)
+    changes and a running sum restarted at every row find it; a zero change
+    at round 1 makes round 1 a boundary of every row.
+    """
+    rows = len(entry)
+    alice = np.flatnonzero(entry)
+    row = np.concatenate([np.arange(rows), alice, ev_row, ev_row])
+    t = np.concatenate([np.ones(rows, np.int64), entry[alice], ev_entry, ev_last + 1])
+    step = np.concatenate([np.zeros(rows, np.int64), np.ones(len(alice) + len(ev_row), np.int64),
+                           np.full(len(ev_row), -1, np.int64)])
+    order = np.lexsort((t, row))
+    row, t, step = row[order], t[order], step[order]
+    count = np.cumsum(step)
+    first = np.searchsorted(row, np.arange(rows))
+    count -= (count[first] - step[first])[row]
+    # a round's count is the one after its last change
+    settled = np.append((row[1:] != row[:-1]) | (t[1:] != t[:-1]), True)
+    hit = np.flatnonzero(settled & (count == 1))
+    hit_rows, at = np.unique(row[hit], return_index=True)
+    term = np.zeros(rows, np.int64)
+    term[hit_rows] = t[hit[at]]
+    return term
 
-    def _termination_round(self, entry_round, events) -> int | None:
-        """Earliest round with exactly one matching candidate, if any."""
-        boundaries = {1}
-        if entry_round is not None:
-            boundaries.add(entry_round)
-        for start, end in events:
-            boundaries.add(start)
-            boundaries.add(end + 1)
-        for t in sorted(boundaries):
-            count = sum(1 for start, end in events if start <= t <= end)
-            if entry_round is not None and t >= entry_round:
-                count += 1
-            if count == 1:
-                return t
-        return None
+
+def one_way_rows(p: np.ndarray, q: np.ndarray, m: int, eps: float, limit: int,
+                 rng: np.random.Generator):
+    """The one-way run once per row of p, every draw from rng.
+
+    p holds one conditional of Alice per row and q Bob's marginal, both over
+    the coordinate universe; the product universe of m copies is never
+    built.  Alice's sample is her count vector, one multinomial draw per
+    row; her candidate's acceptance level and index position give the exact
+    round at which it enters Bob's set.  Other matching candidates form a
+    Poisson process whose per-round intensity is the candidate count between
+    horizons thinned by the hash bits; its events are drawn individually
+    since their total mean is below the error budget.  A row succeeds when
+    the first round with exactly one candidate in Bob's set holds Alice's
+    and comes within limit // s rounds.  Returns (alice, bob, payload_bits,
+    success): count matrices of one row per run, each row summing to m, and
+    per-row vectors.  A failed row pays s bits per round up to its
+    termination round, or the whole limit, and holds Bob's fallback counts,
+    drawn from q.
+    """
+    s = hash_bits_per_round(eps / 2.0)
+    max_rounds = limit // s
+    alice = _multinomial_rows(m, p, rng)
+    level = rng.random(len(p))
+    position = rng.standard_exponential(len(p))
+    # sum log2(P/Q) over Alice's draws, with the masses floored at the smallest
+    # normal float so that every log is finite: a cell of P-mass 0 is never
+    # drawn, and a drawn cell of Q-mass 0 keeps her candidate out of Bob's set
+    tiny = np.finfo(np.float64).tiny
+    log_ratio = (np.einsum("ij,ij->i", alice, np.log2(np.maximum(p, tiny)))
+                 - alice @ np.log2(np.maximum(q, tiny)))
+    enters = ~alice[:, q == 0].any(axis=1)
+    with np.errstate(divide="ignore"):
+        log_level = np.log2(level)
+    accept = np.maximum(np.floor(log_level + log_ratio) + 1.0, 1.0)
+    horizon = np.where(position <= 1.0, 1.0, np.ceil(np.log2(np.maximum(position, 1.0))) + 1.0)
+    entry = np.where(enters, np.maximum(accept, horizon), 0.0).astype(np.int64)
+    scan_end = np.where(enters, np.minimum(max_rounds, entry + EXTRA_ROUNDS), max_rounds)
+    term = _termination_rounds(entry, *_false_match_events(s, scan_end, rng))
+    terminated = (term > 0) & (term <= max_rounds)
+    success = terminated & enters & (term >= entry)
+    payload = np.where(terminated, s * term, limit)
+    bob = alice.copy()
+    failed = np.flatnonzero(~success)
+    bob[failed] = _multinomial_rows(m, np.broadcast_to(q, (len(failed), len(q))), rng)
+    return alice, bob, payload, success
 
 
 def truncation_limit(mu: JointDistribution, m: int, eps: float) -> int:
@@ -337,7 +337,9 @@ def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
     truncation_limit bits.  Returns (alice_counts, bob_counts, stats): how
     many of each party's m samples fall on each y, as length-size_y vectors.
     stats.success reports whether the two sample lists agree, and a failed
-    run keeps Bob's fallback counts rather than hiding the mismatch.
+    run keeps Bob's fallback counts rather than hiding the mismatch.  A
+    product universe of at most EXPLICIT_UNIVERSE_LIMIT points runs the
+    literal protocol; a larger one is the one-row case of one_way_rows.
 
     Counts lose nothing a caller needs: each list is m i.i.d. draws, so given
     its counts its order is a uniformly random arrangement.  On success the
@@ -346,26 +348,24 @@ def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
     """
     limit = truncation_limit(mu, m, eps)
     # read before the m = 0 return, so an x off the domain raises for every m
-    p_fac = mu.conditional_y_given_x(x).probs
+    p = mu.conditional_rows([x])
     d = mu.size_y
     if m == 0:
         empty = np.zeros(d, dtype=np.int64)
         return empty, empty.copy(), TranscriptStats(0, 0, 1, True)
-    q_fac = mu.marginal_y().probs
+    q = mu.marginal_y().probs
+    if m * math.log2(d) > math.log2(EXPLICIT_UNIVERSE_LIMIT) + 1e-9:
+        alice, bob, payload, success = one_way_rows(p, q, m, eps, limit,
+                                                    shared.stream(_TAG_OUTPUT))
+        return alice[0], bob[0], TranscriptStats(bits_alice=int(payload[0]), bits_bob=0,
+                                                 rounds=1, success=bool(success[0]))
     sub_eps = eps / 2.0
     s = hash_bits_per_round(sub_eps)
-    round_budget = limit // s
-    if m * math.log2(d) <= math.log2(EXPLICIT_UNIVERSE_LIMIT) + 1e-9:
-        runner = _DenseRun(product_probs(p_fac, m), product_probs(q_fac, m), sub_eps,
-                           shared, DEFAULT_MAX_CANDIDATES, round_budget)
-        a_idx, b_idx, _bits, rounds, terminated = runner.run()
-        alice = np.bincount(decode_product_index(a_idx, d, m), minlength=d)
-        bob = np.bincount(decode_product_index(b_idx, d, m), minlength=d)
-        agreed = a_idx == b_idx
-    else:
-        runner = _LazyProductRun(p_fac, q_fac, m, sub_eps, shared, round_budget)
-        alice, bob, rounds, terminated, agreed = runner.run()
-    payload = s * rounds if terminated else limit
-    stats = TranscriptStats(bits_alice=payload, bits_bob=0, rounds=1,
-                            success=bool(terminated and agreed))
+    runner = _DenseRun(product_probs(p[0], m), product_probs(q, m), sub_eps,
+                       shared, DEFAULT_MAX_CANDIDATES, limit // s)
+    a_idx, b_idx, _bits, rounds, terminated = runner.run()
+    alice = np.bincount(decode_product_index(a_idx, d, m), minlength=d)
+    bob = np.bincount(decode_product_index(b_idx, d, m), minlength=d)
+    stats = TranscriptStats(bits_alice=s * rounds if terminated else limit, bits_bob=0,
+                            rounds=1, success=bool(terminated and a_idx == b_idx))
     return alice, bob, stats

@@ -21,13 +21,15 @@ import numpy as np
 
 from .core import MAX_SIDE, BoolFunction, OneWayProtocol, TableFunction, distance, protocol_error
 from .distributions import JointDistribution, ProductJoint, derive_rng
-from .sampling import _TAG_PAIRING, SharedRandomness, one_way_correlated_sample
+from .sampling import _TAG_OUTPUT, SharedRandomness, one_way_rows, truncation_limit
 
 _DIST_TOL = 1e-12
 # the eps-corruption path sorts every point mass
 CORRUPT_MAX_BITS = 10
 # at most 2^FLIP_CHUNK_BITS candidate points are drawn per round of the delta-flip set
 FLIP_CHUNK_BITS = 20
+# trials per block times size_y: a block's count arrays hold about this many cells
+TRIAL_BLOCK = 1 << 15
 
 WILSON_Z = 1.959963984540054
 
@@ -186,45 +188,70 @@ class RunResult:
 
 
 def decider_errors(deciders: np.ndarray, bob: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """Share of Bob's samples on which each decider disagrees with Alice's bit.
+    """Share of Bob's samples on which each decider disagrees with Alice's bit, row by row.
 
-    bob[y] counts Bob's samples at y and ones[y] those of them paired with a
-    revealed 1.  A decider bit 1 disagrees with the bob - ones zeros revealed
-    at y and a bit 0 with the ones, so one integer product scores every
-    decider; integer counts over m give the same floats as the mean of the
-    per-sample comparisons.
+    bob[i, y] counts run i's samples at y and ones[i, y] those of them paired
+    with a revealed 1.  A decider bit 1 disagrees with the bob - ones zeros
+    revealed at y and a bit 0 with the ones, so one product scores every
+    decider of every run.  It runs in floats, exact for integers below 2^53;
+    integer counts over m give the same floats as the mean of the per-sample
+    comparisons.
     """
-    disagree = ones.sum() + deciders @ (bob - 2 * ones)
-    return disagree / bob.sum()
+    disagree = ones.sum(axis=-1, keepdims=True) + (bob - 2 * ones).astype(np.float64) @ deciders.T
+    return disagree / bob.sum(axis=-1, keepdims=True)
+
+
+def _random_pairing(bob: np.ndarray, revealed: np.ndarray, m: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Per row, how many of Bob's m samples at each y are paired with one of revealed[i] ones.
+
+    Each row of bob is one list of m samples in uniformly random order, so
+    pairing it index by index with Alice's independent list puts her
+    revealed ones on a uniformly random subset of his samples: the first
+    revealed[i] of a row-wise shuffle.
+    """
+    rows, size_y = bob.shape
+    lists = np.repeat(np.tile(np.arange(size_y), rows), bob.reshape(-1)).reshape(rows, m)
+    lists = rng.permuted(lists, axis=1) + size_y * np.arange(rows)[:, None]
+    paired = lists[np.arange(m) < revealed[:, None]]
+    return np.bincount(paired, minlength=rows * size_y).reshape(rows, size_y)
+
+
+def _run_rows(instance: UncertainInstance, xs: np.ndarray, ys: np.ndarray, theta: float,
+              rng: np.random.Generator):
+    """One full run per (x, y) row, every draw from rng: (output, bits, errors, chosen, ok).
+
+    Correlate samples, reveal f there, let Bob pick a decider.  Bob scores
+    every decider against Alice's revealed bits on his own sample list and
+    answers with the lowest-indexed minimizer.  On success the lists are
+    equal, so Alice's counts at y carry f(x, y).  On failure the lists are
+    independent, so Bob's ones are a random pairing (_random_pairing).
+    Total communication is the sampling payload plus the m revealed bits.
+    The trial path's m is at least 69, so a product universe of m copies is
+    always too large for the literal sampler and the lazy one runs here.
+    """
+    m = choose_sample_count(instance.k, theta)
+    sample_eps = (theta / 10.0) ** 2
+    mu = instance.mu
+    limit = truncation_limit(mu, m, sample_eps)
+    alice, bob, payload, ok = one_way_rows(mu.conditional_rows(xs), mu.marginal_y().probs,
+                                           m, sample_eps, limit, rng)
+    ones = alice * instance.f.to_table()[xs]
+    failed = np.flatnonzero(~ok)
+    ones[failed] = _random_pairing(bob[failed], ones[failed].sum(axis=1), m, rng)
+    deciders = instance.protocol.deciders
+    errors = decider_errors(deciders, bob, ones)
+    chosen = errors.argmin(axis=1)
+    return deciders[chosen, ys], payload + m, errors, chosen, ok
 
 
 def run_uncertain_protocol(instance: UncertainInstance, x: int, y: int, theta: float,
                            shared: SharedRandomness) -> RunResult:
-    """One full run: correlate samples, reveal f there, let Bob pick a decider.
-
-    Bob scores every decider against Alice's revealed bits on his own sample
-    list and answers with the lowest-indexed minimizer.  On success the lists
-    are equal, so Alice's counts at y carry f(x, y).  On failure the lists are
-    independent and each in uniformly random order, so pairing them index by
-    index puts Alice's revealed ones on a uniformly random subset of Bob's
-    samples: a multivariate hypergeometric draw.  Total communication is the
-    sampling payload plus the m revealed bits.
-    """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    m = choose_sample_count(instance.k, theta)
-    sample_eps = (theta / 10.0) ** 2
-    alice, bob, stats = one_way_correlated_sample(instance.mu, x, m, sample_eps, shared)
-    f_row = instance.f.row(x)
-    if stats.success:
-        ones = alice * f_row
-    else:
-        ones = shared.stream(_TAG_PAIRING).multivariate_hypergeometric(bob, int(alice @ f_row))
-    errors = decider_errors(instance.protocol.deciders, bob, ones)
-    chosen = int(np.argmin(errors))
-    output = int(instance.protocol.deciders[chosen, y])
-    return RunResult(output=output, bits=stats.bits_alice + m, errors=errors,
-                     chosen=chosen, sampling_ok=stats.success)
+    """One full run on (x, y): the one-row case of the block engine, drawn from shared."""
+    output, bits, errors, chosen, ok = _run_rows(instance, np.array([x]), np.array([y]), theta,
+                                                 shared.stream(_TAG_OUTPUT))
+    return RunResult(output=int(output[0]), bits=int(bits[0]), errors=errors[0],
+                     chosen=int(chosen[0]), sampling_ok=bool(ok[0]))
 
 
 @dataclass(frozen=True)
@@ -242,17 +269,27 @@ class TrialRecord:
         return self.output == self.truth
 
 
-def _trial_slice(instance: UncertainInstance, theta: float, master_seed: int,
-                 lo: int, hi: int) -> list[TrialRecord]:
+def _block_trials(instance: UncertainInstance) -> int:
+    return max(1, TRIAL_BLOCK // instance.mu.size_y)
+
+
+def _trial_blocks(instance: UncertainInstance, theta: float, trials: int, master_seed: int,
+                  first: int, last: int) -> list[TrialRecord]:
+    """Records of blocks first..last-1 of the trials; each block is one array pass."""
+    size = _block_trials(instance)
+    truth = instance.g.to_table()
     records = []
-    for trial in range(lo, hi):
-        rng = derive_rng(master_seed, trial, 0)
-        x, y = instance.mu.sample(rng)
-        shared = SharedRandomness((master_seed, trial, 1))
-        result = run_uncertain_protocol(instance, x, y, theta, shared)
-        records.append(TrialRecord(trial=trial, x=x, y=y, output=result.output,
-                                   truth=instance.g(x, y), bits=result.bits,
-                                   sampling_ok=result.sampling_ok))
+    for block in range(first, last):
+        lo = block * size
+        hi = min(lo + size, trials)
+        # SeedSequence pads its entropy with zeros, so derive_rng(master_seed, 0)
+        # is derive_rng(master_seed), the stream uncertain-run builds its
+        # instance from; the trailing 1 keeps block 0 off it
+        rng = derive_rng(master_seed, block, 1)
+        xs, ys = instance.mu.sample(rng, size=hi - lo)
+        output, bits, _errors, _chosen, ok = _run_rows(instance, xs, ys, theta, rng)
+        records += map(TrialRecord, range(lo, hi), xs.tolist(), ys.tolist(), output.tolist(),
+                       truth[xs, ys].tolist(), bits.tolist(), ok.tolist())
     return records
 
 
@@ -260,17 +297,22 @@ def run_trials(instance: UncertainInstance, theta: float, trials: int, master_se
                jobs: int = 1) -> list[TrialRecord]:
     """Independent seeded trials; identical output for any jobs value.
 
-    At most min(jobs, trials, cpu count) worker processes are started.
+    Trials run in blocks of TRIAL_BLOCK // size_y, each one array pass drawn
+    from its own generator, so a record depends on the seed, its trial index
+    and the block layout (the block size and, in the last block, the number
+    of trials).  At most min(jobs, blocks, cpu count) worker processes are
+    started, each running whole blocks.
     """
     if trials < 1:
         raise ValueError("no trials requested")
-    workers = min(jobs, trials, os.cpu_count() or 1)
+    blocks = -(-trials // _block_trials(instance))
+    workers = min(jobs, blocks, os.cpu_count() or 1)
     if workers <= 1:
-        return _trial_slice(instance, theta, master_seed, 0, trials)
-    bounds = np.linspace(0, trials, workers + 1, dtype=int)
+        return _trial_blocks(instance, theta, trials, master_seed, 0, blocks)
+    bounds = np.linspace(0, blocks, workers + 1, dtype=int)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(_trial_slice, [instance] * workers, [theta] * workers,
-                          [master_seed] * workers, bounds[:-1], bounds[1:])
+        chunks = pool.map(_trial_blocks, [instance] * workers, [theta] * workers,
+                          [trials] * workers, [master_seed] * workers, bounds[:-1], bounds[1:])
     return [record for chunk in chunks for record in chunk]
 
 

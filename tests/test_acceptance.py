@@ -93,7 +93,7 @@ def test_criterion_02_product_communication_flat(capsys):
     for n in (4, 8, 12):
         inst = generate_instance(n, k, 0.0, 0.05, derive_rng(1100, n),
                                  mu=ProductJoint.uniform_bits(n))
-        est = estimate_uncertain_error(inst, theta, 300, master_seed=1101)
+        est = estimate_uncertain_error(inst, theta, 3000, master_seed=1101)
         overheads[n] = est.mean_bits - m
     spread = max(overheads.values()) / min(overheads.values())
     ok = spread <= 1.1 and all(v > 0 for v in overheads.values())

@@ -43,19 +43,19 @@ def test_uncertain_run_deterministic_and_job_invariant(tmp_path):
 
 
 def test_uncertain_run_runs_each_trial_once(tmp_path, capsys, monkeypatch):
-    calls = []
-    run_once = uncertain.run_uncertain_protocol
+    runs = []
+    run_rows = uncertain._run_rows
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return run_once(*args, **kwargs)
+    def counted(instance, xs, *args):
+        runs.extend(xs)
+        return run_rows(instance, xs, *args)
 
-    monkeypatch.setattr(uncertain, "run_uncertain_protocol", counted)
+    monkeypatch.setattr(uncertain, "_run_rows", counted)
     out = tmp_path / "runs.csv"
     assert main(["uncertain-run", "--n", "4", "--k", "1", "--delta", "0.05",
                  "--theta", "0.4", "--trials", "10", "--seed", "5",
                  "--out", str(out)]) == 0
-    assert len(calls) == 10
+    assert len(runs) == 10
     rows = [line.split(",") for line in read(out).splitlines()[2:]]
     summary = dict(token.split("=") for token in capsys.readouterr().out.split())
     wrong = sum(row[3] != row[4] for row in rows)

@@ -118,6 +118,23 @@ def test_conditional_zero_mass_error():
     mu = TableJoint([[0.0, 0.0], [0.5, 0.5]])
     with pytest.raises(ValueError):
         mu.conditional_y_given_x(0)
+    with pytest.raises(ValueError):
+        mu.conditional_rows([1, 0])
+
+
+def test_conditional_rows_match_conditionals():
+    rng = np.random.default_rng(44)
+    table = rng.random((8, 8)) * (rng.random((8, 8)) < 0.6)
+    table[:, 0] += 0.1
+    for mu in (NoisyHypercube(3, 0.2), TableJoint(table / table.sum()),
+               ProductJoint(Distribution.uniform(8), Distribution(np.arange(8) / 28.0))):
+        xs = np.array([0, 5, 7, 5, 2])
+        rows = mu.conditional_rows(xs)
+        assert rows.shape == (5, 8)
+        for x, row in zip(xs, rows):
+            assert np.allclose(row, mu.conditional_y_given_x(int(x)).probs, rtol=1e-12, atol=0)
+        with pytest.raises(IndexError):
+            mu.conditional_rows([0, 8])
 
 
 def test_product_joint_conditional_equals_marginal():
@@ -155,6 +172,30 @@ def test_mutual_information_zero_iff_product():
         if mi < 1e-12:
             back = np.outer(table.sum(axis=1), table.sum(axis=0))
             assert np.allclose(table, back, atol=1e-8)
+
+
+def reference_mutual_information(mu):
+    """I(X;Y) as a loop over rows: sum of p log2(p / (px py)) over positive cells."""
+    mx = mu.marginal_x().probs
+    my = mu.marginal_y().probs
+    total = 0.0
+    for x in range(mu.size_x):
+        row = mu.row_masses(x)
+        pos = row > 0
+        if pos.any():
+            total += float(np.sum(row[pos] * np.log2(row[pos] / (mx[x] * my[pos]))))
+    return max(total, 0.0)
+
+
+def test_mutual_information_matches_row_loop():
+    rng = np.random.default_rng(43)
+    for shape in ((1, 1), (2, 3), (5, 5), (16, 4), (64, 64)):
+        for zeros in (0.0, 0.3, 0.8):
+            table = rng.random(shape) * (rng.random(shape) >= zeros)
+            table.flat[rng.integers(table.size)] += 0.5
+            mu = TableJoint(table / table.sum())
+            assert mu.mutual_information() == pytest.approx(reference_mutual_information(mu),
+                                                            rel=1e-12, abs=1e-14)
 
 
 def test_binary_entropy_endpoints():
@@ -195,16 +236,37 @@ def test_uniform_bits_wide_range():
 
 
 def test_sample_matches_distribution_tv():
+    # one pair per call, and a block of pairs with numpy's size convention
     rng = np.random.default_rng(53)
     draws = 100_000
     for mu in (NoisyHypercube(3, 0.2),
-               TableJoint((lambda t: t / t.sum())(np.random.default_rng(54).random((4, 4))))):
+               TableJoint((lambda t: t / t.sum())(np.random.default_rng(54).random((4, 4)))),
+               ProductJoint(Distribution([0.2, 0.8]), Distribution([0.5, 0.25, 0.25]))):
         counts = np.zeros((mu.size_x, mu.size_y))
         for _ in range(draws):
             x, y = mu.sample(rng)
             counts[x, y] += 1
+        assert type(x) is int and type(y) is int
         tv = 0.5 * np.abs(counts / draws - mu.to_table()).sum()
         assert tv <= 0.02
+        xs, ys = mu.sample(rng, size=draws)
+        assert xs.shape == ys.shape == (draws,)
+        counts = np.zeros((mu.size_x, mu.size_y))
+        np.add.at(counts, (xs, ys), 1)
+        tv = 0.5 * np.abs(counts / draws - mu.to_table()).sum()
+        assert tv <= 0.02
+        xs, ys = mu.sample(rng, size=(2, 3))
+        assert xs.shape == ys.shape == (2, 3)
+
+
+def test_noisy_hypercube_sample_draws_flip_mask_bits():
+    # a pair is x, then the flip_mask draws of its n bits
+    mu = NoisyHypercube(5, 0.3)
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        x = int(ref.integers(32))
+        assert mu.sample(rng) == (x, x ^ flip_mask(5, 0.3, ref))
+        assert rng.random() == ref.random()
 
 
 def test_flip_mask_bit_order_and_stream_position():

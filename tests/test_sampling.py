@@ -12,11 +12,11 @@ from uccsim.sampling import (
     DEFAULT_MAX_CANDIDATES,
     SharedRandomness,
     _DenseRun,
-    _LazyProductRun,
     correlated_sample,
     decode_product_index,
     hash_bits_per_round,
     one_way_correlated_sample,
+    one_way_rows,
     product_probs,
     truncation_limit,
 )
@@ -268,23 +268,23 @@ def test_one_way_matches_interactive_when_within_budget():
 
 
 def test_one_way_lazy_and_dense_paths_agree_statistically():
-    # Both realizations run on one small universe.  They draw from different
-    # streams, so their counts differ seed by seed; Alice's digit frequencies
-    # and the agreement rates must match within 4 sigma.
+    # Both realizations run on one small universe: the lazy one as one block
+    # of rows, the dense one seed by seed.  They draw from different streams,
+    # so Alice's digit frequencies and the agreement rates must match within
+    # 4 sigma.
     mu = NoisyHypercube(2, 0.2)
     x, m, eps = 1, 2, 0.05
     p = mu.conditional_y_given_x(x).probs
     q = mu.marginal_y().probs
     sub_eps = eps / 2.0
-    budget = truncation_limit(mu, m, eps) // hash_bits_per_round(sub_eps)
+    limit = truncation_limit(mu, m, eps)
+    budget = limit // hash_bits_per_round(sub_eps)
     trials = 2000
-    freq = {"lazy": np.zeros(4), "dense": np.zeros(4)}
-    agree = {"lazy": 0, "dense": 0}
+    alice, _, _, ok = one_way_rows(np.tile(p, (trials, 1)), q, m, eps, limit,
+                                   np.random.default_rng(17))
+    freq = {"lazy": alice.sum(axis=0), "dense": np.zeros(4)}
+    agree = {"lazy": int(ok.sum()), "dense": 0}
     for seed in range(trials):
-        alice, _, _, ok, agreed = _LazyProductRun(p, q, m, sub_eps,
-                                                  SharedRandomness((17, seed)), budget).run()
-        freq["lazy"] += alice
-        agree["lazy"] += ok and agreed
         a_idx, b_idx, _, _, ok = _DenseRun(product_probs(p, m), product_probs(q, m), sub_eps,
                                            SharedRandomness((17, seed)),
                                            DEFAULT_MAX_CANDIDATES, budget).run()
@@ -312,71 +312,120 @@ def test_one_way_lazy_and_dense_paths_agree_statistically():
 
 
 def test_lazy_alice_counts_follow_the_multinomial_law():
-    # Per cell, the mean and variance of Alice's counts over seeds must match
-    # those of bincounted rng.choice draws, within 4 sigma of their difference.
+    # Per cell, the mean and variance of Alice's counts over the rows of one
+    # block must match those of bincounted rng.choice draws, within 4 sigma
+    # of their difference.  Cells expected to get fewer than 10 draws over
+    # all rows are too discrete for that normal bound; they are pooled into
+    # one cell, itself a multinomial cell.
     mu = NoisyHypercube(8, 0.1)
     q = mu.marginal_y().probs
-    seeds = 2000
+    rows = 2000
     for x, m in ((0, 37), (173, 9935)):
         p = mu.conditional_y_given_x(x).probs
-        lazy = np.array([_LazyProductRun(p, q, m, 0.05, SharedRandomness((33, x, seed)), 40)
-                         .run()[0] for seed in range(seeds)])
+        lazy = one_way_rows(np.tile(p, (rows, 1)), q, m, 0.1, truncation_limit(mu, m, 0.1),
+                            np.random.default_rng((33, x)))[0]
         reference = np.array([np.bincount(np.random.default_rng((34, x, seed))
                                           .choice(256, size=m, p=p), minlength=256)
-                              for seed in range(seeds)])
-        assert lazy.shape == reference.shape == (seeds, 256)
+                              for seed in range(rows)])
+        assert lazy.shape == reference.shape == (rows, 256)
         assert (lazy.sum(axis=1) == m).all()
+        common = m * p * rows >= 10
+
+        def pooled(cells):
+            return np.column_stack([cells[..., common], cells[..., ~common].sum(axis=-1)])
+
+        lazy, reference, p = pooled(lazy), pooled(reference), pooled(p[None, :])[0]
         var = m * p * (1.0 - p)
         fourth = var * (1.0 + 3.0 * (m - 2) * p * (1.0 - p))
-        mean_sigma = np.sqrt(2.0 * var / seeds)
-        var_sigma = np.sqrt(2.0 * np.maximum(fourth - var ** 2, 0.0) / seeds)
+        mean_sigma = np.sqrt(2.0 * var / rows)
+        var_sigma = np.sqrt(2.0 * np.maximum(fourth - var ** 2, 0.0) / rows)
         assert np.all(np.abs(lazy.mean(axis=0) - reference.mean(axis=0)) <= 4.0 * mean_sigma)
         assert np.all(np.abs(lazy.var(axis=0) - reference.var(axis=0)) <= 4.0 * var_sigma)
         # and Alice's mean sits on the multinomial's own, m * p
         assert np.all(np.abs(lazy.mean(axis=0) - m * p) <= 4.0 * mean_sigma)
 
 
-def test_lazy_run_never_draws_a_zero_mass_cell(monkeypatch):
-    # P and Q have zero-mass cells, the last one included; neither Alice's
-    # counts nor Bob's fallback may land there, whether or not the run ends.
-    table = np.array([[3.0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.0, 0.0],
+def test_lazy_run_never_draws_a_zero_mass_cell():
+    # P and Q have zero-mass cells, the last one included, and the rows of the
+    # second table have different supports; neither Alice's counts nor Bob's
+    # fallback may land on a zero-mass cell of their row, whether or not the
+    # run ends.
+    first = np.array([[3.0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.0, 0.0],
                       [1.0, 2.0, 1.0, 1.0, 0.0, 3.0, 0.0, 0.0]])
-    mu = TableJoint(table / table.sum())
-    p_zero = mu.conditional_y_given_x(0).probs == 0
-    q_zero = mu.marginal_y().probs == 0
-    assert p_zero[-1] and q_zero[-1]
+    second = np.array([[3.0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.0, 0.0],
+                       [0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 1.0, 4.0],
+                       [0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0],
+                       [1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0]])
     m, eps = 40, 0.1
     s = hash_bits_per_round(eps / 2.0)
-    for capped in (False, True):
-        if capped:
-            # one round of hash bits: most runs fall back to Bob's own draw
-            monkeypatch.setattr(sampling, "truncation_limit", lambda mu, m, eps: s)
-        failures = 0
-        for seed in range(300):
-            alice, bob, stats = one_way_correlated_sample(mu, 0, m, eps,
-                                                          SharedRandomness((35, seed)))
-            assert alice.sum() == bob.sum() == m
-            assert not alice[p_zero].any()
-            assert not bob[q_zero].any()
-            failures += not stats.success
-    assert failures > 150
+    for table in (first, second):
+        mu = TableJoint(table / table.sum())
+        xs = np.arange(mu.size_x).repeat(300)
+        p = mu.conditional_rows(xs)
+        q = mu.marginal_y().probs
+        assert (p[:, -1] == 0).any() and q[4] == 0
+        # a one-round cap makes most runs fall back to Bob's own draw
+        for limit, seed in ((truncation_limit(mu, m, eps), 35), (s, 36)):
+            alice, bob, _, ok = one_way_rows(p, q, m, eps, limit, np.random.default_rng(seed))
+            assert (alice.sum(axis=1) == m).all() and (bob.sum(axis=1) == m).all()
+            assert not alice[p == 0].any()
+            assert not bob[:, q == 0].any()
+            assert np.array_equal(alice[ok], bob[ok])
+            if limit == s:
+                assert (~ok).sum() > len(xs) // 2
 
 
-def test_lazy_run_never_enters_on_a_digit_bob_cannot_draw():
+def test_lazy_run_never_enters_on_a_digit_bob_cannot_draw(monkeypatch):
     # Digit 0 has Q-mass 0, so once Alice draws it her candidate never enters
     # Bob's set; digit 3 has no mass on either side and must not turn the
     # log-ratio into nan.
     p = np.array([0.5, 0.5, 0.0, 0.0])
     q = np.array([0.0, 0.5, 0.5, 0.0])
-    runner = _LazyProductRun(p, q, 20, 0.1, SharedRandomness(31), 40)
     entries = []
-    scan = runner._termination_round
-    runner._termination_round = lambda entry, events: entries.append(entry) or scan(entry, events)
+    sweep = sampling._termination_rounds
+    monkeypatch.setattr(sampling, "_termination_rounds",
+                        lambda entry, *events: entries.append(entry) or sweep(entry, *events))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alice, *_ = runner.run()
-    assert alice[0] > 0
-    assert entries == [None]
+        alice, _, _, ok = one_way_rows(np.tile(p, (50, 1)), q, 20, 0.2, 40 * 6,
+                                       np.random.default_rng(31))
+    assert (alice[:, 0] > 0).all()
+    assert len(entries) == 1 and not entries[0].any()
+    assert not ok.any()
+
+
+def test_termination_sweep_matches_reference_loop():
+    rng = np.random.default_rng(38)
+    for rows in (1, 2, 7, 40):
+        for _ in range(50):
+            entry = rng.integers(0, 6, size=rows) * (rng.random(rows) < 0.8)
+            counts = rng.poisson(1.5, size=rows)
+            ev_row = np.repeat(np.arange(rows), counts)
+            ev_entry = rng.integers(1, 6, size=len(ev_row))
+            # lengths 0 to 3 give overlapping, nested and adjacent intervals
+            ev_last = ev_entry + rng.integers(0, 4, size=len(ev_row))
+            got = sampling._termination_rounds(entry, ev_row, ev_entry, ev_last)
+            for i in range(rows):
+                events = list(zip(ev_entry[ev_row == i].tolist(), ev_last[ev_row == i].tolist()))
+                expect = reference_termination_round(int(entry[i]) or None, events)
+                assert got[i] == (expect or 0), (entry[i], events, got[i], expect)
+
+
+def reference_termination_round(entry_round, events):
+    """Earliest round with exactly one matching candidate, if any, as a plain loop."""
+    boundaries = {1}
+    if entry_round is not None:
+        boundaries.add(entry_round)
+    for start, end in events:
+        boundaries.add(start)
+        boundaries.add(end + 1)
+    for t in sorted(boundaries):
+        count = sum(1 for start, end in events if start <= t <= end)
+        if entry_round is not None and t >= entry_round:
+            count += 1
+        if count == 1:
+            return t
+    return None
 
 
 def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
@@ -385,7 +434,7 @@ def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
     mu = NoisyHypercube(8, 0.1)
     m, eps = 20, 0.02
     s = hash_bits_per_round(eps / 2.0)
-    p = mu.conditional_y_given_x(101).probs
+    p = mu.conditional_rows([101])
     q = mu.marginal_y().probs
     uncapped = {seed: one_way_correlated_sample(mu, 101, m, eps, SharedRandomness((32, seed)))
                 for seed in range(10)}
@@ -400,11 +449,11 @@ def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
         # Bob's fallback is the next draw of the run's one stream, after
         # Alice's counts, her level and position, and the false-match events
         rng = shared.stream(sampling._TAG_OUTPUT)
-        rng.multinomial(m, p)
-        rng.random()
-        rng.standard_exponential()
-        _LazyProductRun(p, q, m, eps / 2.0, shared, 3)._draw_events(3, rng)
-        assert np.array_equal(bob, rng.multinomial(m, q))
+        sampling._multinomial_rows(m, p, rng)
+        rng.random(1)
+        rng.standard_exponential(1)
+        sampling._false_match_events(s, np.array([3]), rng)
+        assert np.array_equal(bob, sampling._multinomial_rows(m, q[None, :], rng)[0])
 
 
 def test_communication_scales_with_divergence():

@@ -11,8 +11,7 @@ import pytest
 
 from uccsim.core import distance, protocol_error
 from uccsim.distributions import NoisyHypercube, ProductJoint, TableJoint, derive_rng
-from uccsim.sampling import (SharedRandomness, TranscriptStats, one_way_correlated_sample,
-                             truncation_limit)
+from uccsim.sampling import SharedRandomness, one_way_correlated_sample, truncation_limit
 from uccsim import uncertain
 from uccsim.uncertain import (
     choose_sample_count,
@@ -183,23 +182,28 @@ def test_run_single_decider_uses_it():
 
 
 def test_decider_errors_equal_per_sample_gather():
+    # one call scores a block of runs; each row must equal its own per-sample gather
     rng = np.random.default_rng(129)
-    size_y = 64
+    size_y, rows = 64, 5
     for k in range(7):
         deciders = rng.integers(0, 2, size=(1 << k, size_y), dtype=np.uint8)
         for m in (1, 2, 37, 9935):
-            bob = rng.integers(0, size_y, size=m)
-            alice_bits = rng.integers(0, 2, size=m, dtype=np.uint8)
-            reference = (deciders[:, bob] != alice_bits[None, :]).mean(axis=1)
-            counts = np.bincount(bob, minlength=size_y)
-            ones = np.bincount(bob[alice_bits == 1], minlength=size_y)
+            bob = rng.integers(0, size_y, size=(rows, m))
+            alice_bits = rng.integers(0, 2, size=(rows, m), dtype=np.uint8)
+            f_rows = rng.integers(0, 2, size=(rows, size_y), dtype=np.uint8)
+            counts = np.stack([np.bincount(b, minlength=size_y) for b in bob])
+            ones = np.stack([np.bincount(b[a == 1], minlength=size_y)
+                             for b, a in zip(bob, alice_bits)])
             got = decider_errors(deciders, counts, ones)
-            assert got.dtype == reference.dtype
-            assert np.array_equal(got, reference)
             # the success path: Alice revealed f on Bob's own list
-            f_row = rng.integers(0, 2, size=size_y, dtype=np.uint8)
-            reference = (deciders[:, bob] != f_row[bob][None, :]).mean(axis=1)
-            assert np.array_equal(decider_errors(deciders, counts, counts * f_row), reference)
+            got_success = decider_errors(deciders, counts, counts * f_rows)
+            assert got.shape == got_success.shape == (rows, 1 << k)
+            for i in range(rows):
+                reference = (deciders[:, bob[i]] != alice_bits[i][None, :]).mean(axis=1)
+                assert got.dtype == reference.dtype
+                assert np.array_equal(got[i], reference)
+                reference = (deciders[:, bob[i]] != f_rows[i][bob[i]][None, :]).mean(axis=1)
+                assert np.array_equal(got_success[i], reference)
 
 
 def test_failed_run_scores_like_a_random_per_sample_pairing(monkeypatch):
@@ -213,9 +217,9 @@ def test_failed_run_scores_like_a_random_per_sample_pairing(monkeypatch):
     m = choose_sample_count(2, theta)
     alice = rng.multinomial(m, inst.mu.conditional_y_given_x(x).probs)
     bob = rng.multinomial(m, inst.mu.marginal_y().probs)
-    failed = TranscriptStats(bits_alice=60, bits_bob=0, rounds=1, success=False)
-    monkeypatch.setattr(uncertain, "one_way_correlated_sample",
-                        lambda *args: (alice, bob, failed))
+    monkeypatch.setattr(uncertain, "one_way_rows",
+                        lambda *args: (alice[None], bob[None], np.array([60]),
+                                       np.array([False])))
     deciders = inst.protocol.deciders
     revealed = inst.f.row(x)[np.repeat(np.arange(16), alice)]
     bob_list = np.repeat(np.arange(16), bob)
@@ -331,12 +335,14 @@ def test_estimate_requires_trials():
 
 
 def test_run_trials_parallel_matches_serial():
+    # two worker processes split three blocks, the last one partial
     rng = np.random.default_rng(134)
     inst = generate_instance(4, 1, 0.0, 0.05, rng)
-    serial = run_trials(inst, 0.4, 40, master_seed=41, jobs=1)
-    parallel = run_trials(inst, 0.4, 40, master_seed=41, jobs=4)
+    trials = 2 * uncertain._block_trials(inst) + 40
+    serial = run_trials(inst, 0.4, trials, master_seed=41, jobs=1)
+    parallel = run_trials(inst, 0.4, trials, master_seed=41, jobs=4)
     assert serial == parallel
-    assert [r.trial for r in serial] == list(range(40))
+    assert [r.trial for r in serial] == list(range(trials))
 
 
 class SerialPool:
@@ -358,18 +364,38 @@ class SerialPool:
 
 
 def test_run_trials_starts_no_more_workers_than_trials_or_cores(monkeypatch):
+    # workers take whole blocks, so at most min(jobs, blocks, cpu count) start
     rng = np.random.default_rng(135)
     inst = generate_instance(4, 1, 0.0, 0.05, rng)
-    serial = run_trials(inst, 0.4, 3, master_seed=42, jobs=1)
+    trials = 2 * uncertain._block_trials(inst) + 3
+    serial = run_trials(inst, 0.4, trials, master_seed=42, jobs=1)
     monkeypatch.setattr(uncertain, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "started", [])
     for cores, expect in ((64, 3), (2, 2)):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert run_trials(inst, 0.4, 3, master_seed=42, jobs=10 ** 6) == serial
+        assert run_trials(inst, 0.4, trials, master_seed=42, jobs=10 ** 6) == serial
         assert SerialPool.started[-1] == expect
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert run_trials(inst, 0.4, 3, master_seed=42, jobs=10 ** 6) == serial
+    assert run_trials(inst, 0.4, trials, master_seed=42, jobs=10 ** 6) == serial
+    # fewer trials than a block make one block: no worker starts
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert len(run_trials(inst, 0.4, 3, master_seed=42, jobs=10 ** 6)) == 3
     assert SerialPool.started == [3, 2]
+
+
+def test_run_trials_job_invariant_across_a_partial_last_block(monkeypatch):
+    # about 2.5 blocks: jobs 1, 2 and 3 split them differently, the records agree
+    rng = np.random.default_rng(137)
+    inst = generate_instance(4, 1, 0.0, 0.05, rng, mu=NoisyHypercube(4, 0.1))
+    block = uncertain._block_trials(inst)
+    trials = 5 * block // 2
+    monkeypatch.setattr(uncertain, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "started", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    runs = [run_trials(inst, 0.4, trials, master_seed=43, jobs=jobs) for jobs in (1, 2, 3)]
+    assert SerialPool.started == [2, 3]
+    assert runs[0] == runs[1] == runs[2]
+    assert [r.trial for r in runs[0]] == list(range(trials))
 
 
 def test_wilson_half_width_values():
