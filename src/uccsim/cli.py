@@ -74,8 +74,8 @@ def _parse_mu(spec: str, n: int):
 def _cmd_uncertain_run(args) -> int:
     seed = _master_seed(args.seed)
     mu = _parse_mu(args.mu, args.n)
-    instance = generate_instance(args.n, args.k, args.eps, args.delta,
-                                 derive_rng(seed, 0), mu=mu)
+    # the tagless stream: trial block b draws from derive_rng(seed, b)
+    instance = generate_instance(args.n, args.k, args.eps, args.delta, derive_rng(seed), mu=mu)
     records = run_trials(instance, args.theta, args.trials, seed, jobs=args.jobs)
     lines = [_header("uncertain-run", seed, args),
              "trial,x,y,output,truth,correct,bits,sampling_ok"]
@@ -197,7 +197,7 @@ def _cmd_family_audit(args) -> int:
     if args.samples < 1:
         raise ValueError("need at least one sample")
     seed = _master_seed(args.seed)
-    rng = derive_rng(seed, 0)
+    rng = derive_rng(seed)
     budget = args.q * args.n
     over = 0
     for _ in range(args.samples):

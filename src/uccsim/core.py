@@ -33,37 +33,6 @@ class BitString:
         if not 0 <= self.value < (1 << self.n):
             raise ValueError(f"value {self.value} out of range for {self.n} bits")
 
-    def bit(self, i: int) -> int:
-        """Return bit i, indexed 1..n."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"bit index {i} out of range 1..{self.n}")
-        return (self.value >> (i - 1)) & 1
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitString(self.value ^ other.value, self.n)
-
-    def weight(self) -> int:
-        return self.value.bit_count()
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> i) & 1 for i in range(self.n))
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitString":
-        value = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError("bits must be 0/1")
-            value |= b << i
-        return cls(value, len(bits))
-
-    @classmethod
-    def from_string(cls, s: str) -> "BitString":
-        """Parse "110" as a binary numeral; the rightmost character is bit 1."""
-        return cls.from_bits([int(c) for c in reversed(s)])
-
     def __str__(self) -> str:
         return "".join(str((self.value >> i) & 1) for i in range(self.n - 1, -1, -1))
 

@@ -20,8 +20,13 @@ _MASS_TOL = 1e-9
 
 
 def derive_rng(master_seed: int, *tags: int) -> np.random.Generator:
-    """An independent, reproducible stream for (master_seed, tags)."""
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, tags)]))
+    """An independent, reproducible stream for (master_seed, tags).
+
+    The tags are the seed sequence's spawn key, so tag tuples that differ
+    only in trailing zeros, the empty one included, give different streams.
+    """
+    return np.random.default_rng(np.random.SeedSequence(int(master_seed),
+                                                        spawn_key=tuple(map(int, tags))))
 
 
 def popcount_table(n: int) -> np.ndarray:

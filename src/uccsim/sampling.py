@@ -8,12 +8,12 @@ keeps the candidates below a doubling acceptance level built from his
 distribution Q, and stops once exactly one of them matches every hash bit
 so far.  Bob's reply each round is a single continue/terminate bit.
 
-Two realizations of the same process: a literal one that materializes the
-candidate stream (small universes), and a lazy one for product universes
-far too large to enumerate, which draws Alice's sample counts directly and
-models the hash-filtered false candidates as the thinned point process they
-form.  The lazy one runs many independent runs at once, one per row of its
-arrays.
+The interactive protocol materializes the candidate stream.  The one-way
+protocol runs over a product universe of m copies, far too large to
+enumerate, so it draws Alice's sample counts directly and draws the
+hash-filtered false candidates as the point process they form: a proposal
+that bounds their intensity, thinned to the candidates a literal run would
+hold.  It runs many independent runs at once, one per row of its arrays.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ import numpy as np
 from .distributions import Distribution, JointDistribution, derive_rng
 
 HASH_PRIME = (1 << 31) - 1
-# one-way runs materialize the product universe only up to this size
+# A label only: it selects no code path.  The frozen benchmark tracer reads it
+# to mark one-way calls on product universes of at most this many points.
 EXPLICIT_UNIVERSE_LIMIT = 4096
 DEFAULT_MAX_CANDIDATES = 10_000_000
-# new false matches entering this long after Alice's entry have intensity
-# below 2^-(2*EXTRA_ROUNDS) and are not simulated
-EXTRA_ROUNDS = 64
+# one-way index positions are resolved to 2^-INDEX_CELL_BITS of their range,
+# the float mantissa; a larger universe's indices are drawn as a continuum
+INDEX_CELL_BITS = 53
 # constant factor of the one-way payload cap, see truncation_limit
 TRUNCATION_C1 = 4.0
 
@@ -69,23 +70,6 @@ def hash_bits_per_round(eps: float) -> int:
     return math.ceil(math.log2(1.0 / eps)) + 2
 
 
-def product_probs(factor: np.ndarray, m: int) -> np.ndarray:
-    """Dense probabilities of m independent copies; index digit j has weight d^j."""
-    full = np.asarray(factor, dtype=np.float64)
-    for _ in range(m - 1):
-        full = np.kron(factor, full)
-    return full
-
-
-def decode_product_index(index: int, d: int, m: int) -> list[int]:
-    """Base-d digits of a product-universe index, least significant first."""
-    digits = []
-    for _ in range(m):
-        digits.append(index % d)
-        index //= d
-    return digits
-
-
 def _hash_block(mult: int, shift: int, indices: np.ndarray, s: int) -> np.ndarray:
     """Pairwise-independent hash of 1-based indices down to s bits."""
     return ((mult * indices + shift) % HASH_PRIME) & ((1 << s) - 1)
@@ -95,14 +79,13 @@ class _DenseRun:
     """Literal protocol run over a materialized candidate stream."""
 
     def __init__(self, p: np.ndarray, q: np.ndarray, eps: float, shared: SharedRandomness,
-                 max_candidates: int, max_rounds: int | None):
+                 max_candidates: int):
         self.p = p
         self.q = q
         self.size = len(p)
         self.s = hash_bits_per_round(eps)
         self.shared = shared
         self.max_candidates = max_candidates
-        self.max_rounds = max_rounds
         self.rng_c = shared.stream(_TAG_CANDIDATES)
         self.rng_h = shared.stream(_TAG_HASH)
         self.values = np.empty(0, dtype=np.int64)
@@ -150,8 +133,6 @@ class _DenseRun:
         t = 0
         while True:
             t += 1
-            if self.max_rounds is not None and t > self.max_rounds:
-                break
             horizon = self.size << (t - 1)
             if horizon > self.max_candidates:
                 break
@@ -191,7 +172,7 @@ def correlated_sample(p: Distribution, q: Distribution, eps: float, shared: Shar
         raise ValueError("distributions live on different universes")
     if not ((p.probs > 0) & (q.probs > 0)).any():
         raise ValueError("supports do not overlap")
-    runner = _DenseRun(p.probs, q.probs, eps, shared, max_candidates, None)
+    runner = _DenseRun(p.probs, q.probs, eps, shared, max_candidates)
     a, b, bits_alice, rounds, terminated = runner.run()
     stats = TranscriptStats(bits_alice=bits_alice, bits_bob=rounds, rounds=rounds,
                             success=bool(terminated and a == b))
@@ -214,30 +195,53 @@ def _multinomial_rows(m: int, probs: np.ndarray, rng: np.random.Generator) -> np
     return counts
 
 
-def _false_match_events(s: int, hi: np.ndarray, rng: np.random.Generator):
-    """False matches of row i entering Bob's set at rounds 1..hi[i]: (row, entry, last) arrays.
+def _index_cells(log2_cells) -> np.ndarray:
+    """2^log2_cells index positions, exact up to 2^INDEX_CELL_BITS and capped there."""
+    return np.rint(np.exp2(np.minimum(log2_cells, INDEX_CELL_BITS)))
 
-    Candidates entering at round t, thinned by t rounds of s hash bits, form
-    a Poisson process of intensity 2 * 2^-s at t = 1 and (3/8) rho^t at
-    t >= 2, with rho = 2^(2-s); a match stays alive a geometric number of
-    further rounds.
+
+def _false_matches(p: np.ndarray, q: np.ndarray, m: int, s: int, alice_index: np.ndarray,
+                   last_round: int, rng: np.random.Generator):
+    """False matches of row i in Bob's set by round last_round: (row, entry, last) arrays.
+
+    The product universe has N = d^m points, and row i's Alice candidate sits
+    at 0-based index floor(alice_index[i] * N).  A candidate (index, value v,
+    level u) is in Bob's set at round t once its index is below N 2^(t-1),
+    u < min(1, 2^t Q(v)) and it matched t rounds of s hash bits; a match stays
+    a geometric number of further rounds.  Candidates before Alice's are
+    conditioned on u >= P(v), so their density is N/(N-1) times the others'.
+
+    The proposal drops the min(1, .) and the conditioning: at round t a
+    uniform index below N 2^(t-1), v ~ Q^m and u uniform below 2^t Q(v),
+    times 2^-st for the hash bits and N/(N-1) for the density, a Poisson
+    process of intensity N/(N-1) rho^t / 2 with rho = 2^(2-s).  Thinning keeps
+    exactly the candidates that enter at round t: u < 1; not an index below
+    N 2^(t-2) with u < 2^(t-1) Q(v), which entered earlier; not Alice's index;
+    before it, u >= P(v); after it, with probability (N-1)/N.
     """
     rho = 2.0 ** (2 - s)
-    w1 = 2.0 * 2.0 ** -s
-    # the t >= 2 intensities summed over rounds 2..hi in closed form
-    tail = np.where(hi >= 2, (3.0 / 8.0) * (rho ** 2 - rho ** (hi + 1.0)) / (1.0 - rho), 0.0)
-    total = np.where(hi >= 1, w1 + tail, 0.0)
-    row = np.repeat(np.arange(len(hi)), rng.poisson(total))
-    target = rng.random(len(row)) * total[row]
-    row_hi = hi[row]
-    # invert the geometric tail: cumulative mass up to t is
-    # (3/8) (rho^2 - rho^(t+1)) / (1 - rho)
-    rho_pow = np.maximum(rho ** 2 - (target - w1) * (1.0 - rho) / (3.0 / 8.0),
-                         rho ** (row_hi + 1.0))
-    later = np.clip(np.ceil(np.log(rho_pow) / np.log(rho) - 1.0), 2, row_hi)
-    entry = np.where((target < w1) | (row_hi == 1), 1, later).astype(np.int64)
-    extra = rng.geometric(1.0 - 2.0 ** -s, size=len(row)) - 1
-    return row, entry, entry + extra
+    log2_size = m * math.log2(len(q))
+    size = float(_index_cells(log2_size))
+    # with N = 1 Alice's index is the only one, so nothing lies before it
+    boost = size / max(size - 1.0, 1.0)
+    row = np.repeat(np.arange(len(alice_index)),
+                    rng.poisson(boost * rho / (2.0 * (1.0 - rho)), size=len(alice_index)))
+    entry = rng.geometric(1.0 - rho, size=len(row))
+    last = entry + rng.geometric(1.0 - 2.0 ** -s, size=len(row)) - 1
+    value = _multinomial_rows(m, np.broadcast_to(q, (len(row), len(q))), rng)
+    offset, level, keep = rng.random((3, len(row)))
+    tiny = np.finfo(np.float64).tiny
+    log_q = value @ np.log2(np.maximum(q, tiny))
+    log_p = np.einsum("ij,ij->i", value, np.log2(np.maximum(p[row], tiny)))
+    with np.errstate(divide="ignore"):
+        log_level = entry + log_q + np.log2(level)
+    cells = _index_cells(log2_size + entry - 1.0)
+    cell = np.floor(offset * cells)
+    alice = np.floor(np.ldexp(alice_index[row], 1 - entry) * cells)
+    kept = ((entry <= last_round) & (log_level < 0.0)
+            & ~((entry >= 2) & (offset < 0.5) & (level < 0.5))
+            & np.where(cell < alice, log_level >= log_p, (cell > alice) & (keep * boost < 1.0)))
+    return row[kept], entry[kept], last[kept]
 
 
 def _termination_rounds(entry: np.ndarray, ev_row: np.ndarray, ev_entry: np.ndarray,
@@ -275,13 +279,12 @@ def one_way_rows(p: np.ndarray, q: np.ndarray, m: int, eps: float, limit: int,
     """The one-way run once per row of p, every draw from rng.
 
     p holds one conditional of Alice per row and q Bob's marginal, both over
-    the coordinate universe; the product universe of m copies is never
+    the coordinate universe; the product universe of N = d^m points is never
     built.  Alice's sample is her count vector, one multinomial draw per
-    row; her candidate's acceptance level and index position give the exact
-    round at which it enters Bob's set.  Other matching candidates form a
-    Poisson process whose per-round intensity is the candidate count between
-    horizons thinned by the hash bits; its events are drawn individually
-    since their total mean is below the error budget.  A row succeeds when
+    row.  Her candidate's 1-based index is Geometric(1/N), floor(E / lam) + 1
+    for an exponential E and lam = -log1p(-1/N); with her acceptance level
+    it gives the exact round at which the candidate enters Bob's set.  The other
+    matching candidates are drawn by _false_matches.  A row succeeds when
     the first round with exactly one candidate in Bob's set holds Alice's
     and comes within limit // s rounds.  Returns (alice, bob, payload_bits,
     success): count matrices of one row per run, each row summing to m, and
@@ -290,7 +293,7 @@ def one_way_rows(p: np.ndarray, q: np.ndarray, m: int, eps: float, limit: int,
     drawn from q.
     """
     s = hash_bits_per_round(eps / 2.0)
-    max_rounds = limit // s
+    last_round = limit // s
     alice = _multinomial_rows(m, p, rng)
     level = rng.random(len(p))
     position = rng.standard_exponential(len(p))
@@ -301,14 +304,17 @@ def one_way_rows(p: np.ndarray, q: np.ndarray, m: int, eps: float, limit: int,
     log_ratio = (np.einsum("ij,ij->i", alice, np.log2(np.maximum(p, tiny)))
                  - alice @ np.log2(np.maximum(q, tiny)))
     enters = ~alice[:, q == 0].any(axis=1)
+    size = _index_cells(m * math.log2(len(q)))
     with np.errstate(divide="ignore"):
         log_level = np.log2(level)
+        # Alice's index over N, E / (lam N): her 0-based index is floor(index * N)
+        index = position / (-size * np.log1p(-1.0 / size))
     accept = np.maximum(np.floor(log_level + log_ratio) + 1.0, 1.0)
-    horizon = np.where(position <= 1.0, 1.0, np.ceil(np.log2(np.maximum(position, 1.0))) + 1.0)
+    # the first round whose horizon N 2^(t-1) reaches past her index
+    horizon = np.floor(np.log2(np.maximum(index, 0.5))) + 2.0
     entry = np.where(enters, np.maximum(accept, horizon), 0.0).astype(np.int64)
-    scan_end = np.where(enters, np.minimum(max_rounds, entry + EXTRA_ROUNDS), max_rounds)
-    term = _termination_rounds(entry, *_false_match_events(s, scan_end, rng))
-    terminated = (term > 0) & (term <= max_rounds)
+    term = _termination_rounds(entry, *_false_matches(p, q, m, s, index, last_round, rng))
+    terminated = (term > 0) & (term <= last_round)
     success = terminated & enters & (term >= entry)
     payload = np.where(terminated, s * term, limit)
     bob = alice.copy()
@@ -337,9 +343,8 @@ def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
     truncation_limit bits.  Returns (alice_counts, bob_counts, stats): how
     many of each party's m samples fall on each y, as length-size_y vectors.
     stats.success reports whether the two sample lists agree, and a failed
-    run keeps Bob's fallback counts rather than hiding the mismatch.  A
-    product universe of at most EXPLICIT_UNIVERSE_LIMIT points runs the
-    literal protocol; a larger one is the one-row case of one_way_rows.
+    run keeps Bob's fallback counts rather than hiding the mismatch.  This
+    is the one-row case of one_way_rows.
 
     Counts lose nothing a caller needs: each list is m i.i.d. draws, so given
     its counts its order is a uniformly random arrangement.  On success the
@@ -349,23 +354,10 @@ def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
     limit = truncation_limit(mu, m, eps)
     # read before the m = 0 return, so an x off the domain raises for every m
     p = mu.conditional_rows([x])
-    d = mu.size_y
     if m == 0:
-        empty = np.zeros(d, dtype=np.int64)
+        empty = np.zeros(mu.size_y, dtype=np.int64)
         return empty, empty.copy(), TranscriptStats(0, 0, 1, True)
-    q = mu.marginal_y().probs
-    if m * math.log2(d) > math.log2(EXPLICIT_UNIVERSE_LIMIT) + 1e-9:
-        alice, bob, payload, success = one_way_rows(p, q, m, eps, limit,
-                                                    shared.stream(_TAG_OUTPUT))
-        return alice[0], bob[0], TranscriptStats(bits_alice=int(payload[0]), bits_bob=0,
-                                                 rounds=1, success=bool(success[0]))
-    sub_eps = eps / 2.0
-    s = hash_bits_per_round(sub_eps)
-    runner = _DenseRun(product_probs(p[0], m), product_probs(q, m), sub_eps,
-                       shared, DEFAULT_MAX_CANDIDATES, limit // s)
-    a_idx, b_idx, _bits, rounds, terminated = runner.run()
-    alice = np.bincount(decode_product_index(a_idx, d, m), minlength=d)
-    bob = np.bincount(decode_product_index(b_idx, d, m), minlength=d)
-    stats = TranscriptStats(bits_alice=s * rounds if terminated else limit, bits_bob=0,
-                            rounds=1, success=bool(terminated and a_idx == b_idx))
-    return alice, bob, stats
+    alice, bob, payload, success = one_way_rows(p, mu.marginal_y().probs, m, eps, limit,
+                                                shared.stream(_TAG_OUTPUT))
+    return alice[0], bob[0], TranscriptStats(bits_alice=int(payload[0]), bits_bob=0,
+                                             rounds=1, success=bool(success[0]))

@@ -16,6 +16,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,8 +228,6 @@ def _run_rows(instance: UncertainInstance, xs: np.ndarray, ys: np.ndarray, theta
     equal, so Alice's counts at y carry f(x, y).  On failure the lists are
     independent, so Bob's ones are a random pairing (_random_pairing).
     Total communication is the sampling payload plus the m revealed bits.
-    The trial path's m is at least 69, so a product universe of m copies is
-    always too large for the literal sampler and the lazy one runs here.
     """
     m = choose_sample_count(instance.k, theta)
     sample_eps = (theta / 10.0) ** 2
@@ -254,8 +253,7 @@ def run_uncertain_protocol(instance: UncertainInstance, x: int, y: int, theta: f
                      chosen=int(chosen[0]), sampling_ok=bool(ok[0]))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     trial: int
     x: int
     y: int
@@ -282,10 +280,7 @@ def _trial_blocks(instance: UncertainInstance, theta: float, trials: int, master
     for block in range(first, last):
         lo = block * size
         hi = min(lo + size, trials)
-        # SeedSequence pads its entropy with zeros, so derive_rng(master_seed, 0)
-        # is derive_rng(master_seed), the stream uncertain-run builds its
-        # instance from; the trailing 1 keeps block 0 off it
-        rng = derive_rng(master_seed, block, 1)
+        rng = derive_rng(master_seed, block)
         xs, ys = instance.mu.sample(rng, size=hi - lo)
         output, bits, _errors, _chosen, ok = _run_rows(instance, xs, ys, theta, rng)
         records += map(TrialRecord, range(lo, hi), xs.tolist(), ys.tolist(), output.tolist(),

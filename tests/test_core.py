@@ -40,33 +40,25 @@ def brute_distance(f, g, table):
 
 
 def test_bitstring_indexing_is_one_based_little_endian():
-    b = BitString(0b0110, 4)
-    assert [b.bit(i) for i in (1, 2, 3, 4)] == [0, 1, 1, 0]
-    assert b.weight() == 2
-    assert b.bits() == (0, 1, 1, 0)
+    # bit 1 is the least significant, printed rightmost
+    assert str(BitString(0b0001, 4)) == "0001"
+    assert str(BitString(0b1000, 4)) == "1000"
 
 
 def test_bitstring_string_round_trip():
-    b = BitString.from_string("0110")
-    assert b.value == 6 and b.n == 4
-    assert str(b) == "0110"
-    assert BitString.from_bits([0, 1, 1, 0]).value == 6
+    for text in ("0110", "1", "0000", "10110"):
+        b = BitString(int(text, 2), len(text))
+        assert str(b) == text
+    assert str(BitString(0, 0)) == ""
 
 
 def test_bitstring_validation():
     with pytest.raises(ValueError):
         BitString(4, 2)
-    with pytest.raises(IndexError):
-        BitString(1, 2).bit(3)
     with pytest.raises(ValueError):
-        BitString(1, 2) ^ BitString(1, 3)
-
-
-def test_bitstring_xor_preserves_length():
-    a = BitString(0b101, 3)
-    b = BitString(0b011, 3)
-    c = a ^ b
-    assert c.n == 3 and c.value == 0b110
+        BitString(-1, 2)
+    with pytest.raises(ValueError):
+        BitString(0, -1)
 
 
 def test_call_domain_mismatch():

@@ -216,7 +216,7 @@ def test_sample_noisy_copy_flip_rate():
     n = 100_000
     x = BitString(0, n)
     y = sample_noisy_copy(x, 0.3, rng)
-    rate = y.weight() / n
+    rate = y.value.bit_count() / n
     assert abs(rate - 0.3) <= 0.01
 
 
@@ -322,6 +322,9 @@ def test_derive_rng_streams():
     c = derive_rng(5, 2).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # tag tuples that differ only in trailing zeros are different streams
+    first = {derive_rng(5, *tags).random() for tags in ((), (0,), (0, 0), (0, 0, 0))}
+    assert len(first) == 4
 
 
 def test_noisy_hypercube_validation():

@@ -36,8 +36,8 @@ def test_parity_eval_equal_inputs():
 def test_parity_eval_hand_example():
     # Masks {1,3} on x=101, y=011: x xor y = 110, whose bits 1 and 3 are 0 and 1.
     s = BitString(0b101, 3)
-    x = BitString.from_string("101")
-    y = BitString.from_string("011")
+    x = BitString(0b101, 3)
+    y = BitString(0b011, 3)
     assert parity_eval(s, x, y) == 1
 
 
@@ -135,7 +135,7 @@ def test_sample_close_masks_gap_rate():
     rng = np.random.default_rng(72)
     n = 10_000
     s, t = sample_close_masks(n, 0.2, rng)
-    rate = (s ^ t).weight() / n
+    rate = (s.value ^ t.value).bit_count() / n
     assert abs(rate - 0.1) <= 0.01
 
 
@@ -148,7 +148,7 @@ def test_sample_close_masks_membership_tail():
     exceed = 0
     for _ in range(samples):
         s, t = sample_close_masks(n, q, rng)
-        if (s ^ t).weight() > q * n:
+        if (s.value ^ t.value).bit_count() > q * n:
             exceed += 1
     assert exceed / samples <= bound
 
@@ -161,7 +161,7 @@ def test_sample_game_instance_shapes_and_rates():
     for _ in range(samples):
         (s, x), (t, y) = sample_game_instance(n, p, q, rng)
         assert s.n == x.n == t.n == y.n == n
-        mask_flips += (s ^ t).weight()
-        input_flips += (x ^ y).weight()
+        mask_flips += (s.value ^ t.value).bit_count()
+        input_flips += (x.value ^ y.value).bit_count()
     assert abs(mask_flips / (samples * n) - q / 2) <= 0.01
     assert abs(input_flips / (samples * n) - p) <= 0.01

@@ -13,11 +13,9 @@ from uccsim.sampling import (
     SharedRandomness,
     _DenseRun,
     correlated_sample,
-    decode_product_index,
     hash_bits_per_round,
     one_way_correlated_sample,
     one_way_rows,
-    product_probs,
     truncation_limit,
 )
 
@@ -30,18 +28,6 @@ def test_hash_bits_per_round():
         hash_bits_per_round(0.0)
     with pytest.raises(ValueError):
         hash_bits_per_round(1.0)
-
-
-def test_product_probs_and_decode():
-    factor = np.array([0.25, 0.75])
-    probs = product_probs(factor, 2)
-    assert probs.shape == (4,)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    for index in range(4):
-        digits = decode_product_index(index, 2, 2)
-        assert probs[index] == pytest.approx(
-            factor[digits[0]] * factor[digits[1]], rel=1e-12)
-        assert digits[0] + 2 * digits[1] == index
 
 
 def test_shared_randomness_streams_reproduce():
@@ -244,61 +230,55 @@ def test_one_way_alice_samples_follow_conditional():
     assert tv <= 0.02
 
 
-def test_one_way_matches_interactive_when_within_budget():
-    # On a small universe the single message is a truncated replay of the
-    # interactive transcript, so both runs coincide whenever it fits.
-    mu = NoisyHypercube(2, 0.2)
-    x, m, eps = 1, 2, 0.2
-    p = Distribution(product_probs(mu.conditional_y_given_x(x).probs, m))
-    q = Distribution(product_probs(mu.marginal_y().probs, m))
+def literal_one_way(p, q, m, eps, limit, seeds):
+    """The literal one-way run, seed by seed: Alice's digit counts summed, and agreements.
+
+    An uncapped _DenseRun runs over the explicit product universe, whose
+    index has base-d digit j, of weight d^j, for copy j.  A run that
+    terminates within limit // s rounds is the capped run; any other run
+    fails under the cap.
+    """
+    d = len(p)
+    full_p, full_q = p, q
+    for _ in range(m - 1):
+        full_p, full_q = np.kron(p, full_p), np.kron(q, full_q)
+    budget = limit // hash_bits_per_round(eps / 2.0)
+    digits = np.zeros(d)
+    agree = 0
+    for seed in seeds:
+        a, b, _, rounds, ok = _DenseRun(full_p, full_q, eps / 2.0, SharedRandomness(seed),
+                                        DEFAULT_MAX_CANDIDATES).run()
+        digits += np.bincount(a // d ** np.arange(m) % d, minlength=d)
+        agree += ok and rounds <= budget and a == b
+    return digits, agree
+
+
+def assert_lazy_matches_literal(mu, x, m, eps, trials, seed):
+    # The lazy run as one block of rows, the literal one seed by seed.  They
+    # draw from different streams, so Alice's digit frequencies and the
+    # agreement rates must match within 4 sigma.
+    p = mu.conditional_y_given_x(x).probs
+    q = mu.marginal_y().probs
     limit = truncation_limit(mu, m, eps)
-    s = hash_bits_per_round(eps / 2.0)
-    compared = 0
-    for seed in range(200):
-        alice, bob, stats = one_way_correlated_sample(mu, x, m, eps,
-                                                      SharedRandomness((16, seed)))
-        a, b, istats = correlated_sample(p, q, eps / 2.0, SharedRandomness((16, seed)))
-        if istats.bits_alice <= limit and istats.success:
-            compared += 1
-            for counts, index in ((alice, a), (bob, b)):
-                digits = decode_product_index(index, 4, m)
-                assert np.array_equal(counts, np.bincount(digits, minlength=4))
-            assert stats.bits_alice == s * istats.rounds
-    assert compared > 150
+    alice, _, _, ok = one_way_rows(np.tile(p, (trials, 1)), q, m, eps, limit,
+                                   np.random.default_rng(seed))
+    digits, agree = literal_one_way(p, q, m, eps, limit,
+                                    [(seed, x, run) for run in range(trials)])
+    draws = trials * m
+    sigma = np.sqrt(2.0 * p * (1.0 - p) / draws)
+    assert np.all(np.abs(alice.sum(axis=0) - digits) / draws <= 4.0 * sigma)
+    rate = {"lazy": ok.mean(), "literal": agree / trials}
+    pooled = (rate["lazy"] + rate["literal"]) / 2.0
+    assert min(rate.values()) >= 1.0 - eps
+    assert abs(rate["lazy"] - rate["literal"]) <= 4.0 * math.sqrt(2.0 * pooled * (1.0 - pooled)
+                                                                  / trials), rate
 
 
 def test_one_way_lazy_and_dense_paths_agree_statistically():
-    # Both realizations run on one small universe: the lazy one as one block
-    # of rows, the dense one seed by seed.  They draw from different streams,
-    # so Alice's digit frequencies and the agreement rates must match within
-    # 4 sigma.
     mu = NoisyHypercube(2, 0.2)
-    x, m, eps = 1, 2, 0.05
-    p = mu.conditional_y_given_x(x).probs
-    q = mu.marginal_y().probs
-    sub_eps = eps / 2.0
-    limit = truncation_limit(mu, m, eps)
-    budget = limit // hash_bits_per_round(sub_eps)
-    trials = 2000
-    alice, _, _, ok = one_way_rows(np.tile(p, (trials, 1)), q, m, eps, limit,
-                                   np.random.default_rng(17))
-    freq = {"lazy": alice.sum(axis=0), "dense": np.zeros(4)}
-    agree = {"lazy": int(ok.sum()), "dense": 0}
-    for seed in range(trials):
-        a_idx, b_idx, _, _, ok = _DenseRun(product_probs(p, m), product_probs(q, m), sub_eps,
-                                           SharedRandomness((17, seed)),
-                                           DEFAULT_MAX_CANDIDATES, budget).run()
-        freq["dense"] += np.bincount(decode_product_index(a_idx, 4, m), minlength=4)
-        agree["dense"] += ok and a_idx == b_idx
-    draws = trials * m
-    sigma = np.sqrt(2.0 * p * (1.0 - p) / draws)
-    assert np.all(np.abs(freq["lazy"] - freq["dense"]) / draws <= 4.0 * sigma)
-    rate = {path: count / trials for path, count in agree.items()}
-    pooled = (rate["lazy"] + rate["dense"]) / 2.0
-    assert min(rate.values()) >= 1.0 - eps
-    assert abs(rate["lazy"] - rate["dense"]) <= 4.0 * math.sqrt(2.0 * pooled * (1.0 - pooled)
-                                                                / trials)
-    # and the lazy path keeps the agreement contract where the dense one cannot run
+    for x, eps in ((1, 0.2), (1, 0.05), (0, 0.05)):
+        assert_lazy_matches_literal(mu, x, 2, eps, 2000, 17)
+    # and the lazy run keeps the agreement contract on a universe of 4096^10 points
     mu = NoisyHypercube(12, 0.1)
     agree = 0
     trials = 200
@@ -309,6 +289,14 @@ def test_one_way_lazy_and_dense_paths_agree_statistically():
                                                 SharedRandomness((17, seed)))
         agree += stats.success
     assert agree / trials >= 0.85
+
+
+def test_one_way_lazy_matches_literal_when_p_equals_q():
+    # With P = Q on 16 points and a two-round cap, about one run in seven
+    # fails, mostly because Alice's index lies past the round-2 horizon of 32
+    # candidates.  The geometric law of that index, and the levels above P of
+    # the candidates before it, decide the rate.
+    assert_lazy_matches_literal(ProductJoint.uniform_bits(2), 0, 2, 0.5, 20_000, 39)
 
 
 def test_lazy_alice_counts_follow_the_multinomial_law():
@@ -447,12 +435,13 @@ def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
         assert not stats.success
         assert np.array_equal(alice, full_alice)
         # Bob's fallback is the next draw of the run's one stream, after
-        # Alice's counts, her level and position, and the false-match events
+        # Alice's counts, her level and position, and the false matches; on
+        # 256^20 points her index over N is her exponential to float precision
         rng = shared.stream(sampling._TAG_OUTPUT)
         sampling._multinomial_rows(m, p, rng)
         rng.random(1)
-        rng.standard_exponential(1)
-        sampling._false_match_events(s, np.array([3]), rng)
+        position = rng.standard_exponential(1)
+        sampling._false_matches(p, q, m, s, position, 3, rng)
         assert np.array_equal(bob, sampling._multinomial_rows(m, q[None, :], rng)[0])
 
 
