@@ -1,7 +1,6 @@
 """Simulation and verification toolkit for one-way protocols under uncertainty."""
 
-from .core import (BitString, BoolFunction, OneWayProtocol, ProtocolFunction, TableFunction,
-                   distance, protocol_error)
+from .core import BitString, BoolFunction, OneWayProtocol, TableFunction, distance, protocol_error
 from .distributions import (Distribution, JointDistribution, NoisyHypercube,
                             ProductJoint, TableJoint, binary_entropy, derive_rng,
                             kl_divergence, sample_noisy_copy)

@@ -74,24 +74,20 @@ def _as_indices(values, size: int, side: str) -> np.ndarray:
 class BoolFunction:
     """A total 0/1-valued function on [0, size_x) x [0, size_y).
 
-    Subclasses implement row(x); __call__, rows and to_table derive from it,
-    and subclasses that hold a table override rows with a block read.
+    Subclasses implement rows(lo, hi), the rows x in [lo, hi) as one
+    (hi - lo) x size_y array; __call__ and to_table read through it.
     """
 
     size_x: int
     size_y: int
 
-    def row(self, x: int) -> np.ndarray:
-        raise NotImplementedError
-
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """The rows x in [lo, hi) stacked into one (hi - lo) x size_y array."""
-        return np.stack([self.row(x) for x in range(lo, hi)])
+        raise NotImplementedError
 
     def __call__(self, x, y) -> int:
         xi = _as_index(x, self.size_x, "x")
         yi = _as_index(y, self.size_y, "y")
-        return int(self.row(xi)[yi])
+        return int(self.rows(xi, xi + 1)[0, yi])
 
     def to_table(self) -> np.ndarray:
         return self.rows(0, self.size_x)
@@ -109,9 +105,6 @@ class TableFunction(BoolFunction):
         self.table = table
         self.size_x, self.size_y = table.shape
 
-    def row(self, x: int) -> np.ndarray:
-        return self.table[x]
-
     def rows(self, lo: int, hi: int) -> np.ndarray:
         return self.table[lo:hi]
 
@@ -120,11 +113,12 @@ class TableFunction(BoolFunction):
         return cls(np.full((size_x, size_y), bit, dtype=np.uint8))
 
 
-class OneWayProtocol:
+class OneWayProtocol(BoolFunction):
     """A single-message protocol: Alice sends a part index, Bob decides from it.
 
     assignment maps each x to one of message_count parts (0-based); deciders
     holds one 0/1 row per part.  Communication cost is ceil(log2(parts)) bits.
+    As a function, its value at (x, y) is Bob's decision.
     """
 
     def __init__(self, assignment, deciders):
@@ -142,33 +136,17 @@ class OneWayProtocol:
         self.size_x = assignment.shape[0]
         self.size_y = deciders.shape[1]
 
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return self.deciders[self.assignment[lo:hi]]
+
     def message(self, x) -> int:
         return int(self.assignment[_as_index(x, self.size_x, "x")])
 
     def evaluate(self, x, y) -> int:
-        yi = _as_index(y, self.size_y, "y")
-        return int(self.deciders[self.message(x), yi])
+        return self(x, y)
 
     def cost_bits(self) -> int:
         return math.ceil(math.log2(self.message_count)) if self.message_count > 1 else 0
-
-    def as_function(self) -> "ProtocolFunction":
-        return ProtocolFunction(self)
-
-
-class ProtocolFunction(BoolFunction):
-    """The boolean function computed by a one-way protocol."""
-
-    def __init__(self, protocol: OneWayProtocol):
-        self.protocol = protocol
-        self.size_x = protocol.size_x
-        self.size_y = protocol.size_y
-
-    def row(self, x: int) -> np.ndarray:
-        return self.protocol.deciders[self.protocol.assignment[x]]
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        return self.protocol.deciders[self.protocol.assignment[lo:hi]]
 
 
 def _check_same_rectangle(f, g, mu) -> None:
@@ -194,4 +172,4 @@ def distance(f: BoolFunction, g: BoolFunction, mu) -> float:
 
 def protocol_error(protocol: OneWayProtocol, g: BoolFunction, mu) -> float:
     """Distance between the function a protocol computes and a target g."""
-    return distance(protocol.as_function(), g, mu)
+    return distance(protocol, g, mu)

@@ -87,20 +87,17 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 
 
 class JointDistribution:
-    """A joint distribution over [0, size_x) x [0, size_y)."""
+    """A joint distribution over [0, size_x) x [0, size_y).
+
+    Subclasses implement mass_array, the marginals and sample; the
+    conditionals and the dense table read through mass_array.
+    """
 
     size_x: int
     size_y: int
 
-    def mass(self, x: int, y: int) -> float:
-        return float(self.row_masses(x)[_as_index(y, self.size_y, "y")])
-
     def mass_array(self, xs, ys) -> np.ndarray:
         """Joint masses of aligned index arrays; IndexError for an index off the rectangle."""
-        raise NotImplementedError
-
-    def row_masses(self, x: int) -> np.ndarray:
-        """Joint masses of (x, y) for all y, as a vector over y."""
         raise NotImplementedError
 
     def marginal_x(self) -> Distribution:
@@ -110,11 +107,7 @@ class JointDistribution:
         raise NotImplementedError
 
     def conditional_y_given_x(self, x: int) -> Distribution:
-        row = self.row_masses(x)
-        total = row.sum()
-        if total <= 0:
-            raise ValueError(f"conditional undefined: x={x} has zero mass")
-        return Distribution(row / total)
+        return Distribution(self.conditional_rows([_as_index(x, self.size_x, "x")])[0])
 
     def conditional_rows(self, xs) -> np.ndarray:
         """The conditionals of y given each x in xs, one row per x, from one mass_array call."""
@@ -136,7 +129,7 @@ class JointDistribution:
         return max(float(np.sum(table[pos] * np.log2(table[pos] / outer[pos]))), 0.0)
 
     def to_table(self) -> np.ndarray:
-        return np.stack([self.row_masses(x) for x in range(self.size_x)])
+        return self.mass_array(np.arange(self.size_x)[:, None], np.arange(self.size_y))
 
 
 class TableJoint(JointDistribution):
@@ -152,9 +145,6 @@ class TableJoint(JointDistribution):
             raise ValueError(f"masses sum to {table.sum()}, not 1")
         self.table = table / table.sum()
         self.size_x, self.size_y = table.shape
-
-    def row_masses(self, x: int) -> np.ndarray:
-        return self.table[_as_index(x, self.size_x, "x")]
 
     def mass_array(self, xs, ys) -> np.ndarray:
         return self.table[_as_indices(xs, self.size_x, "x"), _as_indices(ys, self.size_y, "y")]
@@ -188,9 +178,6 @@ class ProductJoint(JointDistribution):
     def uniform_bits(cls, n: int) -> "ProductJoint":
         return cls(Distribution.uniform(1 << n), Distribution.uniform(1 << n))
 
-    def row_masses(self, x: int) -> np.ndarray:
-        return self.px.probs[_as_index(x, self.size_x, "x")] * self.py.probs
-
     def mass_array(self, xs, ys) -> np.ndarray:
         return (self.px.probs[_as_indices(xs, self.size_x, "x")]
                 * self.py.probs[_as_indices(ys, self.size_y, "y")])
@@ -199,11 +186,6 @@ class ProductJoint(JointDistribution):
         return self.px
 
     def marginal_y(self) -> Distribution:
-        return self.py
-
-    def conditional_y_given_x(self, x: int) -> Distribution:
-        if self.px.probs[_as_index(x, self.size_x, "x")] <= 0:
-            raise ValueError(f"conditional undefined: x={x} has zero mass")
         return self.py
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -216,7 +198,7 @@ class ProductJoint(JointDistribution):
 class NoisyHypercube(JointDistribution):
     """x uniform on {0,1}^n and y a p-noisy copy: each bit of x flips independently.
 
-    Kept implicit: row masses and conditionals come from the closed form
+    Kept implicit: masses come from the closed form
     2^-n * p^d * (1-p)^(n-d) with d the Hamming distance, so n well beyond
     dense-table range stays usable.
     """
@@ -235,14 +217,6 @@ class NoisyHypercube(JointDistribution):
         # x is uniform, and flipping uniform bits leaves y uniform too.
         self._uniform = Distribution.uniform(self.size_x)
 
-    def mass(self, x: int, y: int) -> float:
-        d = (_as_index(x, self.size_x, "x") ^ _as_index(y, self.size_y, "y")).bit_count()
-        return float(self._cond_by_distance[d]) / self.size_x
-
-    def row_masses(self, x: int) -> np.ndarray:
-        d = self._pc[np.arange(self.size_y) ^ _as_index(x, self.size_x, "x")]
-        return self._cond_by_distance[d] / self.size_x
-
     def mass_array(self, xs, ys) -> np.ndarray:
         d = self._pc[_as_indices(xs, self.size_x, "x") ^ _as_indices(ys, self.size_y, "y")]
         return self._cond_by_distance[d] / self.size_x
@@ -252,10 +226,6 @@ class NoisyHypercube(JointDistribution):
 
     def marginal_y(self) -> Distribution:
         return self._uniform
-
-    def conditional_y_given_x(self, x: int) -> Distribution:
-        d = self._pc[np.arange(self.size_y) ^ _as_index(x, self.size_x, "x")]
-        return Distribution(self._cond_by_distance[d])
 
     def sample(self, rng: np.random.Generator, size=None):
         """x, then n flip bits per x drawn as flip_mask draws them."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BitString, BoolFunction, OneWayProtocol, _as_index
+from .core import BitString, BoolFunction, OneWayProtocol
 from .distributions import popcount_table, sample_noisy_copy, uniform_bits
 
 
@@ -35,14 +35,9 @@ class ParityFunction(BoolFunction):
         self.size_x = self.size_y = 1 << n
         self._pc = popcount_table(n)
 
-    def row(self, x: int) -> np.ndarray:
-        masked = (np.arange(self.size_y) ^ x) & self.mask
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        masked = (np.arange(lo, hi)[:, None] ^ np.arange(self.size_y)) & self.mask
         return (self._pc[masked] & 1).astype(np.uint8)
-
-    def __call__(self, x, y) -> int:
-        xi = _as_index(x, self.size_x, "x")
-        yi = _as_index(y, self.size_y, "y")
-        return ((xi ^ yi) & self.mask).bit_count() & 1
 
 
 def parity_eval(mask: BitString, x: BitString, y: BitString) -> int:
@@ -60,10 +55,8 @@ def parity_protocol(mask, n: int) -> OneWayProtocol:
     m = _mask_value(mask, n)
     size = 1 << n
     pc = popcount_table(n)
-    alice = (pc[np.arange(size) & m] & 1).astype(np.int64)
-    bob = (pc[np.arange(size) & m] & 1).astype(np.uint8)
-    deciders = np.stack([bob, bob ^ 1])
-    return OneWayProtocol(alice, deciders)
+    parity = (pc[np.arange(size) & m] & 1).astype(np.uint8)
+    return OneWayProtocol(parity, np.stack([parity, parity ^ 1]))
 
 
 def parity_distance(mask_a, mask_b, p: float, n: int | None = None) -> float:

@@ -226,6 +226,9 @@ def _false_matches(p: np.ndarray, q: np.ndarray, m: int, s: int, alice_index: np
     boost = size / max(size - 1.0, 1.0)
     row = np.repeat(np.arange(len(alice_index)),
                     rng.poisson(boost * rho / (2.0 * (1.0 - rho)), size=len(alice_index)))
+    # size-0 draws below would leave rng's state as it is, so skipping them keeps every stream
+    if not len(row):
+        return row, row, row
     entry = rng.geometric(1.0 - rho, size=len(row))
     last = entry + rng.geometric(1.0 - 2.0 ** -s, size=len(row)) - 1
     value = _multinomial_rows(m, np.broadcast_to(q, (len(row), len(q))), rng)

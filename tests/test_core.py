@@ -8,7 +8,6 @@ import pytest
 from uccsim.core import (
     DISTANCE_BLOCK,
     BitString,
-    BoolFunction,
     OneWayProtocol,
     TableFunction,
     distance,
@@ -79,7 +78,7 @@ def test_call_rejects_non_integer_indices():
     with pytest.raises(TypeError):
         OneWayProtocol([0, 1, 0, 1], np.eye(2, 4, dtype=np.uint8)).message(1.5)
     with pytest.raises(TypeError):
-        NoisyHypercube(2, 0.1).row_masses(1.0)
+        NoisyHypercube(2, 0.1).conditional_y_given_x(1.0)
     # numpy integers and bitstrings of the domain's length still index
     assert f(np.int64(2), np.uint8(2)) == 1
     assert f(np.array(3), 3) == 1
@@ -147,21 +146,16 @@ def test_distance_matches_brute_force_across_row_blocks():
     g_table = f.to_table().copy()
     g_table[rng.random((size, size)) < 0.01] ^= 1
     g = TableFunction(g_table)
+    ys = np.arange(size)
     expected = math.fsum(float(mass) for x in range(size)
-                         for mass in mu.row_masses(x)[f.row(x) != g.row(x)])
+                         for mass in mu.mass_array(x, ys)[f.table[x] != g.table[x]])
     assert distance(f, g, mu) == pytest.approx(expected, abs=1e-12)
     assert distance(f, f, mu) == 0.0
 
 
-class RowReads(BoolFunction):
-    """Only row(x): rows() falls back to stacking single rows."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.size_x, self.size_y = inner.size_x, inner.size_y
-
-    def row(self, x):
-        return self.inner.row(x)
+def entry_reads(fn, lo, hi, ys):
+    """fn's rows lo..hi-1 at columns ys, one fn(x, y) call per entry."""
+    return np.array([[fn(x, y) for y in ys] for x in range(lo, hi)], dtype=np.uint8)
 
 
 def test_block_reads_match_row_reads():
@@ -171,17 +165,21 @@ def test_block_reads_match_row_reads():
     rng = np.random.default_rng(14)
     protocol = OneWayProtocol(rng.integers(0, 4, size=size),
                               rng.integers(0, 2, size=(4, size)))
-    p = protocol.as_function()
-    g_table = p.rows(0, size).copy()
+    g_table = protocol.rows(0, size).copy()
     g_table[rng.random((size, size)) < 0.01] ^= 1
     g = TableFunction(g_table)
     parity = ParityFunction(BitString(5, 3), 3)
-    for fn in (p, g, parity):
+    for fn in (protocol, g, parity):
         for lo, hi in ((0, 1), (1, 5), (0, fn.size_x)):
-            assert np.array_equal(fn.rows(lo, hi), RowReads(fn).rows(lo, hi))
+            # every column of short blocks; every 127th where a block spans all 2^11 rows
+            ys = np.arange(0, fn.size_y, 1 if (hi - lo) * fn.size_y <= 1 << 14 else 127)
+            block = fn.rows(lo, hi)
+            assert block.shape == (hi - lo, fn.size_y)
+            assert np.array_equal(block[:, ys], entry_reads(fn, lo, hi, ys))
     # same blocks, same order of additions: bit for bit
-    assert distance(p, g, mu) == distance(RowReads(p), RowReads(g), mu)
-    assert protocol_error(protocol, g, mu) == distance(RowReads(p), RowReads(g), mu)
+    tables = TableFunction(protocol.to_table()), TableFunction(g.to_table())
+    assert distance(protocol, g, mu) == distance(*tables, mu)
+    assert protocol_error(protocol, g, mu) == distance(*tables, mu)
 
 
 def test_distance_symmetry_and_triangle():

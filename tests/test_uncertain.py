@@ -98,7 +98,7 @@ def reference_corruption(table, mu, eps):
     """The eps-corruption as a plain loop: flip the lightest points while they fit."""
     table = table.copy()
     size = table.shape[1]
-    masses = np.concatenate([mu.row_masses(x) for x in range(size)])
+    masses = np.concatenate([mu.mass_array(x, np.arange(size)) for x in range(size)])
     flat = table.reshape(-1)
     spent = 0.0
     for point in np.argsort(masses, kind="stable"):
@@ -221,7 +221,7 @@ def test_failed_run_scores_like_a_random_per_sample_pairing(monkeypatch):
                         lambda *args: (alice[None], bob[None], np.array([60]),
                                        np.array([False])))
     deciders = inst.protocol.deciders
-    revealed = inst.f.row(x)[np.repeat(np.arange(16), alice)]
+    revealed = inst.f.rows(x, x + 1)[0, np.repeat(np.arange(16), alice)]
     bob_list = np.repeat(np.arange(16), bob)
     seeds = 3000
     got = np.array([run_uncertain_protocol(inst, x, 0, theta, SharedRandomness((24, seed)))
