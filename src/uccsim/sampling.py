@@ -8,12 +8,14 @@ keeps the candidates below a doubling acceptance level built from his
 distribution Q, and stops once exactly one of them matches every hash bit
 so far.  Bob's reply each round is a single continue/terminate bit.
 
-The interactive protocol materializes the candidate stream.  The one-way
-protocol runs over a product universe of m copies, far too large to
-enumerate, so it draws Alice's sample counts directly and draws the
-hash-filtered false candidates as the point process they form: a proposal
-that bounds their intensity, thinned to the candidates a literal run would
-hold.  It runs many independent runs at once, one per row of its arrays.
+The one-way protocol runs over a product universe of m copies, far too
+large to enumerate, so it draws Alice's sample counts directly and draws
+the hash-filtered false candidates as the point process they form: a
+proposal that bounds their intensity, thinned to the candidates a literal
+run would hold.  It runs many independent runs at once, one per row of its
+arrays.  The interactive protocol is its m = 1 case plus Bob's reply bits,
+with as many rounds as a candidate budget allows; Bob's candidate set and
+termination round are the same.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from .distributions import Distribution, JointDistribution, derive_rng
 
-HASH_PRIME = (1 << 31) - 1
 # A label only: it selects no code path.  The frozen benchmark tracer reads it
 # to mark one-way calls on product universes of at most this many points.
 EXPLICIT_UNIVERSE_LIMIT = 4096
@@ -36,10 +37,7 @@ INDEX_CELL_BITS = 53
 # constant factor of the one-way payload cap, see truncation_limit
 TRUNCATION_C1 = 4.0
 
-_TAG_CANDIDATES = 1
-_TAG_HASH = 2
 _TAG_OUTPUT = 3
-_TAG_FALLBACK = 4
 
 
 @dataclass(frozen=True)
@@ -70,115 +68,6 @@ def hash_bits_per_round(eps: float) -> int:
     return math.ceil(math.log2(1.0 / eps)) + 2
 
 
-def _hash_block(mult: int, shift: int, indices: np.ndarray, s: int) -> np.ndarray:
-    """Pairwise-independent hash of 1-based indices down to s bits."""
-    return ((mult * indices + shift) % HASH_PRIME) & ((1 << s) - 1)
-
-
-class _DenseRun:
-    """Literal protocol run over a materialized candidate stream."""
-
-    def __init__(self, p: np.ndarray, q: np.ndarray, eps: float, shared: SharedRandomness,
-                 max_candidates: int):
-        self.p = p
-        self.q = q
-        self.size = len(p)
-        self.s = hash_bits_per_round(eps)
-        self.shared = shared
-        self.max_candidates = max_candidates
-        self.rng_c = shared.stream(_TAG_CANDIDATES)
-        self.rng_h = shared.stream(_TAG_HASH)
-        self.values = np.empty(0, dtype=np.int64)
-        self.levels = np.empty(0, dtype=np.float64)
-        self.match_ok = np.empty(0, dtype=bool)
-        self.round_hashes: list[tuple[int, int, int]] = []
-
-    def _grow(self, target: int) -> None:
-        have = len(self.values)
-        if target <= have:
-            return
-        fresh = target - have
-        new_values = self.rng_c.integers(self.size, size=fresh)
-        new_levels = self.rng_c.random(fresh)
-        new_match = np.ones(fresh, dtype=bool)
-        indices = np.arange(have + 1, target + 1, dtype=np.int64)
-        for mult, shift, bits in self.round_hashes:
-            new_match &= _hash_block(mult, shift, indices, self.s) == bits
-        self.values = np.concatenate([self.values, new_values])
-        self.levels = np.concatenate([self.levels, new_levels])
-        self.match_ok = np.concatenate([self.match_ok, new_match])
-
-    def _alice_pick(self) -> int:
-        """1-based index of the first candidate below Alice's acceptance level."""
-        start = 0
-        target = self.size
-        while True:
-            self._grow(min(target, self.max_candidates))
-            accepted = np.flatnonzero(self.levels[start:] < self.p[self.values[start:]])
-            if accepted.size:
-                return start + int(accepted[0]) + 1
-            start = len(self.values)
-            if start >= self.max_candidates:
-                raise RuntimeError("no accepted candidate within the candidate budget")
-            target *= 2
-
-    def run(self):
-        i_star = self._alice_pick()
-        a = int(self.values[i_star - 1])
-        bits_alice = 0
-        rounds = 0
-        terminated = False
-        b = None
-        matches = np.empty(0, dtype=np.int64)
-        t = 0
-        while True:
-            t += 1
-            horizon = self.size << (t - 1)
-            if horizon > self.max_candidates:
-                break
-            self._grow(horizon)
-            mult = int(self.rng_h.integers(1, HASH_PRIME))
-            shift = int(self.rng_h.integers(HASH_PRIME))
-            alice_bits = int(_hash_block(mult, shift, np.array([i_star], dtype=np.int64), self.s)[0])
-            self.round_hashes.append((mult, shift, alice_bits))
-            indices = np.arange(1, len(self.values) + 1, dtype=np.int64)
-            self.match_ok &= _hash_block(mult, shift, indices, self.s) == alice_bits
-            in_set = self.levels[:horizon] < np.minimum(1.0, np.ldexp(self.q[self.values[:horizon]], t))
-            matches = np.flatnonzero(in_set & self.match_ok[:horizon])
-            bits_alice += self.s
-            rounds = t
-            if matches.size == 1:
-                terminated = True
-                b = int(self.values[matches[0]])
-                break
-        if not terminated:
-            # deterministic fallback: best current guess, else a fresh Q-draw
-            if rounds > 0 and matches.size > 0:
-                b = int(self.values[matches[0]])
-            else:
-                b = int(self.shared.stream(_TAG_FALLBACK).choice(self.size, p=self.q))
-        return a, b, bits_alice, rounds, terminated
-
-
-def correlated_sample(p: Distribution, q: Distribution, eps: float, shared: SharedRandomness,
-                      max_candidates: int = DEFAULT_MAX_CANDIDATES):
-    """Interactive correlated sampling; returns (a, b, stats).
-
-    Alice's output a is exactly p-distributed.  On agreement failure or a
-    blown candidate budget the run is reported, never hidden: stats.success
-    is false whenever b differs from a.
-    """
-    if p.size != q.size:
-        raise ValueError("distributions live on different universes")
-    if not ((p.probs > 0) & (q.probs > 0)).any():
-        raise ValueError("supports do not overlap")
-    runner = _DenseRun(p.probs, q.probs, eps, shared, max_candidates)
-    a, b, bits_alice, rounds, terminated = runner.run()
-    stats = TranscriptStats(bits_alice=bits_alice, bits_bob=rounds, rounds=rounds,
-                            success=bool(terminated and a == b))
-    return a, b, stats
-
-
 def _multinomial_rows(m: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One row of counts per row of probs: m i.i.d. draws from that row, counted per column.
 
@@ -202,7 +91,9 @@ def _index_cells(log2_cells) -> np.ndarray:
 
 def _false_matches(p: np.ndarray, q: np.ndarray, m: int, s: int, alice_index: np.ndarray,
                    last_round: int, rng: np.random.Generator):
-    """False matches of row i in Bob's set by round last_round: (row, entry, last) arrays.
+    """False matches of row i in Bob's set by round last_round: (row, entry, last, value).
+
+    value holds each match's count vector, one row per match.
 
     The product universe has N = d^m points, and row i's Alice candidate sits
     at 0-based index floor(alice_index[i] * N).  A candidate (index, value v,
@@ -228,7 +119,7 @@ def _false_matches(p: np.ndarray, q: np.ndarray, m: int, s: int, alice_index: np
                     rng.poisson(boost * rho / (2.0 * (1.0 - rho)), size=len(alice_index)))
     # size-0 draws below would leave rng's state as it is, so skipping them keeps every stream
     if not len(row):
-        return row, row, row
+        return row, row, row, np.zeros((0, len(q)), np.int64)
     entry = rng.geometric(1.0 - rho, size=len(row))
     last = entry + rng.geometric(1.0 - 2.0 ** -s, size=len(row)) - 1
     value = _multinomial_rows(m, np.broadcast_to(q, (len(row), len(q))), rng)
@@ -244,7 +135,7 @@ def _false_matches(p: np.ndarray, q: np.ndarray, m: int, s: int, alice_index: np
     kept = ((entry <= last_round) & (log_level < 0.0)
             & ~((entry >= 2) & (offset < 0.5) & (level < 0.5))
             & np.where(cell < alice, log_level >= log_p, (cell > alice) & (keep * boost < 1.0)))
-    return row[kept], entry[kept], last[kept]
+    return row[kept], entry[kept], last[kept], value[kept]
 
 
 def _termination_rounds(entry: np.ndarray, ev_row: np.ndarray, ev_entry: np.ndarray,
@@ -277,7 +168,7 @@ def _termination_rounds(entry: np.ndarray, ev_row: np.ndarray, ev_entry: np.ndar
     return term
 
 
-def one_way_rows(p: np.ndarray, q: np.ndarray, m: int, eps: float, limit: int,
+def one_way_rows(p: np.ndarray, q: np.ndarray, m: int, s: int, limit: int,
                  rng: np.random.Generator):
     """The one-way run once per row of p, every draw from rng.
 
@@ -287,15 +178,18 @@ def one_way_rows(p: np.ndarray, q: np.ndarray, m: int, eps: float, limit: int,
     row.  Her candidate's 1-based index is Geometric(1/N), floor(E / lam) + 1
     for an exponential E and lam = -log1p(-1/N); with her acceptance level
     it gives the exact round at which the candidate enters Bob's set.  The other
-    matching candidates are drawn by _false_matches.  A row succeeds when
-    the first round with exactly one candidate in Bob's set holds Alice's
-    and comes within limit // s rounds.  Returns (alice, bob, payload_bits,
-    success): count matrices of one row per run, each row summing to m, and
-    per-row vectors.  A failed row pays s bits per round up to its
-    termination round, or the whole limit, and holds Bob's fallback counts,
-    drawn from q.
+    matching candidates are drawn by _false_matches.  Alice reveals s hash
+    bits a round.  A row terminates at the first round with exactly one
+    candidate in Bob's set if that comes within limit // s rounds, and Bob
+    then holds that candidate's counts: Alice's, or those of a lone false
+    match.  A row succeeds when it terminates and Bob's counts equal
+    Alice's.  For m >= 2 a false match with Alice's counts in another order
+    counts as agreement here, where the literal run needs the same ordered
+    tuple.  Returns (alice, bob, payload_bits, success): count matrices of
+    one row per run, each row summing to m, and per-row vectors.  A row
+    pays s bits per round up to its termination round, or the whole limit
+    if it never terminates; then Bob falls back to counts drawn from q.
     """
-    s = hash_bits_per_round(eps / 2.0)
     last_round = limit // s
     alice = _multinomial_rows(m, p, rng)
     level = rng.random(len(p))
@@ -316,14 +210,48 @@ def one_way_rows(p: np.ndarray, q: np.ndarray, m: int, eps: float, limit: int,
     # the first round whose horizon N 2^(t-1) reaches past her index
     horizon = np.floor(np.log2(np.maximum(index, 0.5))) + 2.0
     entry = np.where(enters, np.maximum(accept, horizon), 0.0).astype(np.int64)
-    term = _termination_rounds(entry, *_false_matches(p, q, m, s, index, last_round, rng))
+    ev_row, ev_entry, ev_last, ev_value = _false_matches(p, q, m, s, index, last_round, rng)
+    term = _termination_rounds(entry, ev_row, ev_entry, ev_last)
     terminated = (term > 0) & (term <= last_round)
-    success = terminated & enters & (term >= entry)
     payload = np.where(terminated, s * term, limit)
     bob = alice.copy()
-    failed = np.flatnonzero(~success)
-    bob[failed] = _multinomial_rows(m, np.broadcast_to(q, (len(failed), len(q))), rng)
+    # a false match in Bob's set at the termination round is the one candidate there
+    lone = terminated[ev_row] & (ev_entry <= term[ev_row]) & (term[ev_row] <= ev_last)
+    bob[ev_row[lone]] = ev_value[lone]
+    unended = np.flatnonzero(~terminated)
+    bob[unended] = _multinomial_rows(m, np.broadcast_to(q, (len(unended), len(q))), rng)
+    success = terminated & (bob == alice).all(axis=1)
     return alice, bob, payload, success
+
+
+def correlated_sample(p: Distribution, q: Distribution, eps: float, shared: SharedRandomness,
+                      max_candidates: int = DEFAULT_MAX_CANDIDATES):
+    """Interactive correlated sampling; returns (a, b, stats).
+
+    The one-way run with m = 1 (one_way_rows, one row, on shared's output
+    stream) plus Bob's reply bit each round: his candidate set and
+    termination round are the same.  Alice's output a is exactly
+    p-distributed.  Round t looks at the first p.size 2^(t-1) candidates,
+    so the run stops after the last round whose horizon fits in
+    max_candidates.  stats.success reports that Bob's set held exactly one
+    candidate within that cap and that its value b equals a; a run that
+    never gets there is reported, never hidden, and Bob falls back to a
+    fresh draw from q.
+    """
+    if p.size != q.size:
+        raise ValueError("distributions live on different universes")
+    if not ((p.probs > 0) & (q.probs > 0)).any():
+        raise ValueError("supports do not overlap")
+    if max_candidates < p.size:
+        raise ValueError("max_candidates must cover the first round's p.size candidates")
+    s = hash_bits_per_round(eps)
+    limit = s * (max_candidates // p.size).bit_length()
+    alice, bob, payload, success = one_way_rows(p.probs[None, :], q.probs, 1, s, limit,
+                                                shared.stream(_TAG_OUTPUT))
+    rounds = int(payload[0]) // s
+    stats = TranscriptStats(bits_alice=int(payload[0]), bits_bob=rounds, rounds=rounds,
+                            success=bool(success[0]))
+    return int(alice[0].argmax()), int(bob[0].argmax()), stats
 
 
 def truncation_limit(mu: JointDistribution, m: int, eps: float) -> int:
@@ -346,8 +274,8 @@ def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
     truncation_limit bits.  Returns (alice_counts, bob_counts, stats): how
     many of each party's m samples fall on each y, as length-size_y vectors.
     stats.success reports whether the two sample lists agree, and a failed
-    run keeps Bob's fallback counts rather than hiding the mismatch.  This
-    is the one-row case of one_way_rows.
+    run keeps Bob's counts, a lone false match's or his fallback's, rather
+    than hiding the mismatch.  This is the one-row case of one_way_rows.
 
     Counts lose nothing a caller needs: each list is m i.i.d. draws, so given
     its counts its order is a uniformly random arrangement.  On success the
@@ -360,7 +288,8 @@ def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
     if m == 0:
         empty = np.zeros(mu.size_y, dtype=np.int64)
         return empty, empty.copy(), TranscriptStats(0, 0, 1, True)
-    alice, bob, payload, success = one_way_rows(p, mu.marginal_y().probs, m, eps, limit,
+    alice, bob, payload, success = one_way_rows(p, mu.marginal_y().probs, m,
+                                                hash_bits_per_round(eps / 2.0), limit,
                                                 shared.stream(_TAG_OUTPUT))
     return alice[0], bob[0], TranscriptStats(bits_alice=int(payload[0]), bits_bob=0,
                                              rounds=1, success=bool(success[0]))

@@ -28,7 +28,8 @@ import numpy as np
 
 from .core import MAX_SIDE, BoolFunction, OneWayProtocol, TableFunction, distance, protocol_error
 from .distributions import JointDistribution, ProductJoint, derive_rng
-from .sampling import _TAG_OUTPUT, SharedRandomness, one_way_rows, truncation_limit
+from .sampling import (_TAG_OUTPUT, SharedRandomness, hash_bits_per_round, one_way_rows,
+                       truncation_limit)
 
 _DIST_TOL = 1e-12
 # the eps-corruption path sorts every point mass
@@ -239,8 +240,8 @@ def _run_rows(instance: UncertainInstance, xs: np.ndarray, ys: np.ndarray, theta
     sample_eps = (theta / 10.0) ** 2
     mu = instance.mu
     limit = truncation_limit(mu, m, sample_eps)
-    alice, bob, payload, ok = one_way_rows(mu.conditional_rows(xs), mu.marginal_y().probs,
-                                           m, sample_eps, limit, rng)
+    alice, bob, payload, ok = one_way_rows(mu.conditional_rows(xs), mu.marginal_y().probs, m,
+                                           hash_bits_per_round(sample_eps / 2.0), limit, rng)
     ones = alice * instance.f.to_table()[xs]
     failed = np.flatnonzero(~ok)
     ones[failed] = _random_pairing(bob[failed], ones[failed].sum(axis=1), m, rng)

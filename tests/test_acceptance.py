@@ -39,9 +39,11 @@ from uccsim.distributions import (
 from uccsim.oracle import exact_one_way_cc
 from uccsim.parity import ParityFunction, parity_distance
 from uccsim.sampling import (
+    DEFAULT_MAX_CANDIDATES,
     SharedRandomness,
-    correlated_sample,
+    hash_bits_per_round,
     one_way_correlated_sample,
+    one_way_rows,
     truncation_limit,
 )
 from uccsim.uncertain import (
@@ -121,17 +123,23 @@ def test_criterion_03_one_way_sampling_contract(capsys):
            f"{payload_ok}")
 
 
+def _interactive_rows(p, q, eps, runs, seed):
+    """runs correlated_sample runs as one block of m = 1 one_way_rows rows: (a, b, bits_alice)."""
+    s = hash_bits_per_round(eps)
+    limit = s * (DEFAULT_MAX_CANDIDATES // p.size).bit_length()
+    alice, bob, bits, _ = one_way_rows(np.tile(p.probs, (runs, 1)), q.probs, 1, s, limit,
+                                       np.random.default_rng(seed))
+    return alice.argmax(axis=1), bob.argmax(axis=1), bits
+
+
 def test_criterion_04_interactive_sampling_contract(capsys):
     size, eps, runs = 16, 0.1, 100_000
     weights = np.arange(1.0, size + 1)
     p = Distribution(weights / weights.sum())
     q = Distribution.uniform(size)
-    counts = np.zeros(size)
-    agree = np.zeros(size)
-    for seed in range(runs):
-        a, b, _ = correlated_sample(p, q, eps, SharedRandomness((1300, seed)))
-        counts[a] += 1
-        agree[a] += b == a
+    a, b, _ = _interactive_rows(p, q, eps, runs, 1300)
+    counts = np.bincount(a, minlength=size)
+    agree = np.bincount(a[a == b], minlength=size)
     tv = 0.5 * np.abs(counts / runs - p.probs).sum()
     cond_rates = agree / counts
     cond_ok = bool((cond_rates >= 1 - eps).all())
@@ -142,8 +150,7 @@ def test_criterion_04_interactive_sampling_contract(capsys):
              (quarter, q), (p, q), (quarter, p)]
     constants = []
     for index, (pp, qq) in enumerate(pairs):
-        bits = [correlated_sample(pp, qq, eps, SharedRandomness((1301, index, s)))[2].bits_alice
-                for s in range(300)]
+        bits = _interactive_rows(pp, qq, eps, 300, (1301, index))[2]
         div = kl_divergence(pp, qq)
         constants.append(np.mean(bits) / (div + 2 * math.log2(1 / eps)
                                           + math.sqrt(div) + 1))

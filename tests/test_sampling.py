@@ -11,7 +11,6 @@ from uccsim.distributions import Distribution, NoisyHypercube, ProductJoint, Tab
 from uccsim.sampling import (
     DEFAULT_MAX_CANDIDATES,
     SharedRandomness,
-    _DenseRun,
     correlated_sample,
     hash_bits_per_round,
     one_way_correlated_sample,
@@ -48,30 +47,68 @@ def test_correlated_sample_deterministic():
     assert first == second
 
 
+def interactive_rows(p, q, eps, runs, seed, max_candidates=DEFAULT_MAX_CANDIDATES):
+    """runs interactive runs as one block of m = 1 rows: (a, b, bits_alice, success) arrays.
+
+    Row i is what correlated_sample returns on the block's stream (see
+    test_correlated_sample_is_the_one_row_case).
+    """
+    s = hash_bits_per_round(eps)
+    limit = s * (max_candidates // p.size).bit_length()
+    alice, bob, bits, ok = one_way_rows(np.tile(p.probs, (runs, 1)), q.probs, 1, s, limit,
+                                        np.random.default_rng(seed))
+    return alice.argmax(axis=1), bob.argmax(axis=1), bits, ok
+
+
+def test_correlated_sample_is_the_one_row_case():
+    # Every output of a call, for any max_candidates, is row 0 of one_way_rows
+    # at m = 1 on the call's output stream, with the round cap that
+    # max_candidates allows.
+    weights = np.arange(1.0, 17.0)
+    pairs = [(Distribution(weights / weights.sum()), Distribution.uniform(16)),
+             (Distribution.point_mass(16, 3), Distribution(weights[::-1] / weights.sum())),
+             (Distribution(np.r_[np.full(8, 1 / 8), np.zeros(8)]),
+              Distribution(np.r_[np.zeros(4), np.full(8, 1 / 8), np.zeros(4)]))]
+    eps = 0.1
+    s = hash_bits_per_round(eps)
+    for max_candidates in (2000, 100_000, DEFAULT_MAX_CANDIDATES):
+        limit = s * (max_candidates // 16).bit_length()
+        for index, (p, q) in enumerate(pairs):
+            for seed in range(200):
+                shared = SharedRandomness((40, index, seed))
+                a, b, stats = correlated_sample(p, q, eps, shared, max_candidates)
+                alice, bob, bits, ok = one_way_rows(p.probs[None, :], q.probs, 1, s, limit,
+                                                    shared.stream(sampling._TAG_OUTPUT))
+                assert (a, b) == (alice[0].argmax(), bob[0].argmax())
+                assert stats == sampling.TranscriptStats(
+                    bits_alice=bits[0], bits_bob=bits[0] // s, rounds=bits[0] // s,
+                    success=ok[0])
+
+
+def test_correlated_sample_needs_one_round_of_candidates():
+    p, q = Distribution.point_mass(16, 3), Distribution.uniform(16)
+    _, _, stats = correlated_sample(p, q, 0.1, SharedRandomness(41), max_candidates=16)
+    assert stats.rounds == 1
+    with pytest.raises(ValueError):
+        correlated_sample(p, q, 0.1, SharedRandomness(41), max_candidates=15)
+
+
 def test_correlated_sample_identical_distributions():
     # With P = Q the parties accept the same candidates, so disagreement can
     # come only from hash collisions and stays within the error budget.
     q = Distribution.uniform(16)
-    agree = rounds = 0
     trials = 2000
-    for seed in range(trials):
-        a, b, stats = correlated_sample(q, q, 0.05, SharedRandomness((1, seed)))
-        agree += a == b
-        rounds += stats.rounds
-    assert agree / trials >= 0.98
-    assert rounds / trials <= 2.0
+    a, b, bits, _ = interactive_rows(q, q, 0.05, trials, 1)
+    assert (a == b).mean() >= 0.98
+    assert (bits // hash_bits_per_round(0.05)).mean() <= 2.0
 
 
 def test_correlated_sample_point_mass():
     p = Distribution.point_mass(16, 5)
     q = Distribution.uniform(16)
-    agree = 0
-    trials = 10_000
-    for seed in range(trials):
-        a, b, _ = correlated_sample(p, q, 0.05, SharedRandomness((2, seed)))
-        assert a == 5
-        agree += b == a
-    assert agree / trials >= 0.95
+    a, b, _, _ = interactive_rows(p, q, 0.05, 10_000, 2)
+    assert (a == 5).all()
+    assert (b == a).mean() >= 0.95
 
 
 def test_correlated_sample_partial_overlap():
@@ -80,15 +117,23 @@ def test_correlated_sample_partial_overlap():
     p = Distribution(np.r_[np.full(8, 1 / 8), np.zeros(8)])
     q = Distribution(np.r_[np.zeros(4), np.full(8, 1 / 8), np.zeros(4)])
     eps = 0.1
-    overlap_runs = overlap_agree = 0
-    for seed in range(2000):
-        a, b, _ = correlated_sample(p, q, eps, SharedRandomness((3, seed)),
-                                    max_candidates=100_000)
-        if 4 <= a <= 7:
-            overlap_runs += 1
-            overlap_agree += b == a
-    assert overlap_runs > 500
-    assert overlap_agree / overlap_runs >= 1 - eps
+    a, b, _, _ = interactive_rows(p, q, eps, 2000, 3, max_candidates=100_000)
+    overlap = (4 <= a) & (a <= 7)
+    assert overlap.sum() > 500
+    assert (b == a)[overlap].mean() >= 1 - eps
+
+
+def test_lone_false_match_gives_bob_its_value():
+    # A run that terminates on a lone false match hands Bob that candidate, as
+    # the literal run does; at m = 1 success is then exactly a == b, and about
+    # one run in 600 here ends on a false match of Alice's value.
+    p = Distribution.point_mass(16, 5)
+    q = Distribution.uniform(16)
+    a, b, bits, ok = interactive_rows(p, q, 0.1, 20_000, 42)
+    limit = hash_bits_per_round(0.1) * (DEFAULT_MAX_CANDIDATES // 16).bit_length()
+    ended = bits < limit
+    assert ended.mean() > 0.99
+    assert np.array_equal(ok[ended], (a == b)[ended])
 
 
 def test_correlated_sample_disjoint_supports_rejected():
@@ -101,8 +146,9 @@ def test_correlated_sample_disjoint_supports_rejected():
 
 
 def test_correlated_sample_budget_blowout_reported():
-    # A support element Bob assigns no mass gets Alice stuck; the failure is
-    # reported through stats rather than raised or silently repaired.
+    # A support element Bob assigns no mass keeps Alice's candidate out of
+    # Bob's set; the failure is reported through stats rather than raised or
+    # silently repaired.
     p = Distribution([0.999, 0.0005, 0.0005] + [0.0] * 13)
     q = Distribution(np.r_[[0.0], np.full(15, 1 / 15)])
     failures = 0
@@ -120,12 +166,9 @@ def test_correlated_sample_alice_marginal():
     weights = rng.random(8) + 0.1
     p = Distribution(weights / weights.sum())
     q = Distribution.uniform(8)
-    counts = np.zeros(8)
     trials = 20_000
-    for seed in range(trials):
-        a, _, _ = correlated_sample(p, q, 0.1, SharedRandomness((6, seed)))
-        counts[a] += 1
-    tv = 0.5 * np.abs(counts / trials - p.probs).sum()
+    a, _, _, _ = interactive_rows(p, q, 0.1, trials, 6)
+    tv = 0.5 * np.abs(np.bincount(a, minlength=8) / trials - p.probs).sum()
     assert tv <= 0.03
 
 
@@ -230,6 +273,129 @@ def test_one_way_alice_samples_follow_conditional():
     assert tv <= 0.02
 
 
+HASH_PRIME = (1 << 31) - 1
+_TAG_CANDIDATES = 1
+_TAG_HASH = 2
+_TAG_FALLBACK = 4
+
+
+def _hash_block(mult: int, shift: int, indices: np.ndarray, s: int) -> np.ndarray:
+    """Pairwise-independent hash of 1-based indices down to s bits."""
+    return ((mult * indices + shift) % HASH_PRIME) & ((1 << s) - 1)
+
+
+class _DenseRun:
+    """Literal protocol run over a materialized candidate stream: the reference for the lazy run."""
+
+    def __init__(self, p: np.ndarray, q: np.ndarray, eps: float, shared: SharedRandomness,
+                 max_candidates: int):
+        self.p = p
+        self.q = q
+        self.size = len(p)
+        self.s = hash_bits_per_round(eps)
+        self.shared = shared
+        self.max_candidates = max_candidates
+        self.rng_c = shared.stream(_TAG_CANDIDATES)
+        self.rng_h = shared.stream(_TAG_HASH)
+        self.values = np.empty(0, dtype=np.int64)
+        self.levels = np.empty(0, dtype=np.float64)
+        self.match_ok = np.empty(0, dtype=bool)
+        self.round_hashes: list[tuple[int, int, int]] = []
+
+    def _grow(self, target: int) -> None:
+        have = len(self.values)
+        if target <= have:
+            return
+        fresh = target - have
+        new_values = self.rng_c.integers(self.size, size=fresh)
+        new_levels = self.rng_c.random(fresh)
+        new_match = np.ones(fresh, dtype=bool)
+        indices = np.arange(have + 1, target + 1, dtype=np.int64)
+        for mult, shift, bits in self.round_hashes:
+            new_match &= _hash_block(mult, shift, indices, self.s) == bits
+        self.values = np.concatenate([self.values, new_values])
+        self.levels = np.concatenate([self.levels, new_levels])
+        self.match_ok = np.concatenate([self.match_ok, new_match])
+
+    def _alice_pick(self) -> int:
+        """1-based index of the first candidate below Alice's acceptance level."""
+        start = 0
+        target = self.size
+        while True:
+            self._grow(min(target, self.max_candidates))
+            accepted = np.flatnonzero(self.levels[start:] < self.p[self.values[start:]])
+            if accepted.size:
+                return start + int(accepted[0]) + 1
+            start = len(self.values)
+            if start >= self.max_candidates:
+                raise RuntimeError("no accepted candidate within the candidate budget")
+            target *= 2
+
+    def run(self):
+        """(a, b, bits_alice, rounds, terminated) of one run."""
+        i_star = self._alice_pick()
+        a = int(self.values[i_star - 1])
+        bits_alice = 0
+        rounds = 0
+        terminated = False
+        b = None
+        matches = np.empty(0, dtype=np.int64)
+        t = 0
+        while True:
+            t += 1
+            horizon = self.size << (t - 1)
+            if horizon > self.max_candidates:
+                break
+            self._grow(horizon)
+            mult = int(self.rng_h.integers(1, HASH_PRIME))
+            shift = int(self.rng_h.integers(HASH_PRIME))
+            alice_bits = int(_hash_block(mult, shift, np.array([i_star], dtype=np.int64), self.s)[0])
+            self.round_hashes.append((mult, shift, alice_bits))
+            indices = np.arange(1, len(self.values) + 1, dtype=np.int64)
+            self.match_ok &= _hash_block(mult, shift, indices, self.s) == alice_bits
+            in_set = self.levels[:horizon] < np.minimum(1.0, np.ldexp(self.q[self.values[:horizon]], t))
+            matches = np.flatnonzero(in_set & self.match_ok[:horizon])
+            bits_alice += self.s
+            rounds = t
+            if matches.size == 1:
+                terminated = True
+                b = int(self.values[matches[0]])
+                break
+        if not terminated:
+            # deterministic fallback: best current guess, else a fresh Q-draw
+            if rounds > 0 and matches.size > 0:
+                b = int(self.values[matches[0]])
+            else:
+                b = int(self.shared.stream(_TAG_FALLBACK).choice(self.size, p=self.q))
+        return a, b, bits_alice, rounds, terminated
+
+
+def test_literal_and_lazy_interactive_runs_agree():
+    # Criterion 04's six pairs: 2,000 literal runs against 100,000 lazy rows.
+    # They draw from different streams, so the agreement rate (a == b) and
+    # the mean payload must match within 4 sigma of their difference.
+    size, eps = 16, 0.1
+    weights = np.arange(1.0, size + 1)
+    q = Distribution.uniform(size)
+    half = Distribution(np.r_[np.full(8, 1 / 8), np.zeros(8)])
+    quarter = Distribution(np.r_[np.full(4, 1 / 4), np.zeros(12)])
+    linear = Distribution(weights / weights.sum())
+    pairs = [(q, q), (Distribution.point_mass(size, 0), q), (half, q), (quarter, q),
+             (linear, q), (quarter, linear)]
+    literal_runs, lazy_runs = 2000, 100_000
+    for index, (p, qq) in enumerate(pairs):
+        a, b, bits, _ = interactive_rows(p, qq, eps, lazy_runs, (43, index))
+        literal = np.array([_DenseRun(p.probs, qq.probs, eps, SharedRandomness((44, index, seed)),
+                                      DEFAULT_MAX_CANDIDATES).run()[:3]
+                            for seed in range(literal_runs)])
+        for lazy_sample, literal_sample in ((a == b, literal[:, 0] == literal[:, 1]),
+                                            (bits, literal[:, 2])):
+            sigma = math.sqrt(lazy_sample.var() / lazy_runs
+                              + literal_sample.var() / literal_runs)
+            gap = abs(lazy_sample.mean() - literal_sample.mean())
+            assert gap <= 4.0 * sigma, (index, lazy_sample.mean(), literal_sample.mean(), sigma)
+
+
 def literal_one_way(p, q, m, eps, limit, seeds):
     """The literal one-way run, seed by seed: Alice's digit counts summed, and agreements.
 
@@ -260,8 +426,8 @@ def assert_lazy_matches_literal(mu, x, m, eps, trials, seed):
     p = mu.conditional_y_given_x(x).probs
     q = mu.marginal_y().probs
     limit = truncation_limit(mu, m, eps)
-    alice, _, _, ok = one_way_rows(np.tile(p, (trials, 1)), q, m, eps, limit,
-                                   np.random.default_rng(seed))
+    alice, _, _, ok = one_way_rows(np.tile(p, (trials, 1)), q, m, hash_bits_per_round(eps / 2.0),
+                                   limit, np.random.default_rng(seed))
     digits, agree = literal_one_way(p, q, m, eps, limit,
                                     [(seed, x, run) for run in range(trials)])
     draws = trials * m
@@ -310,8 +476,8 @@ def test_lazy_alice_counts_follow_the_multinomial_law():
     rows = 2000
     for x, m in ((0, 37), (173, 9935)):
         p = mu.conditional_y_given_x(x).probs
-        lazy = one_way_rows(np.tile(p, (rows, 1)), q, m, 0.1, truncation_limit(mu, m, 0.1),
-                            np.random.default_rng((33, x)))[0]
+        lazy = one_way_rows(np.tile(p, (rows, 1)), q, m, hash_bits_per_round(0.05),
+                            truncation_limit(mu, m, 0.1), np.random.default_rng((33, x)))[0]
         reference = np.array([np.bincount(np.random.default_rng((34, x, seed))
                                           .choice(256, size=m, p=p), minlength=256)
                               for seed in range(rows)])
@@ -354,7 +520,7 @@ def test_lazy_run_never_draws_a_zero_mass_cell():
         assert (p[:, -1] == 0).any() and q[4] == 0
         # a one-round cap makes most runs fall back to Bob's own draw
         for limit, seed in ((truncation_limit(mu, m, eps), 35), (s, 36)):
-            alice, bob, _, ok = one_way_rows(p, q, m, eps, limit, np.random.default_rng(seed))
+            alice, bob, _, ok = one_way_rows(p, q, m, s, limit, np.random.default_rng(seed))
             assert (alice.sum(axis=1) == m).all() and (bob.sum(axis=1) == m).all()
             assert not alice[p == 0].any()
             assert not bob[:, q == 0].any()
@@ -375,7 +541,7 @@ def test_lazy_run_never_enters_on_a_digit_bob_cannot_draw(monkeypatch):
                         lambda entry, *events: entries.append(entry) or sweep(entry, *events))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alice, _, _, ok = one_way_rows(np.tile(p, (50, 1)), q, 20, 0.2, 40 * 6,
+        alice, _, _, ok = one_way_rows(np.tile(p, (50, 1)), q, 20, 6, 40 * 6,
                                        np.random.default_rng(31))
     assert (alice[:, 0] > 0).all()
     assert len(entries) == 1 and not entries[0].any()
@@ -452,13 +618,8 @@ def test_communication_scales_with_divergence():
     q = Distribution.uniform(size)
     means = {}
     for d in (2, 4):
-        total = 0
-        trials = 500
-        for seed in range(trials):
-            p = Distribution(np.r_[np.full(size >> d, float(2 ** d) / size),
-                                   np.zeros(size - (size >> d))])
-            _, _, stats = correlated_sample(p, q, 0.1, SharedRandomness((18, d, seed)))
-            total += stats.bits_alice
-        means[d] = total / trials
+        p = Distribution(np.r_[np.full(size >> d, float(2 ** d) / size),
+                               np.zeros(size - (size >> d))])
+        means[d] = interactive_rows(p, q, 0.1, 500, (18, d))[2].mean()
     ratio = means[4] / means[2]
     assert 1.5 <= ratio <= 3.0
