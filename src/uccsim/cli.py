@@ -23,7 +23,7 @@ from .discrepancy import cc_lower_bound, discrepancy_exact, discrepancy_spectral
 from .distributions import (Distribution, NoisyHypercube, ProductJoint, derive_rng,
                             kl_divergence)
 from .oracle import exact_one_way_cc
-from .sampling import SharedRandomness, correlated_sample
+from .sampling import correlated_rows
 from .uncertain import ErrorEstimate, generate_instance, run_trials
 
 
@@ -108,13 +108,10 @@ def _cmd_csample_bench(args) -> int:
         head = size >> tilt
         p = Distribution(np.concatenate([np.full(head, 1.0 / head), np.zeros(size - head)]))
         div = kl_divergence(p, q)
-        bits = []
-        for trial in range(args.trials):
-            shared = SharedRandomness((seed, tilt, trial))
-            _a, _b, stats = correlated_sample(p, q, args.eps, shared)
-            bits.append(stats.bits_alice)
-            lines.append(",".join(_fmt(v) for v in (
-                seed, tilt, div, args.eps, stats.bits_alice, stats.rounds, stats.success)))
+        _a, _b, bits, rounds, success = correlated_rows(p, q, args.eps, args.trials,
+                                                        derive_rng(seed, tilt))
+        lines += [",".join(_fmt(v) for v in (seed, tilt, div, args.eps) + row)
+                  for row in zip(bits.tolist(), rounds.tolist(), success.tolist())]
         shape = div + 2.0 * math.log2(1.0 / args.eps) + math.sqrt(div) + 1.0
         summary.append(f"tilt={tilt} D={div:.3f} mean_bits={np.mean(bits):.3f} "
                        f"C={np.mean(bits) / shape:.3f}")

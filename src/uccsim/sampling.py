@@ -3,10 +3,17 @@
 Both parties watch one shared stream of candidates (uniform value, uniform
 level in [0,1)).  Alice's output is the value of the first candidate whose
 level falls below her distribution P: that value is exactly P-distributed.
-Each round she reveals a few fresh hash bits of her candidate's index; Bob
-keeps the candidates below a doubling acceptance level built from his
-distribution Q, and stops once exactly one of them matches every hash bit
-so far.  Bob's reply each round is a single continue/terminate bit.
+Each round she reveals fresh hash bits of her candidate's index, following
+the Braverman-Rao sampling lemma's schedule: a first block of s =
+hash_bits_per_round(eps) bits, then FRESH_BITS_PER_ROUND bits a round
+(payload_bits).  Bob keeps the candidates below a doubling acceptance level
+built from his distribution Q, and stops once exactly one of them matches
+every hash bit so far.  His candidate set grows 4x a round while the fresh
+bits cut its false matches 8x, so their mass still shrinks geometrically.
+Bob's reply each round is a single continue/terminate bit.  A run that
+terminates at round T costs Alice s + 3 (T - 1) bits.  Her candidate enters
+Bob's set after about log2(P(v)/Q(v)) rounds for its value v, so a one-way
+run over m copies pays about 3 m D(P||Q) + s bits.
 
 The one-way protocol runs over a product universe of m copies, far too
 large to enumerate, so it draws Alice's sample counts directly and draws
@@ -36,6 +43,12 @@ DEFAULT_MAX_CANDIDATES = 10_000_000
 INDEX_CELL_BITS = 53
 # constant factor of the one-way payload cap, see truncation_limit
 TRUNCATION_C1 = 4.0
+# correlated_rows draws its runs in blocks of about this many count cells
+ROW_BLOCK_CELLS = 1 << 16
+
+# fresh hash bits Alice reveals in every round after the first; more than 2,
+# so the false matches thin out faster than Bob's candidate set grows
+FRESH_BITS_PER_ROUND = 3
 
 _TAG_OUTPUT = 3
 
@@ -68,6 +81,20 @@ def hash_bits_per_round(eps: float) -> int:
     return math.ceil(math.log2(1.0 / eps)) + 2
 
 
+def payload_bits(s: int, rounds):
+    """Hash bits Alice has revealed after rounds >= 1 rounds.
+
+    The Braverman-Rao schedule: an s-bit first block, then
+    FRESH_BITS_PER_ROUND fresh bits in each later round.
+    """
+    return s + FRESH_BITS_PER_ROUND * (rounds - 1)
+
+
+def rounds_within(s: int, bits):
+    """The most rounds whose payload_bits fit in bits, 0 if not even the first does."""
+    return np.maximum((bits - s) // FRESH_BITS_PER_ROUND + 1, 0)
+
+
 def _multinomial_rows(m: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One row of counts per row of probs: m i.i.d. draws from that row, counted per column.
 
@@ -98,30 +125,39 @@ def _false_matches(p: np.ndarray, q: np.ndarray, m: int, s: int, alice_index: np
     The product universe has N = d^m points, and row i's Alice candidate sits
     at 0-based index floor(alice_index[i] * N).  A candidate (index, value v,
     level u) is in Bob's set at round t once its index is below N 2^(t-1),
-    u < min(1, 2^t Q(v)) and it matched t rounds of s hash bits; a match stays
-    a geometric number of further rounds.  Candidates before Alice's are
-    conditioned on u >= P(v), so their density is N/(N-1) times the others'.
+    u < min(1, 2^t Q(v)) and it matched all H(t) = payload_bits(s, t) hash
+    bits revealed so far.  A match stays each further round with probability
+    2^-c, c = FRESH_BITS_PER_ROUND, the chance of matching that round's fresh
+    bits, so it stays a Geometric(1 - 2^-c) - 1 number of further rounds.
+    Candidates before Alice's are conditioned on u >= P(v), so their density
+    is N/(N-1) times the others'.
 
     The proposal drops the min(1, .) and the conditioning: at round t a
     uniform index below N 2^(t-1), v ~ Q^m and u uniform below 2^t Q(v),
-    times 2^-st for the hash bits and N/(N-1) for the density, a Poisson
-    process of intensity N/(N-1) rho^t / 2 with rho = 2^(2-s).  Thinning keeps
-    exactly the candidates that enter at round t: u < 1; not an index below
-    N 2^(t-2) with u < 2^(t-1) Q(v), which entered earlier; not Alice's index;
-    before it, u >= P(v); after it, with probability (N-1)/N.
+    N 2^(t-1) 2^t / N = 2^(2t-1) candidates on average, times 2^-H(t) for the
+    hash bits and boost = N/(N-1) for the density.  With H(t) = s + c (t-1)
+    that is a Poisson process of intensity
+        boost 2^(2t-1) 2^-(s + c(t-1)) = boost 2^(c-1-s) r^t,  r = 2^(2-c),
+    which is boost 2^(2-s) 2^-t at c = 3.  Its total over t >= 1 is
+    boost 2^(1-s) / (1 - r): at c = 3 boost 2^(2-s), at most boost eps for
+    s = hash_bits_per_round(eps).  A proposal's round is Geometric(1 - r).
+    Thinning keeps exactly the candidates that enter at round t: u < 1; not
+    an index below N 2^(t-2) with u < 2^(t-1) Q(v), which entered earlier;
+    not Alice's index; before it, u >= P(v); after it, with probability
+    (N-1)/N.
     """
-    rho = 2.0 ** (2 - s)
+    ratio = 2.0 ** (2 - FRESH_BITS_PER_ROUND)
     log2_size = m * math.log2(len(q))
     size = float(_index_cells(log2_size))
     # with N = 1 Alice's index is the only one, so nothing lies before it
     boost = size / max(size - 1.0, 1.0)
     row = np.repeat(np.arange(len(alice_index)),
-                    rng.poisson(boost * rho / (2.0 * (1.0 - rho)), size=len(alice_index)))
+                    rng.poisson(boost * 2.0 ** (1 - s) / (1.0 - ratio), size=len(alice_index)))
     # size-0 draws below would leave rng's state as it is, so skipping them keeps every stream
     if not len(row):
         return row, row, row, np.zeros((0, len(q)), np.int64)
-    entry = rng.geometric(1.0 - rho, size=len(row))
-    last = entry + rng.geometric(1.0 - 2.0 ** -s, size=len(row)) - 1
+    entry = rng.geometric(1.0 - ratio, size=len(row))
+    last = entry + rng.geometric(1.0 - 2.0 ** -FRESH_BITS_PER_ROUND, size=len(row)) - 1
     value = _multinomial_rows(m, np.broadcast_to(q, (len(row), len(q))), rng)
     offset, level, keep = rng.random((3, len(row)))
     tiny = np.finfo(np.float64).tiny
@@ -179,18 +215,19 @@ def one_way_rows(p: np.ndarray, q: np.ndarray, m: int, s: int, limit: int,
     for an exponential E and lam = -log1p(-1/N); with her acceptance level
     it gives the exact round at which the candidate enters Bob's set.  The other
     matching candidates are drawn by _false_matches.  Alice reveals s hash
-    bits a round.  A row terminates at the first round with exactly one
-    candidate in Bob's set if that comes within limit // s rounds, and Bob
-    then holds that candidate's counts: Alice's, or those of a lone false
-    match.  A row succeeds when it terminates and Bob's counts equal
+    bits in round 1 and FRESH_BITS_PER_ROUND fresh bits in each later round.
+    A row terminates at the first round with exactly one candidate in Bob's
+    set if that comes within the last round whose payload_bits fit in limit,
+    and Bob then holds that candidate's counts: Alice's, or those of a lone
+    false match.  A row succeeds when it terminates and Bob's counts equal
     Alice's.  For m >= 2 a false match with Alice's counts in another order
     counts as agreement here, where the literal run needs the same ordered
     tuple.  Returns (alice, bob, payload_bits, success): count matrices of
     one row per run, each row summing to m, and per-row vectors.  A row
-    pays s bits per round up to its termination round, or the whole limit
-    if it never terminates; then Bob falls back to counts drawn from q.
+    pays payload_bits(s, T) for termination round T, or the whole limit if
+    it never terminates; then Bob falls back to counts drawn from q.
     """
-    last_round = limit // s
+    last_round = int(rounds_within(s, limit))
     alice = _multinomial_rows(m, p, rng)
     level = rng.random(len(p))
     position = rng.standard_exponential(len(p))
@@ -213,30 +250,29 @@ def one_way_rows(p: np.ndarray, q: np.ndarray, m: int, s: int, limit: int,
     ev_row, ev_entry, ev_last, ev_value = _false_matches(p, q, m, s, index, last_round, rng)
     term = _termination_rounds(entry, ev_row, ev_entry, ev_last)
     terminated = (term > 0) & (term <= last_round)
-    payload = np.where(terminated, s * term, limit)
+    payload = np.where(terminated, payload_bits(s, term), limit)
     bob = alice.copy()
     # a false match in Bob's set at the termination round is the one candidate there
     lone = terminated[ev_row] & (ev_entry <= term[ev_row]) & (term[ev_row] <= ev_last)
     bob[ev_row[lone]] = ev_value[lone]
     unended = np.flatnonzero(~terminated)
-    bob[unended] = _multinomial_rows(m, np.broadcast_to(q, (len(unended), len(q))), rng)
+    # a size-0 draw leaves rng's state as it is, so skipping it keeps every stream
+    if len(unended):
+        bob[unended] = _multinomial_rows(m, np.broadcast_to(q, (len(unended), len(q))), rng)
     success = terminated & (bob == alice).all(axis=1)
     return alice, bob, payload, success
 
 
-def correlated_sample(p: Distribution, q: Distribution, eps: float, shared: SharedRandomness,
-                      max_candidates: int = DEFAULT_MAX_CANDIDATES):
-    """Interactive correlated sampling; returns (a, b, stats).
+def correlated_rows(p: Distribution, q: Distribution, eps: float, runs: int,
+                    rng: np.random.Generator, max_candidates: int = DEFAULT_MAX_CANDIDATES):
+    """runs interactive runs as m = 1 one_way_rows rows, every draw from rng.
 
-    The one-way run with m = 1 (one_way_rows, one row, on shared's output
-    stream) plus Bob's reply bit each round: his candidate set and
-    termination round are the same.  Alice's output a is exactly
-    p-distributed.  Round t looks at the first p.size 2^(t-1) candidates,
-    so the run stops after the last round whose horizon fits in
-    max_candidates.  stats.success reports that Bob's set held exactly one
-    candidate within that cap and that its value b equals a; a run that
-    never gets there is reported, never hidden, and Bob falls back to a
-    fresh draw from q.
+    Returns (a, b, bits_alice, rounds, success) arrays, one entry per run.
+    The runs go in blocks of ROW_BLOCK_CELLS // p.size rows, one after the
+    other on rng, so the count arrays stay small on large universes.  Round
+    t looks at the first p.size 2^(t-1) candidates, so a run stops after the
+    last round whose horizon fits in max_candidates and pays payload_bits
+    for that many rounds.
     """
     if p.size != q.size:
         raise ValueError("distributions live on different universes")
@@ -244,14 +280,39 @@ def correlated_sample(p: Distribution, q: Distribution, eps: float, shared: Shar
         raise ValueError("supports do not overlap")
     if max_candidates < p.size:
         raise ValueError("max_candidates must cover the first round's p.size candidates")
+    if runs < 1:
+        raise ValueError("need at least one run")
     s = hash_bits_per_round(eps)
-    limit = s * (max_candidates // p.size).bit_length()
-    alice, bob, payload, success = one_way_rows(p.probs[None, :], q.probs, 1, s, limit,
-                                                shared.stream(_TAG_OUTPUT))
-    rounds = int(payload[0]) // s
-    stats = TranscriptStats(bits_alice=int(payload[0]), bits_bob=rounds, rounds=rounds,
-                            success=bool(success[0]))
-    return int(alice[0].argmax()), int(bob[0].argmax()), stats
+    limit = payload_bits(s, (max_candidates // p.size).bit_length())
+    block = max(1, ROW_BLOCK_CELLS // p.size)
+    parts = []
+    for lo in range(0, runs, block):
+        alice, bob, payload, success = one_way_rows(np.tile(p.probs, (min(block, runs - lo), 1)),
+                                                    q.probs, 1, s, limit, rng)
+        parts.append((alice.argmax(axis=1), bob.argmax(axis=1), payload, success))
+    a, b, payload, success = (np.concatenate(column) for column in zip(*parts))
+    return a, b, payload, rounds_within(s, payload), success
+
+
+def correlated_sample(p: Distribution, q: Distribution, eps: float, shared: SharedRandomness,
+                      max_candidates: int = DEFAULT_MAX_CANDIDATES):
+    """Interactive correlated sampling; returns (a, b, stats).
+
+    The one-way run with m = 1 plus Bob's reply bit each round: his
+    candidate set and termination round are the same.  This is the one-run
+    case of correlated_rows on shared's output stream.  Alice's output a is
+    exactly p-distributed, and she pays s = hash_bits_per_round(eps) bits
+    in round 1 and FRESH_BITS_PER_ROUND a round after it.  stats.success
+    reports that Bob's set held exactly one candidate within the
+    max_candidates cap and that its value b equals a; a run that never gets
+    there is reported, never hidden, and Bob falls back to a fresh draw
+    from q.
+    """
+    a, b, bits, rounds, success = correlated_rows(p, q, eps, 1, shared.stream(_TAG_OUTPUT),
+                                                  max_candidates)
+    stats = TranscriptStats(bits_alice=int(bits[0]), bits_bob=int(rounds[0]),
+                            rounds=int(rounds[0]), success=bool(success[0]))
+    return int(a[0]), int(b[0]), stats
 
 
 def truncation_limit(mu: JointDistribution, m: int, eps: float) -> int:

@@ -9,10 +9,11 @@ decider that disagrees least with what she revealed.
 A run sends the sampling payload plus the m revealed bits, where
 m = choose_sample_count(k, theta) depends only on the message budget k and
 the slack theta.  The payload grows with the input's mutual information I:
-Alice's sample enters Bob's set after about m I rounds of s hash bits, so
-it is about s m I bits, with I = n (1 - h(p)) on NoisyHypercube(n, p).
-That is the O(k (1 + I)) of the theory for a fixed theta, and in
-uncertain-run settings the payload is about 99% of the bits sent.
+Alice's sample enters Bob's set after about m I rounds, and she sends s
+hash bits in the first round and 3 in each later one, so it is about
+3 m I + s bits, with I = n (1 - h(p)) on NoisyHypercube(n, p).  That is
+the O(k (1 + I)) of the theory for a fixed theta, and in uncertain-run
+settings the payload is still most of the bits sent.
 """
 
 from __future__ import annotations

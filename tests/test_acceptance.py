@@ -39,17 +39,18 @@ from uccsim.distributions import (
 from uccsim.oracle import exact_one_way_cc
 from uccsim.parity import ParityFunction, parity_distance
 from uccsim.sampling import (
-    DEFAULT_MAX_CANDIDATES,
+    FRESH_BITS_PER_ROUND,
     SharedRandomness,
+    correlated_rows,
     hash_bits_per_round,
     one_way_correlated_sample,
-    one_way_rows,
     truncation_limit,
 )
 from uccsim.uncertain import (
     choose_sample_count,
     estimate_uncertain_error,
     generate_instance,
+    run_trials,
 )
 
 
@@ -123,13 +124,36 @@ def test_criterion_03_one_way_sampling_contract(capsys):
            f"{payload_ok}")
 
 
-def _interactive_rows(p, q, eps, runs, seed):
-    """runs correlated_sample runs as one block of m = 1 one_way_rows rows: (a, b, bits_alice)."""
-    s = hash_bits_per_round(eps)
-    limit = s * (DEFAULT_MAX_CANDIDATES // p.size).bit_length()
-    alice, bob, bits, _ = one_way_rows(np.tile(p.probs, (runs, 1)), q.probs, 1, s, limit,
-                                       np.random.default_rng(seed))
-    return alice.argmax(axis=1), bob.argmax(axis=1), bits
+def _interactive_bits_bound(p, q, eps):
+    """Upper bound on the mean bits_alice of correlated_sample(p, q, eps), for 3 bits a round.
+
+    Bits are s + c (T - 1) for termination round T, s = hash_bits_per_round(eps)
+    and c = 3, the fresh bits a round of the Braverman-Rao schedule.  The
+    bound is on that schedule, so c is written here, not read from sampling:
+    a costlier schedule must fail it.
+
+    Alice's candidate enters Bob's set at e = max(A, H) (one_way_rows).  A =
+    max(floor(log2 u + log2(P/Q)(v)) + 1, 1) for her value v ~ P and level u
+    uniform, so P(A <= t) = sum_v min(P(v), 2^t Q(v)) for t >= 1.  H is the
+    first round whose horizon N 2^(t-1) passes her Geometric(1/N) index,
+    P(H <= t) = 1 - (1 - 1/N)^(N 2^(t-1)), with N = p.size.  A and H are
+    independent, so E[e] = 1 + sum_{t>=1} (1 - P(A <= t) P(H <= t)) exactly.
+    Rounds from e on with T not reached hold Alice's candidate and at least
+    one false match, so T - e is at most the total number of rounds false
+    matches spend in Bob's set.  Their proposals number boost 2^(1-s) /
+    (1 - 2^(2-c)) on average, boost = N / (N - 1), independently of e, and
+    each stays a Geometric(1 - 2^-c) number of rounds, so
+    E[T] <= E[e] + boost 2^(1-s) / ((1 - 2^(2-c)) (1 - 2^-c)).  The round
+    cap only lowers the bits.
+    """
+    c, s, size = 3, hash_bits_per_round(eps), p.size
+    rounds = np.arange(1, 200)
+    accepted = np.minimum(p.probs, np.exp2(rounds)[:, None] * q.probs).sum(axis=1)
+    past_horizon = 1.0 - (1.0 - 1.0 / size) ** (size * np.exp2(rounds - 1))
+    entry = 1.0 + (1.0 - accepted * past_horizon).sum()
+    false_rounds = (size / (size - 1) * 2.0 ** (1 - s)
+                    / ((1.0 - 2.0 ** (2 - c)) * (1.0 - 2.0 ** -c)))
+    return s + c * (entry - 1.0 + false_rounds)
 
 
 def test_criterion_04_interactive_sampling_contract(capsys):
@@ -137,7 +161,7 @@ def test_criterion_04_interactive_sampling_contract(capsys):
     weights = np.arange(1.0, size + 1)
     p = Distribution(weights / weights.sum())
     q = Distribution.uniform(size)
-    a, b, _ = _interactive_rows(p, q, eps, runs, 1300)
+    a, b, _, _, _ = correlated_rows(p, q, eps, runs, np.random.default_rng(1300))
     counts = np.bincount(a, minlength=size)
     agree = np.bincount(a[a == b], minlength=size)
     tv = 0.5 * np.abs(counts / runs - p.probs).sum()
@@ -148,17 +172,22 @@ def test_criterion_04_interactive_sampling_contract(capsys):
     quarter = Distribution(np.r_[np.full(4, 1 / 4), np.zeros(12)])
     pairs = [(q, q), (Distribution.point_mass(size, 0), q), (half, q),
              (quarter, q), (p, q), (quarter, p)]
-    constants = []
+    constants, caps = [], []
     for index, (pp, qq) in enumerate(pairs):
-        bits = _interactive_rows(pp, qq, eps, 300, (1301, index))[2]
+        bits = correlated_rows(pp, qq, eps, 300, np.random.default_rng((1301, index)))[2]
         div = kl_divergence(pp, qq)
-        constants.append(np.mean(bits) / (div + 2 * math.log2(1 / eps)
-                                          + math.sqrt(div) + 1))
-    c_ok = all(math.isfinite(c) and c > 0 for c in constants)
+        shape = div + 2 * math.log2(1 / eps) + math.sqrt(div) + 1
+        constants.append(np.mean(bits) / shape)
+        # the mean of 300 runs may sit 4 standard errors over the derived bound
+        caps.append((_interactive_bits_bound(pp, qq, eps)
+                     + 4.0 * np.std(bits) / math.sqrt(len(bits))) / shape)
+    over = max(c - cap for c, cap in zip(constants, caps))
+    c_ok = all(math.isfinite(c) and 0 < c <= cap for c, cap in zip(constants, caps))
     ok = tv <= 0.02 and cond_ok and c_ok
     report(capsys, 4, "interactive sampling marginal, agreement, constant", ok,
            f"TV {tv:.4f} (cap 0.02), min conditional agreement {cond_rates.min():.3f} "
-           f"(need >= {1 - eps}), C range [{min(constants):.2f}, {max(constants):.2f}]")
+           f"(need >= {1 - eps}), C range [{min(constants):.2f}, {max(constants):.2f}], "
+           f"C over its derived cap by at most {over:+.3f} (need <= 0)")
 
 
 def test_criterion_05_block_norm_closed_form(capsys):
@@ -305,3 +334,71 @@ def test_criterion_12_cli_byte_identical(capsys, tmp_path):
                and first.stdout == second.stdout)
     report(capsys, 12, "CLI reruns are byte-identical", ok,
            f"all {len(cases)} subcommands repeated with fixed seeds")
+
+
+def test_criterion_13_communication_follows_information(capsys):
+    """Mean bits are m + s + c (E[T] - 1), and E[T] is m I up to a derived O(1).
+
+    A run of _run_rows sends the m revealed bits plus payload_bits(s, T)
+    = s + c (T - 1) for its termination round T, with s from
+    hash_bits_per_round at the sampler's budget and c =
+    FRESH_BITS_PER_ROUND, so each trial's rounds are (bits - m - s) / c + 1.
+
+    Alice's candidate enters Bob's set at e = max(A, H) (one_way_rows).  A =
+    max(floor(z) + 1, 1) with z = log2 u + L, her level u uniform and L the
+    sum of log2(P_x/Q) over her m draws, so E[L] = m D(P_x||Q) and E_x D = I
+    (on NoisyHypercube every x has D = I).  E[log2 u] = -1/ln 2, and z <
+    floor(z) + 1 <= z + 1, so mI - 1/ln 2 < E[A] <= mI - 1/ln 2 + 1; the
+    floor at 1 acts only when z < 0, dozens of standard deviations below
+    its mean at every point here.  H is the first round whose horizon
+    passes her index, which over N is Exp(1) on these astronomically large
+    universes, and max(A, H) <= A + H - 1 with E[H - 1] = sum_j P(index >=
+    2^j) = sum_j exp(-2^j) < 0.53.
+
+    False matches are proposed F = 2^(1-s) / (1 - 2^(2-c)) times a run on
+    average, independently of e, and each stays a Geometric(1 - 2^-c)
+    number of rounds.  Without one, T = e.  Rounds from e on before T hold
+    Alice's candidate and a false match, so E[T] <= E[e] + F / (1 - 2^-c);
+    and T >= 1 gives E[T] >= E[e] P(no proposal) >= E[e] (1 - F).  So
+        -1/ln 2 - F (mI - 1/ln 2) < E[T] - mI <= 1 - 1/ln 2 + 0.53 + F / (1 - 2^-c),
+    and each point's mean rounds minus mI must lie in that interval, give
+    or take 4 standard errors of the mean.  The mean payload must also be
+    at most 4 m I + s.  The truncation cap sits far above these payloads.
+    """
+    theta, delta, trials = 0.3, 0.05, 400
+    c = FRESH_BITS_PER_ROUND
+    s = hash_bits_per_round((theta / 10.0) ** 2 / 2.0)
+    false_matches = 2.0 ** (1 - s) / (1.0 - 2.0 ** (2 - c))
+    horizon = sum(math.exp(-2.0 ** j) for j in range(8))
+    start = time.time()
+    ok = True
+    worst = (math.inf, None)
+    payload_ratio = 0.0
+    point = 0
+    for k in (1, 2, 4):
+        m = choose_sample_count(k, theta)
+        for p in (0.05, 0.1, 0.2):
+            for n in (4, 8, 12):
+                point += 1
+                mu = NoisyHypercube(n, p)
+                inst = generate_instance(n, k, 0.0, delta, derive_rng(1500, point), mu=mu)
+                bits = np.array([r.bits for r in run_trials(inst, theta, trials, 1501 + point)])
+                info = m * mu.mutual_information()
+                rounds = (bits - m - s) / c + 1.0
+                slack = 4.0 * rounds.std() / math.sqrt(trials)
+                low = -1.0 / math.log(2.0) - false_matches * (info - 1.0 / math.log(2.0))
+                high = 1.0 - 1.0 / math.log(2.0) + horizon + false_matches / (1.0 - 2.0 ** -c)
+                excess = rounds.mean() - info
+                # distance inside the interval, in standard errors of the mean
+                margin = min(excess - (low - slack), high + slack - excess) / (slack / 4.0)
+                if margin < worst[0]:
+                    worst = (margin, (k, p, n))
+                payload = bits.mean() - m
+                payload_ratio = max(payload_ratio, payload / (4.0 * info + s))
+                ok &= margin >= 0.0 and payload <= 4.0 * info + s
+    seconds = time.time() - start
+    ok &= seconds < 10.0
+    report(capsys, 13, "communication follows O(k(1+I))", ok,
+           f"27 points x {trials} trials, mean rounds - mI inside its derived interval with "
+           f"{worst[0]:.1f} standard errors to spare at worst (need >= 0, at (k, p, n) = "
+           f"{worst[1]}), max payload / (4 m I + s) {payload_ratio:.3f}, {seconds:.1f}s")

@@ -4,11 +4,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from uccsim import uncertain
 from uccsim.agreement import greedy_covering_code
 from uccsim.cli import main
+from uccsim.distributions import Distribution, derive_rng
+from uccsim.sampling import correlated_rows
 
 
 def read(path):
@@ -75,6 +78,14 @@ def test_csample_bench_output(tmp_path, capsys):
     assert len(lines) == 2 + 60
     summary = capsys.readouterr().out
     assert "C=" in summary and "mean_bits=" in summary
+    # each tilt's rows are one correlated_rows call on the (seed, tilt) stream, in trial order
+    q = Distribution.uniform(16)
+    for tilt, rows in ((0, lines[2:32]), (2, lines[32:62])):
+        p = Distribution(np.r_[np.full(16 >> tilt, 1.0 / (16 >> tilt)),
+                               np.zeros(16 - (16 >> tilt))])
+        _, _, bits, rounds, success = correlated_rows(p, q, 0.1, 30, derive_rng(3, tilt))
+        assert [row.split(",")[4:] for row in rows] == \
+            [[str(b), str(r), str(int(ok))] for b, r, ok in zip(bits, rounds, success)]
 
 
 def test_csample_bench_rejects_bad_universe(capsys):

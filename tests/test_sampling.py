@@ -10,11 +10,15 @@ from uccsim import sampling
 from uccsim.distributions import Distribution, NoisyHypercube, ProductJoint, TableJoint
 from uccsim.sampling import (
     DEFAULT_MAX_CANDIDATES,
+    FRESH_BITS_PER_ROUND,
     SharedRandomness,
+    correlated_rows,
     correlated_sample,
     hash_bits_per_round,
     one_way_correlated_sample,
     one_way_rows,
+    payload_bits,
+    rounds_within,
     truncation_limit,
 )
 
@@ -27,6 +31,15 @@ def test_hash_bits_per_round():
         hash_bits_per_round(0.0)
     with pytest.raises(ValueError):
         hash_bits_per_round(1.0)
+
+
+def test_payload_schedule():
+    # an s-bit first block, then 3 fresh bits a round; rounds_within inverts it
+    assert FRESH_BITS_PER_ROUND == 3
+    assert [payload_bits(6, t) for t in (1, 2, 3, 10)] == [6, 9, 12, 33]
+    assert [rounds_within(6, bits) for bits in (0, 5, 6, 8, 9, 33, 35)] == [0, 0, 1, 1, 2, 10, 10]
+    rounds = np.arange(1, 50)
+    assert np.array_equal(rounds_within(14, payload_bits(14, rounds)), rounds)
 
 
 def test_shared_randomness_streams_reproduce():
@@ -48,16 +61,12 @@ def test_correlated_sample_deterministic():
 
 
 def interactive_rows(p, q, eps, runs, seed, max_candidates=DEFAULT_MAX_CANDIDATES):
-    """runs interactive runs as one block of m = 1 rows: (a, b, bits_alice, success) arrays.
+    """correlated_rows on a generator seeded with seed: (a, b, bits_alice, rounds, success).
 
     Row i is what correlated_sample returns on the block's stream (see
     test_correlated_sample_is_the_one_row_case).
     """
-    s = hash_bits_per_round(eps)
-    limit = s * (max_candidates // p.size).bit_length()
-    alice, bob, bits, ok = one_way_rows(np.tile(p.probs, (runs, 1)), q.probs, 1, s, limit,
-                                        np.random.default_rng(seed))
-    return alice.argmax(axis=1), bob.argmax(axis=1), bits, ok
+    return correlated_rows(p, q, eps, runs, np.random.default_rng(seed), max_candidates)
 
 
 def test_correlated_sample_is_the_one_row_case():
@@ -72,7 +81,7 @@ def test_correlated_sample_is_the_one_row_case():
     eps = 0.1
     s = hash_bits_per_round(eps)
     for max_candidates in (2000, 100_000, DEFAULT_MAX_CANDIDATES):
-        limit = s * (max_candidates // 16).bit_length()
+        limit = payload_bits(s, (max_candidates // 16).bit_length())
         for index, (p, q) in enumerate(pairs):
             for seed in range(200):
                 shared = SharedRandomness((40, index, seed))
@@ -80,8 +89,9 @@ def test_correlated_sample_is_the_one_row_case():
                 alice, bob, bits, ok = one_way_rows(p.probs[None, :], q.probs, 1, s, limit,
                                                     shared.stream(sampling._TAG_OUTPUT))
                 assert (a, b) == (alice[0].argmax(), bob[0].argmax())
+                assert payload_bits(s, stats.rounds) == bits[0]
                 assert stats == sampling.TranscriptStats(
-                    bits_alice=bits[0], bits_bob=bits[0] // s, rounds=bits[0] // s,
+                    bits_alice=bits[0], bits_bob=stats.rounds, rounds=stats.rounds,
                     success=ok[0])
 
 
@@ -91,6 +101,8 @@ def test_correlated_sample_needs_one_round_of_candidates():
     assert stats.rounds == 1
     with pytest.raises(ValueError):
         correlated_sample(p, q, 0.1, SharedRandomness(41), max_candidates=15)
+    with pytest.raises(ValueError):
+        correlated_rows(p, q, 0.1, 0, np.random.default_rng(41))
 
 
 def test_correlated_sample_identical_distributions():
@@ -98,15 +110,15 @@ def test_correlated_sample_identical_distributions():
     # come only from hash collisions and stays within the error budget.
     q = Distribution.uniform(16)
     trials = 2000
-    a, b, bits, _ = interactive_rows(q, q, 0.05, trials, 1)
+    a, b, _, rounds, _ = interactive_rows(q, q, 0.05, trials, 1)
     assert (a == b).mean() >= 0.98
-    assert (bits // hash_bits_per_round(0.05)).mean() <= 2.0
+    assert rounds.mean() <= 2.0
 
 
 def test_correlated_sample_point_mass():
     p = Distribution.point_mass(16, 5)
     q = Distribution.uniform(16)
-    a, b, _, _ = interactive_rows(p, q, 0.05, 10_000, 2)
+    a, b, _, _, _ = interactive_rows(p, q, 0.05, 10_000, 2)
     assert (a == 5).all()
     assert (b == a).mean() >= 0.95
 
@@ -117,7 +129,7 @@ def test_correlated_sample_partial_overlap():
     p = Distribution(np.r_[np.full(8, 1 / 8), np.zeros(8)])
     q = Distribution(np.r_[np.zeros(4), np.full(8, 1 / 8), np.zeros(4)])
     eps = 0.1
-    a, b, _, _ = interactive_rows(p, q, eps, 2000, 3, max_candidates=100_000)
+    a, b, _, _, _ = interactive_rows(p, q, eps, 2000, 3, max_candidates=100_000)
     overlap = (4 <= a) & (a <= 7)
     assert overlap.sum() > 500
     assert (b == a)[overlap].mean() >= 1 - eps
@@ -126,12 +138,11 @@ def test_correlated_sample_partial_overlap():
 def test_lone_false_match_gives_bob_its_value():
     # A run that terminates on a lone false match hands Bob that candidate, as
     # the literal run does; at m = 1 success is then exactly a == b, and about
-    # one run in 600 here ends on a false match of Alice's value.
+    # one run in 1,100 here ends on a false match of Alice's value.
     p = Distribution.point_mass(16, 5)
     q = Distribution.uniform(16)
-    a, b, bits, ok = interactive_rows(p, q, 0.1, 20_000, 42)
-    limit = hash_bits_per_round(0.1) * (DEFAULT_MAX_CANDIDATES // 16).bit_length()
-    ended = bits < limit
+    a, b, _, rounds, ok = interactive_rows(p, q, 0.1, 20_000, 42)
+    ended = rounds < (DEFAULT_MAX_CANDIDATES // 16).bit_length()
     assert ended.mean() > 0.99
     assert np.array_equal(ok[ended], (a == b)[ended])
 
@@ -167,7 +178,7 @@ def test_correlated_sample_alice_marginal():
     p = Distribution(weights / weights.sum())
     q = Distribution.uniform(8)
     trials = 20_000
-    a, _, _, _ = interactive_rows(p, q, 0.1, trials, 6)
+    a, _, _, _, _ = interactive_rows(p, q, 0.1, trials, 6)
     tv = 0.5 * np.abs(np.bincount(a, minlength=8) / trials - p.probs).sum()
     assert tv <= 0.03
 
@@ -178,7 +189,7 @@ def test_correlated_sample_stats_accounting():
     s = hash_bits_per_round(0.05)
     for seed in range(50):
         _, _, stats = correlated_sample(p, q, 0.05, SharedRandomness((7, seed)))
-        assert stats.bits_alice == s * stats.rounds
+        assert stats.bits_alice == s + FRESH_BITS_PER_ROUND * (stats.rounds - 1)
         assert stats.bits_bob == stats.rounds
         assert stats.rounds >= 1
 
@@ -279,13 +290,17 @@ _TAG_HASH = 2
 _TAG_FALLBACK = 4
 
 
-def _hash_block(mult: int, shift: int, indices: np.ndarray, s: int) -> np.ndarray:
-    """Pairwise-independent hash of 1-based indices down to s bits."""
-    return ((mult * indices + shift) % HASH_PRIME) & ((1 << s) - 1)
+def _hash_block(mult: int, shift: int, indices: np.ndarray, width: int) -> np.ndarray:
+    """Pairwise-independent hash of 1-based indices down to width bits."""
+    return ((mult * indices + shift) % HASH_PRIME) & ((1 << width) - 1)
 
 
 class _DenseRun:
-    """Literal protocol run over a materialized candidate stream: the reference for the lazy run."""
+    """Literal protocol run over a materialized candidate stream: the reference for the lazy run.
+
+    Round 1 hashes every candidate to s bits, each later round to
+    FRESH_BITS_PER_ROUND fresh bits, each round with its own hash function.
+    """
 
     def __init__(self, p: np.ndarray, q: np.ndarray, eps: float, shared: SharedRandomness,
                  max_candidates: int):
@@ -300,7 +315,7 @@ class _DenseRun:
         self.values = np.empty(0, dtype=np.int64)
         self.levels = np.empty(0, dtype=np.float64)
         self.match_ok = np.empty(0, dtype=bool)
-        self.round_hashes: list[tuple[int, int, int]] = []
+        self.round_hashes: list[tuple[int, int, int, int]] = []
 
     def _grow(self, target: int) -> None:
         have = len(self.values)
@@ -311,8 +326,8 @@ class _DenseRun:
         new_levels = self.rng_c.random(fresh)
         new_match = np.ones(fresh, dtype=bool)
         indices = np.arange(have + 1, target + 1, dtype=np.int64)
-        for mult, shift, bits in self.round_hashes:
-            new_match &= _hash_block(mult, shift, indices, self.s) == bits
+        for mult, shift, width, bits in self.round_hashes:
+            new_match &= _hash_block(mult, shift, indices, width) == bits
         self.values = np.concatenate([self.values, new_values])
         self.levels = np.concatenate([self.levels, new_levels])
         self.match_ok = np.concatenate([self.match_ok, new_match])
@@ -349,13 +364,15 @@ class _DenseRun:
             self._grow(horizon)
             mult = int(self.rng_h.integers(1, HASH_PRIME))
             shift = int(self.rng_h.integers(HASH_PRIME))
-            alice_bits = int(_hash_block(mult, shift, np.array([i_star], dtype=np.int64), self.s)[0])
-            self.round_hashes.append((mult, shift, alice_bits))
+            width = self.s if t == 1 else FRESH_BITS_PER_ROUND
+            alice_bits = int(_hash_block(mult, shift, np.array([i_star], dtype=np.int64),
+                                         width)[0])
+            self.round_hashes.append((mult, shift, width, alice_bits))
             indices = np.arange(1, len(self.values) + 1, dtype=np.int64)
-            self.match_ok &= _hash_block(mult, shift, indices, self.s) == alice_bits
+            self.match_ok &= _hash_block(mult, shift, indices, width) == alice_bits
             in_set = self.levels[:horizon] < np.minimum(1.0, np.ldexp(self.q[self.values[:horizon]], t))
             matches = np.flatnonzero(in_set & self.match_ok[:horizon])
-            bits_alice += self.s
+            bits_alice += width
             rounds = t
             if matches.size == 1:
                 terminated = True
@@ -384,7 +401,7 @@ def test_literal_and_lazy_interactive_runs_agree():
              (linear, q), (quarter, linear)]
     literal_runs, lazy_runs = 2000, 100_000
     for index, (p, qq) in enumerate(pairs):
-        a, b, bits, _ = interactive_rows(p, qq, eps, lazy_runs, (43, index))
+        a, b, bits, _, _ = interactive_rows(p, qq, eps, lazy_runs, (43, index))
         literal = np.array([_DenseRun(p.probs, qq.probs, eps, SharedRandomness((44, index, seed)),
                                       DEFAULT_MAX_CANDIDATES).run()[:3]
                             for seed in range(literal_runs)])
@@ -401,14 +418,14 @@ def literal_one_way(p, q, m, eps, limit, seeds):
 
     An uncapped _DenseRun runs over the explicit product universe, whose
     index has base-d digit j, of weight d^j, for copy j.  A run that
-    terminates within limit // s rounds is the capped run; any other run
-    fails under the cap.
+    terminates within the rounds whose payload_bits fit in limit is the
+    capped run; any other run fails under the cap.
     """
     d = len(p)
     full_p, full_q = p, q
     for _ in range(m - 1):
         full_p, full_q = np.kron(p, full_p), np.kron(q, full_q)
-    budget = limit // hash_bits_per_round(eps / 2.0)
+    budget = rounds_within(hash_bits_per_round(eps / 2.0), limit)
     digits = np.zeros(d)
     agree = 0
     for seed in seeds:
@@ -548,6 +565,21 @@ def test_lazy_run_never_enters_on_a_digit_bob_cannot_draw(monkeypatch):
     assert not ok.any()
 
 
+def test_block_that_all_terminates_draws_no_fallback(monkeypatch):
+    # With P = Q every row's candidate enters by its horizon round, and at
+    # s = 40 no false match is proposed; Alice's counts are then the block's
+    # only multinomial draw, since Bob needs no fallback.
+    calls = []
+    draw = sampling._multinomial_rows
+    monkeypatch.setattr(sampling, "_multinomial_rows",
+                        lambda m, probs, rng: calls.append(len(probs)) or draw(m, probs, rng))
+    q = np.full(4, 0.25)
+    _, _, payload, ok = one_way_rows(np.tile(q, (50, 1)), q, 1, 40, payload_bits(40, 40),
+                                     np.random.default_rng(37))
+    assert ok.all() and (payload < payload_bits(40, 40)).all()
+    assert calls == [50]
+
+
 def test_termination_sweep_matches_reference_loop():
     rng = np.random.default_rng(38)
     for rows in (1, 2, 7, 40):
@@ -584,7 +616,7 @@ def reference_termination_round(entry_round, events):
 
 def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
     # The real cap never binds at these sizes; cut it to three rounds of hash
-    # bits so every run here hits max_rounds.
+    # bits so every run here hits the cap.
     mu = NoisyHypercube(8, 0.1)
     m, eps = 20, 0.02
     s = hash_bits_per_round(eps / 2.0)
@@ -592,12 +624,13 @@ def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
     q = mu.marginal_y().probs
     uncapped = {seed: one_way_correlated_sample(mu, 101, m, eps, SharedRandomness((32, seed)))
                 for seed in range(10)}
-    monkeypatch.setattr(sampling, "truncation_limit", lambda mu, m, eps: 3 * s)
+    cap = payload_bits(s, 3)
+    monkeypatch.setattr(sampling, "truncation_limit", lambda mu, m, eps: cap)
     for seed, (full_alice, _, full_stats) in uncapped.items():
-        assert full_stats.bits_alice > 3 * s
+        assert full_stats.bits_alice > cap
         shared = SharedRandomness((32, seed))
         alice, bob, stats = one_way_correlated_sample(mu, 101, m, eps, shared)
-        assert stats.bits_alice == 3 * s
+        assert stats.bits_alice == cap
         assert not stats.success
         assert np.array_equal(alice, full_alice)
         # Bob's fallback is the next draw of the run's one stream, after
@@ -612,14 +645,15 @@ def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
 
 
 def test_communication_scales_with_divergence():
-    # Sharpening P doubles the divergence from uniform; mean hash payload
-    # should grow by a factor bounded on both sides.
+    # Sharpening P doubles the divergence from uniform; the mean number of
+    # rounds, the part of the payload that grows with it, should grow by a
+    # factor bounded on both sides.
     size = 64
     q = Distribution.uniform(size)
     means = {}
     for d in (2, 4):
         p = Distribution(np.r_[np.full(size >> d, float(2 ** d) / size),
                                np.zeros(size - (size >> d))])
-        means[d] = interactive_rows(p, q, 0.1, 500, (18, d))[2].mean()
+        means[d] = interactive_rows(p, q, 0.1, 500, (18, d))[3].mean()
     ratio = means[4] / means[2]
     assert 1.5 <= ratio <= 3.0
