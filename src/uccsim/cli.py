@@ -24,7 +24,7 @@ from .distributions import (Distribution, NoisyHypercube, ProductJoint, derive_r
                             kl_divergence)
 from .oracle import exact_one_way_cc
 from .sampling import correlated_rows
-from .uncertain import ErrorEstimate, generate_instance, run_trials
+from .uncertain import ErrorEstimate, choose_sample_count, generate_instance, run_trials
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,9 +84,11 @@ def _cmd_uncertain_run(args) -> int:
               for r in records]
     _emit(args.out, lines)
     est = ErrorEstimate.from_records(records)
+    # mean_bits is the sample_count revealed bits plus the sampling payload
+    m = choose_sample_count(instance.k, args.theta)
     print(f"error_rate={est.error_rate:.6f} half_width={est.half_width:.6f} "
-          f"mean_bits={est.mean_bits:.2f} sampling_failures={est.sampling_failures} "
-          f"trials={est.trials}")
+          f"mean_bits={est.mean_bits:.2f} sample_count={m} "
+          f"sampling_failures={est.sampling_failures} trials={est.trials}")
     return 0
 
 

@@ -7,13 +7,16 @@ samples of Bob's input, Alice reveals f on her copies, and Bob picks the
 decider that disagrees least with what she revealed.
 
 A run sends the sampling payload plus the m revealed bits, where
-m = choose_sample_count(k, theta) depends only on the message budget k and
-the slack theta.  The payload grows with the input's mutual information I:
-Alice's sample enters Bob's set after about m I rounds, and she sends s
-hash bits in the first round and 3 in each later one, so it is about
-3 m I + s bits, with I = n (1 - h(p)) on NoisyHypercube(n, p).  That is
-the O(k (1 + I)) of the theory for a fixed theta, and in uncertain-run
-settings the payload is still most of the bits sent.
+m = choose_sample_count(k, theta) = ceil(8 ln(5 2^(k+1) / theta) / theta^2),
+the least m with 2^(k+1) exp(-m theta^2 / 8) <= theta / 5: Hoeffding's
+inequality at deviation theta / 4 with a union bound over the 2^k deciders.
+So m = 435 at k = 2, theta = 0.3.  The payload grows with the input's
+mutual information I: Alice's sample enters Bob's set after about m I
+rounds, and she sends s hash bits in the first round and 3 in each later
+one, so it is about 3 m I + s bits, with I = n (1 - h(p)) on
+NoisyHypercube(n, p).  That is the O(k (1 + I)) of the theory for a fixed
+theta.  At n = 12, k = 2, theta = 0.3 on NoisyHypercube(12, 0.1) a trial
+sends about 8,770 bits, of which 435 are revealed bits and the rest payload.
 """
 
 from __future__ import annotations
@@ -46,18 +49,53 @@ WILSON_Z = 1.959963984540054
 # cached: every trial of a run asks for the same (k, theta)
 @functools.lru_cache
 def choose_sample_count(k: int, theta: float) -> int:
-    """Smallest m with 2^k exp(-theta^2 m / 75) <= 2 theta / 5."""
+    """Smallest m with 2^(k+1) exp(-2 m t^2) <= beta, for t = theta / 4 and beta = theta / 5.
+
+    The error split this m supports, for a trial (x, y) ~ mu:
+
+    - Bob's m samples are i.i.d. from mu(.|x) and independent of y.  Decider
+      j's empirical disagreement with f on them (decider_errors) is a mean
+      of m i.i.d. bits with mean D_j(x), its disagreement with f(x, .) under
+      mu(.|x).
+    - Hoeffding's inequality (Hoeffding, JASA 1963) puts each |empirical -
+      D_j(x)| > t at probability at most 2 exp(-2 m t^2); a union bound over
+      the 2^k deciders puts the chance that any deviates at beta <=
+      2^(k+1) exp(-2 m t^2).
+    - When none deviates, the chosen decider's D is at most the right
+      decider's plus 2 t, and the right one's is at most delta_x + eps_x, the
+      conditional distances of f to g and of g to the protocol.  Given x, the
+      chosen decider then errs against g with probability at most
+      2 delta_x + eps_x + 2 t.
+    - Averaged over x, the error against g is at most 2 delta + eps + 2 t +
+      beta + phi, with phi the chance that sampling fails.  _run_rows runs
+      the sampler at budget sample_eps = (theta / 10)^2.  Its first block of
+      s = hash_bits_per_round(sample_eps / 2) bits keeps the mean number of
+      false matches, 2^(2-s), and so their failures below sample_eps / 2.
+      Alice's candidate enters Bob's set at round max(A, H) (one_way_rows),
+      with E[A] <= m I + 1 / ln 2 + 1 (the negative part of her log-ratio
+      has mean at most 1 / ln 2) and E[H - 1] < 0.53, so the uncapped
+      payload averages at most 3 m I + s + 6 bits.  That is at most 4 (m I +
+      log2(1 / sample_eps)), as s <= log2(1 / sample_eps) + 4 and
+      log2(1 / sample_eps) >= log2 100, so by Markov's inequality the cap
+      truncation_limit(mu, m, sample_eps) cuts a run with probability at
+      most sample_eps.  So phi <= 1.5 sample_eps.
+    - 2 t + beta + phi <= theta / 2 + theta / 5 + 0.015 theta^2 <= theta, so
+      the error is at most 2 delta + eps + theta, with at least 0.28 theta
+      left unspent.
+
+    m carries no empirical constant: it is the least integer the union
+    bound allows, ceil(ln(2^(k+1) / beta) / (2 t^2)), checked in floats.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    target = 2.0 * theta / 5.0
+    t, beta = theta / 4.0, theta / 5.0
 
     def ok(m: int) -> bool:
-        return (2.0 ** k) * math.exp(-theta * theta * m / 75.0) <= target
+        return (k + 1) * math.log(2.0) - 2.0 * m * t * t <= math.log(beta)
 
-    m = max(1, math.ceil(75.0 * (k * math.log(2.0) + math.log(5.0 / (2.0 * theta)))
-                         / (theta * theta)))
+    m = max(1, math.ceil(((k + 1) * math.log(2.0) - math.log(beta)) / (2.0 * t * t)))
     while m > 1 and ok(m - 1):
         m -= 1
     while not ok(m):
@@ -238,6 +276,7 @@ def _run_rows(instance: UncertainInstance, xs: np.ndarray, ys: np.ndarray, theta
     Total communication is the sampling payload plus the m revealed bits.
     """
     m = choose_sample_count(instance.k, theta)
+    # the sampler's failure budget, the phi term of choose_sample_count's error split
     sample_eps = (theta / 10.0) ** 2
     mu = instance.mu
     limit = truncation_limit(mu, m, sample_eps)

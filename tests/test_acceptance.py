@@ -15,7 +15,7 @@ from uccsim.agreement import (
     greedy_covering_code,
     hamming_ball_size,
 )
-from uccsim.core import BitString, distance
+from uccsim.core import BitString, TableFunction, distance
 from uccsim.discrepancy import (
     block_eigenvalues,
     block_eigenvectors,
@@ -47,6 +47,7 @@ from uccsim.sampling import (
     truncation_limit,
 )
 from uccsim.uncertain import (
+    UncertainInstance,
     choose_sample_count,
     estimate_uncertain_error,
     generate_instance,
@@ -60,9 +61,56 @@ def report(capsys, number, title, ok, detail):
     assert ok, f"criterion {number:02d} {title}: {detail}"
 
 
+def _adversarial_instance(inst, rng):
+    """inst with f re-placed against Bob: the same protocol, g and delta budget.
+
+    The rows x go in random order.  On each, f moves towards another
+    decider on the heaviest points where that decider differs from g, until
+    just past half of their conditional mass: Bob's samples then favour the
+    wrong decider, which errs on all of that mass.  Rows are added until the
+    next one would overflow delta.  With one decider there is nothing to
+    move towards, and f stays g.
+    """
+    mu, assignment, deciders = inst.mu, inst.protocol.assignment, inst.protocol.deciders
+    g_table = inst.g.to_table()
+    f_table = g_table.copy()
+    parts = len(deciders)
+    spent = 0.0
+    for x in rng.permutation(mu.size_x) if parts > 1 else ():
+        other = (assignment[x] + rng.integers(1, parts)) % parts
+        differ = np.flatnonzero(deciders[other] != g_table[x])
+        if not len(differ):
+            continue
+        masses = mu.mass_array(np.full(len(differ), x), differ)
+        order = np.argsort(-masses, kind="stable")
+        cum = np.cumsum(masses[order])
+        # the first prefix past half of the differing mass
+        last = int(np.searchsorted(cum, cum[-1] / 2.0, side="right"))
+        if spent + cum[last] > inst.delta:
+            break
+        spent += cum[last]
+        f_table[x, differ[order[:last + 1]]] ^= 1
+    adversarial = UncertainInstance(mu=mu, protocol=inst.protocol, g=inst.g,
+                                    f=TableFunction(f_table), k=inst.k, eps=inst.eps,
+                                    delta=inst.delta)
+    adversarial.verify()
+    return adversarial
+
+
 def test_criterion_01_uncertain_error_bound(capsys):
+    """Error against g within 2 delta + theta under random and adversarial delta-flips.
+
+    Random flips (generate_instance) hardly move Bob's choice, so they
+    never test the 2 delta term; the adversarial placement
+    (_adversarial_instance) does, on every delta > 0 point, with the same
+    protocol, g and trial seeds.  Under NoisyHypercube(8, 0.1) its error at
+    delta = 0.1 and k > 0 must reach 1.3 delta.  Under the uniform product
+    every point weighs the same, so just past half leaves Bob a margin of
+    one point and the error stays near delta; it is only bounded there.
+    """
     trials = 10_000
-    worst_margin, worst_point, max_seconds = math.inf, None, 0.0
+    worst = {"random": (math.inf, None), "adversarial": (math.inf, None)}
+    sharpness, max_seconds = math.inf, 0.0
     ok = True
     point = 0
     for mu_name in ("product", "noisy"):
@@ -74,19 +122,30 @@ def test_criterion_01_uncertain_error_bound(capsys):
                           else NoisyHypercube(8, 0.1))
                     inst = generate_instance(8, k, 0.0, delta,
                                              derive_rng(1000, point), mu=mu)
-                    start = time.time()
-                    est = estimate_uncertain_error(inst, theta, trials,
-                                                   master_seed=2000 + point)
-                    seconds = time.time() - start
-                    max_seconds = max(max_seconds, seconds)
-                    margin = 2 * delta + theta + est.half_width - est.error_rate
-                    if margin < worst_margin:
-                        worst_margin = margin
-                        worst_point = (mu_name, k, delta, theta)
-                    ok &= margin >= 0.0 and seconds < 60.0
+                    placements = {"random": inst}
+                    if delta > 0.0:
+                        placements["adversarial"] = _adversarial_instance(
+                            inst, derive_rng(1000, point, 1))
+                    for placement, instance in placements.items():
+                        start = time.time()
+                        est = estimate_uncertain_error(instance, theta, trials,
+                                                       master_seed=2000 + point)
+                        seconds = time.time() - start
+                        max_seconds = max(max_seconds, seconds)
+                        margin = 2 * delta + theta + est.half_width - est.error_rate
+                        if margin < worst[placement][0]:
+                            worst[placement] = (margin, (mu_name, k, delta, theta))
+                        ok &= margin >= 0.0 and seconds < 60.0
+                        if placement == "adversarial" and mu_name == "noisy" and k > 0 \
+                                and delta == 0.1:
+                            sharpness = min(sharpness, est.error_rate / delta)
+    ok &= sharpness >= 1.3
     report(capsys, 1, "uncertain protocol error bound", ok,
-           f"36 grid points x {trials} trials, worst margin {worst_margin:+.4f} "
-           f"at {worst_point}, slowest point {max_seconds:.0f}s")
+           f"36 grid points x {trials} trials, worst margin {worst['random'][0]:+.4f} "
+           f"at {worst['random'][1]}; adversarial flips at the 24 delta > 0 points, worst "
+           f"margin {worst['adversarial'][0]:+.4f} at {worst['adversarial'][1]}, error / delta "
+           f">= {sharpness:.2f} at noisy delta=0.1, k > 0 (need >= 1.3); slowest point "
+           f"{max_seconds:.0f}s")
 
 
 def test_criterion_02_product_communication_flat(capsys):

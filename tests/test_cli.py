@@ -67,6 +67,19 @@ def test_uncertain_run_runs_each_trial_once(tmp_path, capsys, monkeypatch):
     assert summary["sampling_failures"] == str(sum(row[7] == "0" for row in rows))
 
 
+def test_uncertain_run_prints_the_sample_count(tmp_path, capsys):
+    # mean_bits splits into the sample_count revealed bits and the payload
+    out = tmp_path / "runs.csv"
+    assert main(["uncertain-run", "--n", "6", "--k", "2", "--delta", "0.05",
+                 "--theta", "0.3", "--trials", "40", "--mu", "noisy:0.1", "--seed", "4",
+                 "--out", str(out)]) == 0
+    summary = dict(token.split("=") for token in capsys.readouterr().out.split())
+    m = uncertain.choose_sample_count(2, 0.3)
+    assert summary["sample_count"] == str(m)
+    rows = [line.split(",") for line in read(out).splitlines()[2:]]
+    assert len(rows) == 40 and all(int(row[6]) >= m for row in rows)
+
+
 def test_csample_bench_output(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = main(["csample-bench", "--universe", "16", "--eps", "0.1",

@@ -5,7 +5,8 @@ compares the CLI's stdout and a batch of sampler results against the sums
 in pinned_outputs.json, taken with the numpy version recorded there.  A
 change that alters a seeded stream on purpose rewrites the pin file in the
 same commit, with `PYTHONPATH=src python tests/test_pinned_outputs.py`,
-and says in CHANGES.md which sums changed and why.
+which prints the names of the sums it changed, and says in CHANGES.md
+which sums changed and why.
 """
 
 import contextlib
@@ -120,6 +121,10 @@ def test_seeded_outputs_match_the_pins(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(PIN_FILE.read_text())["sha256"] if PIN_FILE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        PIN_FILE.write_text(json.dumps({"numpy": np.__version__, "sha256": seeded_sums(Path(tmp))},
-                                       indent=2) + "\n")
+        sums = seeded_sums(Path(tmp))
+    PIN_FILE.write_text(json.dumps({"numpy": np.__version__, "sha256": sums}, indent=2) + "\n")
+    # added and dropped sums count as changed
+    changed = [name for name in {**old, **sums} if old.get(name) != sums.get(name)]
+    print(f"changed: {', '.join(changed) or 'none'}")

@@ -25,12 +25,14 @@ from uccsim.uncertain import (
 
 
 def satisfies_budget(k, theta, m):
-    return (2.0 ** k) * math.exp(-theta * theta * m / 75.0) <= 2.0 * theta / 5.0
+    # Hoeffding at deviation theta / 4, union bound over 2^k deciders, failure theta / 5
+    return (2.0 ** (k + 1)) * math.exp(-2.0 * m * (theta / 4.0) ** 2) <= theta / 5.0
 
 
 def test_choose_sample_count_frozen_values():
-    assert choose_sample_count(0, 0.5) == 483
-    assert choose_sample_count(4, 0.2) == 9935
+    assert choose_sample_count(0, 0.5) == 96
+    assert choose_sample_count(2, 0.3) == 435
+    assert choose_sample_count(4, 0.2) == 1337
 
 
 def test_choose_sample_count_is_smallest():
@@ -38,6 +40,29 @@ def test_choose_sample_count_is_smallest():
         m = choose_sample_count(k, theta)
         assert satisfies_budget(k, theta, m)
         assert not satisfies_budget(k, theta, m - 1)
+
+
+def test_decider_scores_concentrate_within_the_hoeffding_deviation():
+    # choose_sample_count's concentration step, checked directly: on a fixed
+    # row x, m i.i.d. samples from mu(.|x) put every decider's empirical
+    # disagreement with f within t = theta / 4 of its exact conditional
+    # disagreement, except in at most beta = theta / 5 of the sample lists.
+    k, theta, rows = 2, 0.3, 20_000
+    t, beta = theta / 4.0, theta / 5.0
+    m = choose_sample_count(k, theta)
+    inst = generate_instance(6, k, 0.0, 0.1, np.random.default_rng(150),
+                             mu=NoisyHypercube(6, 0.1))
+    x = 11
+    cond = inst.mu.conditional_rows([x])[0]
+    f_row = inst.f.to_table()[x]
+    deciders = inst.protocol.deciders
+    exact = (deciders != f_row).astype(np.float64) @ cond
+    counts = np.random.default_rng(151).multinomial(m, cond, size=rows)
+    errors = decider_errors(deciders, counts, counts * f_row)
+    share = (np.abs(errors - exact) > t).any(axis=1).mean()
+    assert share <= beta + 4.0 * math.sqrt(beta * (1.0 - beta) / rows)
+    # not vacuous: at half that deviation more than beta of the lists miss
+    assert (np.abs(errors - exact) > t / 2.0).any(axis=1).mean() > beta
 
 
 def test_choose_sample_count_monotone_in_k():
