@@ -75,7 +75,8 @@ class BoolFunction:
     """A total 0/1-valued function on [0, size_x) x [0, size_y).
 
     Subclasses implement rows(lo, hi), the rows x in [lo, hi) as one
-    (hi - lo) x size_y array; __call__ and to_table read through it.
+    (hi - lo) x size_y array, which to_table reads through, and entry(x, y),
+    the value at checked indices, which __call__ reads through.
     """
 
     size_x: int
@@ -84,10 +85,11 @@ class BoolFunction:
     def rows(self, lo: int, hi: int) -> np.ndarray:
         raise NotImplementedError
 
+    def entry(self, x: int, y: int) -> int:
+        raise NotImplementedError
+
     def __call__(self, x, y) -> int:
-        xi = _as_index(x, self.size_x, "x")
-        yi = _as_index(y, self.size_y, "y")
-        return int(self.rows(xi, xi + 1)[0, yi])
+        return self.entry(_as_index(x, self.size_x, "x"), _as_index(y, self.size_y, "y"))
 
     def to_table(self) -> np.ndarray:
         return self.rows(0, self.size_x)
@@ -107,6 +109,9 @@ class TableFunction(BoolFunction):
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         return self.table[lo:hi]
+
+    def entry(self, x: int, y: int) -> int:
+        return int(self.table[x, y])
 
     @classmethod
     def constant(cls, size_x: int, size_y: int, bit: int) -> "TableFunction":
@@ -138,6 +143,9 @@ class OneWayProtocol(BoolFunction):
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         return self.deciders[self.assignment[lo:hi]]
+
+    def entry(self, x: int, y: int) -> int:
+        return int(self.deciders[self.assignment[x], y])
 
     def message(self, x) -> int:
         return int(self.assignment[_as_index(x, self.size_x, "x")])

@@ -39,6 +39,9 @@ class ParityFunction(BoolFunction):
         masked = (np.arange(lo, hi)[:, None] ^ np.arange(self.size_y)) & self.mask
         return (self._pc[masked] & 1).astype(np.uint8)
 
+    def entry(self, x: int, y: int) -> int:
+        return (self.mask & (x ^ y)).bit_count() & 1
+
 
 def parity_eval(mask: BitString, x: BitString, y: BitString) -> int:
     """Parity of x xor y on the mask's coordinates."""

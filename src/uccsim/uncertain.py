@@ -7,16 +7,16 @@ samples of Bob's input, Alice reveals f on her copies, and Bob picks the
 decider that disagrees least with what she revealed.
 
 A run sends the sampling payload plus the m revealed bits, where
-m = choose_sample_count(k, theta) = ceil(8 ln(5 2^(k+1) / theta) / theta^2),
-the least m with 2^(k+1) exp(-m theta^2 / 8) <= theta / 5: Hoeffding's
-inequality at deviation theta / 4 with a union bound over the 2^k deciders.
-So m = 435 at k = 2, theta = 0.3.  The payload grows with the input's
-mutual information I: Alice's sample enters Bob's set after about m I
-rounds, and she sends s hash bits in the first round and 3 in each later
-one, so it is about 3 m I + s bits, with I = n (1 - h(p)) on
+m = choose_sample_count(k, theta) is the least m for which some deviation
+t has 2 t + 2^k exp(-2 m t^2) + 1.5 (theta / 10)^2 <= theta: Hoeffding's
+inequality, one-sided, with a union bound over the 2^k deciders, and the
+sampler's failure.  So m = 136 at k = 2, theta = 0.3.  The payload grows
+with the input's mutual information I: Alice's sample enters Bob's set
+after about m I rounds, and she sends s hash bits in the first round and 3
+in each later one, so it is about 3 m I + s bits, with I = n (1 - h(p)) on
 NoisyHypercube(n, p).  That is the O(k (1 + I)) of the theory for a fixed
 theta.  At n = 12, k = 2, theta = 0.3 on NoisyHypercube(12, 0.1) a trial
-sends about 8,770 bits, of which 435 are revealed bits and the rest payload.
+sends about 2,750 bits, of which 136 are revealed bits and the rest payload.
 """
 
 from __future__ import annotations
@@ -46,10 +46,41 @@ TRIAL_BLOCK = 1 << 15
 WILSON_Z = 1.959963984540054
 
 
+def _sample_eps(theta: float) -> float:
+    """The sampler's failure budget in a run at slack theta."""
+    return (theta / 10.0) ** 2
+
+
+def _error_split(k: int, theta: float, m: int) -> tuple[float, float, float]:
+    """(t, beta, phi) of choose_sample_count's error split at m samples.
+
+    t minimizes 2 t + 2^k exp(-2 m t^2): the larger root of 4 m t 2^k
+    exp(-2 m t^2) = 2, which lies above t = 1 / (2 sqrt(m)), where the left
+    side peaks.  Without a root (k = 0, m <= 2) the sum only grows in t, so
+    t = 0.  beta = 2^k exp(-2 m t^2) and phi = 1.5 sample_eps.
+    """
+    phi = 1.5 * _sample_eps(theta)
+    lo = 0.5 / math.sqrt(m)
+
+    def above_two(t: float) -> bool:
+        return math.log(4.0 * m * t) + k * math.log(2.0) - 2.0 * m * t * t >= math.log(2.0)
+
+    if not above_two(lo):
+        return 0.0, 2.0 ** k, phi
+    hi = 2.0 * lo
+    while above_two(hi):
+        hi *= 2.0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if above_two(mid) else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return hi, 2.0 ** k * math.exp(-2.0 * m * hi * hi), phi
+
+
 # cached: every trial of a run asks for the same (k, theta)
 @functools.lru_cache
 def choose_sample_count(k: int, theta: float) -> int:
-    """Smallest m with 2^(k+1) exp(-2 m t^2) <= beta, for t = theta / 4 and beta = theta / 5.
+    """Least m for which some deviation t has 2 t + 2^k exp(-2 m t^2) + phi <= theta.
 
     The error split this m supports, for a trial (x, y) ~ mu:
 
@@ -57,50 +88,59 @@ def choose_sample_count(k: int, theta: float) -> int:
       j's empirical disagreement with f on them (decider_errors) is a mean
       of m i.i.d. bits with mean D_j(x), its disagreement with f(x, .) under
       mu(.|x).
-    - Hoeffding's inequality (Hoeffding, JASA 1963) puts each |empirical -
-      D_j(x)| > t at probability at most 2 exp(-2 m t^2); a union bound over
-      the 2^k deciders puts the chance that any deviates at beta <=
-      2^(k+1) exp(-2 m t^2).
-    - When none deviates, the chosen decider's D is at most the right
-      decider's plus 2 t, and the right one's is at most delta_x + eps_x, the
-      conditional distances of f to g and of g to the protocol.  Given x, the
-      chosen decider then errs against g with probability at most
-      2 delta_x + eps_x + 2 t.
+    - Let j* be the right decider, protocol.assignment[x].  Bob's choice can
+      only go wrong by much if j*'s empirical disagreement lands above
+      D_j*(x) + t or another decider's below D_j(x) - t.  Hoeffding's
+      inequality (Hoeffding, JASA 1963) puts each of these one-sided tails
+      at probability at most exp(-2 m t^2), so a union bound over the 2^k
+      deciders puts the chance of any at beta <= 2^k exp(-2 m t^2).
+    - When none happens, the chosen decider j has D_j(x) - t <= its
+      empirical disagreement <= j*'s <= D_j*(x) + t, so its D is at most the
+      right decider's plus 2 t, and the right one's is at most delta_x +
+      eps_x, the conditional distances of f to g and of g to the protocol.
+      Given x, the chosen decider then errs against g with probability at
+      most 2 delta_x + eps_x + 2 t.
     - Averaged over x, the error against g is at most 2 delta + eps + 2 t +
-      beta + phi, with phi the chance that sampling fails.  _run_rows runs
-      the sampler at budget sample_eps = (theta / 10)^2.  Its first block of
-      s = hash_bits_per_round(sample_eps / 2) bits keeps the mean number of
-      false matches, 2^(2-s), and so their failures below sample_eps / 2.
-      Alice's candidate enters Bob's set at round max(A, H) (one_way_rows),
-      with E[A] <= m I + 1 / ln 2 + 1 (the negative part of her log-ratio
-      has mean at most 1 / ln 2) and E[H - 1] < 0.53, so the uncapped
-      payload averages at most 3 m I + s + 6 bits.  That is at most 4 (m I +
-      log2(1 / sample_eps)), as s <= log2(1 / sample_eps) + 4 and
+      beta + phi, with phi the chance that sampling fails; the union with
+      that failure does not condition on the sampler's success.  _run_rows
+      runs the sampler at budget sample_eps = (theta / 10)^2.  Its first
+      block of s = hash_bits_per_round(sample_eps / 2) bits keeps the mean
+      number of false matches, 2^(2-s), and so their failures below
+      sample_eps / 2.  Alice's candidate enters Bob's set at round max(A, H)
+      (one_way_rows), with E[A] <= m I + 1 / ln 2 + 1 (the negative part of
+      her log-ratio has mean at most 1 / ln 2) and E[H - 1] < 0.53, so the
+      uncapped payload averages at most 3 m I + s + 6 bits.  That is at most
+      4 (m I + log2(1 / sample_eps)), as s <= log2(1 / sample_eps) + 4 and
       log2(1 / sample_eps) >= log2 100, so by Markov's inequality the cap
       truncation_limit(mu, m, sample_eps) cuts a run with probability at
       most sample_eps.  So phi <= 1.5 sample_eps.
-    - 2 t + beta + phi <= theta / 2 + theta / 5 + 0.015 theta^2 <= theta, so
-      the error is at most 2 delta + eps + theta, with at least 0.28 theta
-      left unspent.
+    - m spends the whole budget: at each m the best t is the one
+      _error_split finds, and m is the least integer at which 2 t + beta +
+      phi <= theta there, checked in floats.  So the error is at most 2
+      delta + eps + theta.  At k = 2, theta = 0.3 the split is t = 0.135,
+      beta = 0.027, phi = 0.00135, and m = 136.
 
-    m carries no empirical constant: it is the least integer the union
-    bound allows, ceil(ln(2^(k+1) / beta) / (2 t^2)), checked in floats.
+    m carries no empirical constant.  The sum at the best t falls as m
+    grows, so the search doubles m until it fits and then bisects.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    t, beta = theta / 4.0, theta / 5.0
 
     def ok(m: int) -> bool:
-        return (k + 1) * math.log(2.0) - 2.0 * m * t * t <= math.log(beta)
+        t, beta, phi = _error_split(k, theta, m)
+        return 2.0 * t + beta + phi <= theta
 
-    m = max(1, math.ceil(((k + 1) * math.log(2.0) - math.log(beta)) / (2.0 * t * t)))
-    while m > 1 and ok(m - 1):
-        m -= 1
-    while not ok(m):
-        m += 1
-    return m
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+    lo = hi // 2
+    # ok(hi) holds and ok(lo) fails (lo = 0 counts as failing)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
 
 
 def _prefix_within(masses: np.ndarray, spent: float, budget: float) -> tuple[int, float]:
@@ -277,7 +317,7 @@ def _run_rows(instance: UncertainInstance, xs: np.ndarray, ys: np.ndarray, theta
     """
     m = choose_sample_count(instance.k, theta)
     # the sampler's failure budget, the phi term of choose_sample_count's error split
-    sample_eps = (theta / 10.0) ** 2
+    sample_eps = _sample_eps(theta)
     mu = instance.mu
     limit = truncation_limit(mu, m, sample_eps)
     alice, bob, payload, ok = one_way_rows(mu.conditional_rows(xs), mu.marginal_y().probs, m,

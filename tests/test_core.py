@@ -85,6 +85,31 @@ def test_call_rejects_non_integer_indices():
     assert f(BitString(0b10, 2), BitString(0b10, 2)) == 1
 
 
+def test_entry_read_matches_the_row_read():
+    # every subclass's direct entry read against its row read, with the same index checks
+    rng = np.random.default_rng(31)
+    n = 6
+    size = 1 << n
+    functions = [
+        TableFunction(rng.integers(0, 2, size=(size, size), dtype=np.uint8)),
+        OneWayProtocol(rng.integers(0, 4, size=size), rng.integers(0, 2, size=(4, size))),
+        ParityFunction(0b101101, n),
+        parity_protocol(0b011, n),
+    ]
+    for f in functions:
+        for x, y in rng.integers(0, size, size=(200, 2)).tolist():
+            value = f(x, y)
+            assert type(value) is int
+            assert value == f.rows(x, x + 1)[0, y]
+        assert f(BitString(5, n), np.int64(9)) == f.rows(5, 6)[0, 9]
+        with pytest.raises(IndexError):
+            f(size, 0)
+        with pytest.raises(IndexError):
+            f(0, -1)
+        with pytest.raises(TypeError):
+            f(1.0, 0)
+
+
 def test_table_function_validation():
     with pytest.raises(ValueError):
         TableFunction([[0, 2], [1, 0]])

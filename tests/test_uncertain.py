@@ -25,44 +25,57 @@ from uccsim.uncertain import (
 
 
 def satisfies_budget(k, theta, m):
-    # Hoeffding at deviation theta / 4, union bound over 2^k deciders, failure theta / 5
-    return (2.0 ** (k + 1)) * math.exp(-2.0 * m * (theta / 4.0) ** 2) <= theta / 5.0
+    # 2t + beta + phi within theta at the t that _error_split picks for m
+    t, beta, phi = uncertain._error_split(k, theta, m)
+    return 2.0 * t + beta + phi <= theta
 
 
 def test_choose_sample_count_frozen_values():
-    assert choose_sample_count(0, 0.5) == 96
-    assert choose_sample_count(2, 0.3) == 435
-    assert choose_sample_count(4, 0.2) == 1337
+    assert choose_sample_count(0, 0.5) == 30
+    assert choose_sample_count(2, 0.3) == 136
+    assert choose_sample_count(4, 0.2) == 410
 
 
 def test_choose_sample_count_is_smallest():
-    for k, theta in ((0, 0.5), (4, 0.2), (2, 0.3), (6, 0.15)):
+    for k, theta in ((0, 0.5), (2, 0.3), (4, 0.2), (6, 0.15)):
         m = choose_sample_count(k, theta)
         assert satisfies_budget(k, theta, m)
         assert not satisfies_budget(k, theta, m - 1)
+        # the split's t is the larger root of 4 m t 2^k exp(-2 m t^2) = 2
+        for size in (m - 1, m):
+            t, beta, _ = uncertain._error_split(k, theta, size)
+            assert t > 0.5 / math.sqrt(size)
+            assert beta == pytest.approx(2.0 ** k * math.exp(-2.0 * size * t * t))
+            assert 4.0 * size * t * beta == pytest.approx(2.0)
 
 
 def test_decider_scores_concentrate_within_the_hoeffding_deviation():
     # choose_sample_count's concentration step, checked directly: on a fixed
-    # row x, m i.i.d. samples from mu(.|x) put every decider's empirical
-    # disagreement with f within t = theta / 4 of its exact conditional
-    # disagreement, except in at most beta = theta / 5 of the sample lists.
+    # row x, m i.i.d. samples from mu(.|x) keep the right decider's empirical
+    # disagreement with f at most t above its exact conditional disagreement
+    # and every other decider's at most t below its own, except in at most
+    # beta of the sample lists, with (t, beta) the split at m.
     k, theta, rows = 2, 0.3, 20_000
-    t, beta = theta / 4.0, theta / 5.0
     m = choose_sample_count(k, theta)
+    t, beta, _ = uncertain._error_split(k, theta, m)
     inst = generate_instance(6, k, 0.0, 0.1, np.random.default_rng(150),
                              mu=NoisyHypercube(6, 0.1))
-    x = 11
+    # the row where the right decider disagrees most with f (0.60), so a
+    # score biased upwards shows in its upper tail
+    x = 40
     cond = inst.mu.conditional_rows([x])[0]
     f_row = inst.f.to_table()[x]
     deciders = inst.protocol.deciders
     exact = (deciders != f_row).astype(np.float64) @ cond
     counts = np.random.default_rng(151).multinomial(m, cond, size=rows)
     errors = decider_errors(deciders, counts, counts * f_row)
-    share = (np.abs(errors - exact) > t).any(axis=1).mean()
+    # positive where a decider's tail is the wrong one: j*'s upper, the others' lower
+    right = np.arange(len(deciders)) == inst.protocol.assignment[x]
+    drift = np.where(right, errors - exact, exact - errors)
+    share = (drift > t).any(axis=1).mean()
     assert share <= beta + 4.0 * math.sqrt(beta * (1.0 - beta) / rows)
     # not vacuous: at half that deviation more than beta of the lists miss
-    assert (np.abs(errors - exact) > t / 2.0).any(axis=1).mean() > beta
+    assert (drift > t / 2.0).any(axis=1).mean() > beta
 
 
 def test_choose_sample_count_monotone_in_k():
