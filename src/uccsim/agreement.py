@@ -1,4 +1,4 @@
-"""Agreement distillation audits: perturbed function pairs and entropy accounting.
+"""Agreement distillation audits: Hamming balls, covering codes and entropy accounting.
 
 Bob-only functions on a size-|Y| domain are stored as |Y|-bit integers.
 A strategy maps each function to a representative; if every representative
@@ -14,29 +14,9 @@ from collections import Counter
 
 import numpy as np
 
-from .distributions import binary_entropy, flip_mask, popcount_table, uniform_bits
-
-__all__ = [
-    "sample_perturbed_pair", "normalized_distance", "hamming_ball_size",
-    "binary_entropy", "min_entropy", "agreement_entropy_audit", "chernoff_bound",
-    "identity_strategy", "constant_strategy", "NearestCodewordStrategy",
-    "greedy_covering_code",
-]
+from .distributions import binary_entropy, popcount_table
 
 AUDIT_MAX_BITS = 20
-
-
-def sample_perturbed_pair(size_y: int, rho: float, rng: np.random.Generator) -> tuple[int, int]:
-    """A uniform function and a rho-perturbed copy, as size_y-bit integers."""
-    if not 0.0 <= rho <= 0.5:
-        raise ValueError("rho must lie in [0, 1/2]")
-    f = uniform_bits(size_y, rng)
-    return f, f ^ flip_mask(size_y, rho, rng)
-
-
-def normalized_distance(f: int, g: int, size_y: int) -> float:
-    """Fraction of the size_y outputs on which f and g differ."""
-    return (f ^ g).bit_count() / size_y
 
 
 def hamming_ball_size(size_y: int, radius: int) -> int:
@@ -44,15 +24,6 @@ def hamming_ball_size(size_y: int, radius: int) -> int:
     if radius < 0 or radius > size_y:
         raise ValueError("radius must lie in 0..size_y")
     return sum(math.comb(size_y, i) for i in range(radius + 1))
-
-
-def min_entropy(dist) -> float:
-    """-log2 of the largest mass; accepts a probability array or Distribution."""
-    probs = np.asarray(getattr(dist, "probs", dist), dtype=np.float64)
-    probs = probs[probs > 0]
-    if probs.size == 0:
-        raise ValueError("empty support")
-    return float(-np.log2(probs.max()))
 
 
 def identity_strategy(f: int) -> int:

@@ -1,22 +1,28 @@
 """One-way protocols that only know the target function approximately.
 
-Alice computes a function f close (under the input distribution) to a
-function g that some cheap one-way protocol decides.  Neither party knows
-the other's function, so instead of running that protocol they correlate
-samples of Bob's input, Alice reveals f on her copies, and Bob picks the
-decider that disagrees least with what she revealed.
+An instance is a random k-bit one-way protocol and two budgeted
+perturbations of its function: g differs from it on mass at most eps under
+the input distribution mu, and f from g on mass at most delta.  Each set of
+flipped points is a prefix of a uniformly random order of the points, drawn
+by one routine (_flip_random_points).  Alice computes f and Bob knows g
+through the protocol.  Neither party knows the other's function, so
+instead of running the protocol they correlate samples of Bob's input,
+Alice reveals f on her copies, and Bob picks the decider that disagrees
+least with what she revealed.
 
-A run sends the sampling payload plus the m revealed bits, where
-m = choose_sample_count(k, theta) is the least m for which some deviation
-t has 2 t + 2^k exp(-2 m t^2) + 1.5 (theta / 10)^2 <= theta: Hoeffding's
-inequality, one-sided, with a union bound over the 2^k deciders, and the
-sampler's failure.  So m = 136 at k = 2, theta = 0.3.  The payload grows
-with the input's mutual information I: Alice's sample enters Bob's set
-after about m I rounds, and she sends s hash bits in the first round and 3
-in each later one, so it is about 3 m I + s bits, with I = n (1 - h(p)) on
-NoisyHypercube(n, p).  That is the O(k (1 + I)) of the theory for a fixed
-theta.  At n = 12, k = 2, theta = 0.3 on NoisyHypercube(12, 0.1) a trial
-sends about 2,750 bits, of which 136 are revealed bits and the rest payload.
+A run sends the sampling payload plus the m revealed bits.  m =
+choose_sample_count(k, theta) is Hoeffding's inequality inverted: the least
+m for which some deviation t has 2 t + 2^k exp(-2 m t^2) + 1.5 (theta /
+10)^2 <= theta, a one-sided tail per decider, a union bound over the 2^k
+deciders, and the sampler's failure.  The least m at deviation t has one
+minimum over t, found by one bisection, so m = 136 at k = 2, theta = 0.3.
+The payload grows with the input's mutual information I: Alice's sample
+enters Bob's set after about m I rounds, and she sends s hash bits in the
+first round and 3 in each later one, so it is about 3 m I + s bits, with
+I = n (1 - h(p)) on NoisyHypercube(n, p).  That is the O(k (1 + I)) of the
+theory for a fixed theta.  At n = 12, k = 2, theta = 0.3 on
+NoisyHypercube(12, 0.1) a trial sends about 2,750 bits, of which 136 are
+revealed bits and the rest payload.
 """
 
 from __future__ import annotations
@@ -36,9 +42,7 @@ from .sampling import (_TAG_OUTPUT, SharedRandomness, hash_bits_per_round, one_w
                        truncation_limit)
 
 _DIST_TOL = 1e-12
-# the eps-corruption path sorts every point mass
-CORRUPT_MAX_BITS = 10
-# at most 2^FLIP_CHUNK_BITS candidate points are drawn per round of the delta-flip set
+# at most 2^FLIP_CHUNK_BITS candidate points are drawn per round of a flip set
 FLIP_CHUNK_BITS = 20
 # trials per block times size_y: a block's count arrays hold about this many cells
 TRIAL_BLOCK = 1 << 15
@@ -51,30 +55,30 @@ def _sample_eps(theta: float) -> float:
     return (theta / 10.0) ** 2
 
 
-def _error_split(k: int, theta: float, m: int) -> tuple[float, float, float]:
-    """(t, beta, phi) of choose_sample_count's error split at m samples.
+def _error_split(k: int, theta: float) -> tuple[float, float]:
+    """(t, c) of choose_sample_count's error split: the deviation and the budget of 2 t + beta.
 
-    t minimizes 2 t + 2^k exp(-2 m t^2): the larger root of 4 m t 2^k
-    exp(-2 m t^2) = 2, which lies above t = 1 / (2 sqrt(m)), where the left
-    side peaks.  Without a root (k = 0, m <= 2) the sum only grows in t, so
-    t = 0.  beta = 2^k exp(-2 m t^2) and phi = 1.5 sample_eps.
+    c = theta - phi is what the sampler's failure phi = 1.5 sample_eps
+    leaves.  At deviation t the least m with 2 t + 2^k exp(-2 m t^2) <= c is
+    M(t) = ln(2^k / u) / (2 t^2), u = c - 2 t, for 0 < t < c / 2.  M' = 0
+    where c / (2 u) + ln u = k ln 2 + 1/2 >= 1/2.  The left side falls from
+    infinity to 1 + ln(c / 2) < 1/2 as u runs over (0, c / 2] and stays
+    below 1/2 on [c / 2, c), so one bisection over t in (0, c / 2) finds the
+    only stationary point t, which is M's minimum.
     """
-    phi = 1.5 * _sample_eps(theta)
-    lo = 0.5 / math.sqrt(m)
+    c = theta - 1.5 * _sample_eps(theta)
+    target = k * math.log(2.0) + 0.5
 
-    def above_two(t: float) -> bool:
-        return math.log(4.0 * m * t) + k * math.log(2.0) - 2.0 * m * t * t >= math.log(2.0)
+    def past_root(t: float) -> bool:
+        u = c - 2.0 * t
+        return c / (2.0 * u) + math.log(u) > target
 
-    if not above_two(lo):
-        return 0.0, 2.0 ** k, phi
-    hi = 2.0 * lo
-    while above_two(hi):
-        hi *= 2.0
+    lo, hi = 0.0, 0.5 * c
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        lo, hi = (mid, hi) if above_two(mid) else (lo, mid)
+        lo, hi = (lo, mid) if past_root(mid) else (mid, hi)
         mid = 0.5 * (lo + hi)
-    return hi, 2.0 ** k * math.exp(-2.0 * m * hi * hi), phi
+    return lo, c
 
 
 # cached: every trial of a run asks for the same (k, theta)
@@ -114,33 +118,20 @@ def choose_sample_count(k: int, theta: float) -> int:
       log2(1 / sample_eps) >= log2 100, so by Markov's inequality the cap
       truncation_limit(mu, m, sample_eps) cuts a run with probability at
       most sample_eps.  So phi <= 1.5 sample_eps.
-    - m spends the whole budget: at each m the best t is the one
-      _error_split finds, and m is the least integer at which 2 t + beta +
-      phi <= theta there, checked in floats.  So the error is at most 2
-      delta + eps + theta.  At k = 2, theta = 0.3 the split is t = 0.135,
-      beta = 0.027, phi = 0.00135, and m = 136.
+    - m spends the whole budget: 2 t + beta <= c = theta - phi holds at
+      deviation t once m >= M(t) = ln(2^k / (c - 2 t)) / (2 t^2), so m =
+      ceil(min_t M(t)), at the t that _error_split finds.  So the error is
+      at most 2 delta + eps + theta.  At k = 2, theta = 0.3 the split is t =
+      0.1357, beta = 0.0267, phi = 0.00135, and m = 136.
 
-    m carries no empirical constant.  The sum at the best t falls as m
-    grows, so the search doubles m until it fits and then bisects.
+    m carries no empirical constant.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-
-    def ok(m: int) -> bool:
-        t, beta, phi = _error_split(k, theta, m)
-        return 2.0 * t + beta + phi <= theta
-
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-    lo = hi // 2
-    # ok(hi) holds and ok(lo) fails (lo = 0 counts as failing)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
-    return hi
+    t, c = _error_split(k, theta)
+    return math.ceil(math.log(2.0 ** k / (c - 2.0 * t)) / (2.0 * t * t))
 
 
 def _prefix_within(masses: np.ndarray, spent: float, budget: float) -> tuple[int, float]:
@@ -168,29 +159,29 @@ def _first_occurrences(draws: np.ndarray) -> np.ndarray:
     return draws[np.sort(keys[first] & ((1 << shift) - 1))]
 
 
-def _flip_random_points(flat_f: np.ndarray, flat_g: np.ndarray, mu: JointDistribution,
-                        delta: float, rng: np.random.Generator) -> None:
-    """Flip flat_f along a uniformly random order of all points until one would overflow delta.
+def _flip_random_points(table: np.ndarray, original: np.ndarray, mu: JointDistribution,
+                        budget: float, rng: np.random.Generator) -> None:
+    """Flip table along a uniformly random order of all points until one would overflow budget.
 
     The order is never built.  The first occurrences of i.i.d. uniform draws,
-    skipping points already flipped (where flat_f != flat_g), come in a
+    skipping points already flipped (where table != original), come in a
     uniformly random order, so the flipped set has the law of a prefix of a
     random permutation.
     """
-    total = flat_f.size
-    # A uniform point has mean mass 1/total, so about delta * total points get
+    total = table.size
+    # A uniform point has mean mass 1/total, so about budget * total points get
     # flipped; the first chunk usually covers them.
-    chunk = min(1 << FLIP_CHUNK_BITS, total, 1024 + int(1.25 * delta * total))
+    chunk = min(1 << FLIP_CHUNK_BITS, total, 1024 + int(1.25 * budget * total))
     spent = 0.0
     flipped = 0
     while flipped < total:
         points = _first_occurrences(rng.integers(0, total, size=chunk))
         if flipped:
-            points = points[flat_f[points] == flat_g[points]]
+            points = points[table[points] == original[points]]
         take, spent = _prefix_within(mu.mass_array(*np.divmod(points, mu.size_y)),
-                                     spent, delta)
+                                     spent, budget)
         # sorted, the scattered writes walk the table in order
-        flat_f[np.sort(points[:take])] ^= 1
+        table[np.sort(points[:take])] ^= 1
         if take < len(points):
             return
         flipped += take
@@ -224,10 +215,11 @@ def generate_instance(n: int, k: int, eps: float, delta: float, rng: np.random.G
     """Draw a random instance on {0,1}^n x {0,1}^n and certify its promises.
 
     The protocol is a uniformly random assignment into 2^k parts with uniform
-    random deciders; g is its function with an eps-mass corruption applied to
-    the lightest points first, and f flips a random subset of mass at most
-    delta chosen under mu.  The tables are dense, so n is at most 14 and
-    2^k * 2^n at most 4^14; larger requests raise before allocating.
+    random deciders.  g flips the protocol's function on a random set of mass
+    at most eps under mu, and f flips g on one of mass at most delta, each set
+    a prefix of a uniformly random order of the points.  The tables are
+    dense, so n is at most 14 and 2^k * 2^n at most 4^14; larger requests
+    raise before allocating.
     """
     if not 0.0 <= delta < 1.0 or not 0.0 <= eps < 1.0:
         raise ValueError("eps and delta must lie in [0, 1)")
@@ -247,15 +239,12 @@ def generate_instance(n: int, k: int, eps: float, delta: float, rng: np.random.G
     assignment = rng.integers(0, parts, size=size)
     deciders = rng.integers(0, 2, size=(parts, size), dtype=np.uint8)
     protocol = OneWayProtocol(assignment, deciders)
-    g_table = deciders[assignment]
+    f_table = deciders[assignment]
+    g_table = f_table.copy()
     if eps > 0.0:
-        if n > CORRUPT_MAX_BITS:
-            raise ValueError(f"eps-corruption path capped at n <= {CORRUPT_MAX_BITS}")
-        masses = mu.mass_array(np.arange(size)[:, None], np.arange(size)).reshape(-1)
-        order = np.argsort(masses, kind="stable")
-        take, _ = _prefix_within(masses[order], 0.0, eps)
-        g_table.reshape(-1)[order[:take]] ^= 1
-    f_table = g_table.copy()
+        # f_table still holds the protocol's table
+        _flip_random_points(g_table.reshape(-1), f_table.reshape(-1), mu, eps, rng)
+        np.copyto(f_table, g_table)
     _flip_random_points(f_table.reshape(-1), g_table.reshape(-1), mu, delta, rng)
     instance = UncertainInstance(mu=mu, protocol=protocol, g=TableFunction(g_table),
                                  f=TableFunction(f_table), k=k, eps=eps, delta=delta)

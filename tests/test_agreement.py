@@ -1,4 +1,4 @@
-"""Tests for perturbed-pair sampling, ball counting, and entropy audits."""
+"""Tests for ball counting, covering codes, entropy audits and Chernoff bounds."""
 
 import math
 
@@ -13,37 +13,8 @@ from uccsim.agreement import (
     greedy_covering_code,
     hamming_ball_size,
     identity_strategy,
-    min_entropy,
-    normalized_distance,
-    sample_perturbed_pair,
 )
-from uccsim.distributions import Distribution, binary_entropy, popcount_table
-
-
-def test_sample_perturbed_pair_zero_rho():
-    rng = np.random.default_rng(91)
-    for _ in range(20):
-        f, g = sample_perturbed_pair(30, 0.0, rng)
-        assert f == g
-
-
-def test_sample_perturbed_pair_flip_rate():
-    rng = np.random.default_rng(92)
-    size = 10_000
-    f, g = sample_perturbed_pair(size, 0.25, rng)
-    assert abs(normalized_distance(f, g, size) - 0.25) <= 0.02
-
-
-def test_sample_perturbed_pair_closeness_tail():
-    # Doubling the expected distance is a relative deviation of 1, bounded
-    # by exp(-rho * size / 3).
-    rng = np.random.default_rng(93)
-    size, rho, samples = 120, 0.1, 10_000
-    bound = math.exp(-rho * size / 3)
-    exceed = sum(
-        normalized_distance(*sample_perturbed_pair(size, rho, rng), size) > 2 * rho
-        for _ in range(samples))
-    assert exceed / samples <= bound
+from uccsim.distributions import binary_entropy, popcount_table
 
 
 def test_hamming_ball_size_values():
@@ -58,12 +29,6 @@ def test_hamming_ball_entropy_bound_grid():
         for delta2 in np.arange(0.05, 0.46, 0.05):
             count = hamming_ball_size(size, math.floor(delta2 * size))
             assert count <= 2 ** (binary_entropy(delta2) * size) + 1e-9
-
-
-def test_min_entropy_values():
-    assert min_entropy(Distribution.uniform(16)) == pytest.approx(4.0, abs=1e-12)
-    assert min_entropy(Distribution.point_mass(8, 2)) == 0.0
-    assert min_entropy([0.5, 0.25, 0.25]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_audit_identity_strategy():

@@ -5,6 +5,8 @@ few module constants, and its workloads import public names.  Renaming or
 deleting any of them breaks the benchmark without failing another test.
 """
 
+import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -14,7 +16,8 @@ from uccsim import cli, core, distributions, sampling, uncertain
 from uccsim.distributions import Distribution, NoisyHypercube, ProductJoint, TableJoint
 from uccsim.sampling import SharedRandomness
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCHMARKS))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402, F401  (importing it checks the names it imports)
@@ -68,3 +71,32 @@ def test_tracer_adopts_and_restores_every_joint():
         assert not vars(mu).keys() & _MU_METHODS
         assert {span[0] for span in tracer.spans} == {"distributions.conditional",
                                                      "distributions.mass_array"}
+
+
+def _uccsim_reads(source: str) -> set[tuple[str, str]]:
+    """(module, name) of every `from uccsim.module import name` and `module.name` read."""
+    tree = ast.parse(source)
+    modules = {}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "uccsim":
+            modules.update({alias.asname or alias.name: f"uccsim.{alias.name}"
+                            for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("uccsim."):
+            reads.update((node.module, alias.name) for alias in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def test_every_uccsim_name_the_benchmark_reads_resolves():
+    # workloads and their review steps read some names only when they run,
+    # e.g. uncertain.choose_sample_count, so importing them does not check these
+    reads = set().union(*(_uccsim_reads(path.read_text())
+                          for path in sorted(BENCHMARKS.glob("*.py"))))
+    assert ("uccsim.uncertain", "choose_sample_count") in reads
+    missing = sorted(f"{module}.{name}" for module, name in reads
+                     if not hasattr(importlib.import_module(module), name))
+    assert not missing, missing

@@ -24,10 +24,15 @@ from uccsim.uncertain import (
 )
 
 
-def satisfies_budget(k, theta, m):
-    # 2t + beta + phi within theta at the t that _error_split picks for m
-    t, beta, phi = uncertain._error_split(k, theta, m)
-    return 2.0 * t + beta + phi <= theta
+def satisfies_budget(k, theta, m, t):
+    # 2t + beta + phi within theta at deviation t
+    beta = 2.0 ** k * math.exp(-2.0 * m * t * t)
+    return 2.0 * t + beta + 1.5 * (theta / 10.0) ** 2 <= theta
+
+
+def least_samples(k, c, t):
+    # M(t): the least m with 2t + 2^k exp(-2 m t^2) <= c
+    return math.log(2.0 ** k / (c - 2.0 * t)) / (2.0 * t * t)
 
 
 def test_choose_sample_count_frozen_values():
@@ -39,14 +44,16 @@ def test_choose_sample_count_frozen_values():
 def test_choose_sample_count_is_smallest():
     for k, theta in ((0, 0.5), (2, 0.3), (4, 0.2), (6, 0.15)):
         m = choose_sample_count(k, theta)
-        assert satisfies_budget(k, theta, m)
-        assert not satisfies_budget(k, theta, m - 1)
-        # the split's t is the larger root of 4 m t 2^k exp(-2 m t^2) = 2
-        for size in (m - 1, m):
-            t, beta, _ = uncertain._error_split(k, theta, size)
-            assert t > 0.5 / math.sqrt(size)
-            assert beta == pytest.approx(2.0 ** k * math.exp(-2.0 * size * t * t))
-            assert 4.0 * size * t * beta == pytest.approx(2.0)
+        t, c = uncertain._error_split(k, theta)
+        assert c == theta - 1.5 * (theta / 10.0) ** 2
+        # t solves the stationarity equation c/(2u) + ln u = k ln 2 + 1/2, u = c - 2t
+        u = c - 2.0 * t
+        assert c / (2.0 * u) + math.log(u) == pytest.approx(k * math.log(2.0) + 0.5, rel=1e-9)
+        # and is the minimum of M over a grid of (0, c/2)
+        grid = np.linspace(0.0, 0.5 * c, 2001)[1:-1]
+        assert least_samples(k, c, t) <= min(least_samples(k, c, g) for g in grid)
+        assert satisfies_budget(k, theta, m, t)
+        assert not satisfies_budget(k, theta, m - 1, t)
 
 
 def test_decider_scores_concentrate_within_the_hoeffding_deviation():
@@ -57,7 +64,8 @@ def test_decider_scores_concentrate_within_the_hoeffding_deviation():
     # beta of the sample lists, with (t, beta) the split at m.
     k, theta, rows = 2, 0.3, 20_000
     m = choose_sample_count(k, theta)
-    t, beta, _ = uncertain._error_split(k, theta, m)
+    t, _ = uncertain._error_split(k, theta)
+    beta = 2.0 ** k * math.exp(-2.0 * m * t * t)
     inst = generate_instance(6, k, 0.0, 0.1, np.random.default_rng(150),
                              mu=NoisyHypercube(6, 0.1))
     # the row where the right decider disagrees most with f (0.60), so a
@@ -132,31 +140,6 @@ def test_generate_instance_rejects_bad_budgets():
         generate_instance(4, 2, 1.0, 0.1, rng)
 
 
-def reference_corruption(table, mu, eps):
-    """The eps-corruption as a plain loop: flip the lightest points while they fit."""
-    table = table.copy()
-    size = table.shape[1]
-    masses = np.concatenate([mu.mass_array(x, np.arange(size)) for x in range(size)])
-    flat = table.reshape(-1)
-    spent = 0.0
-    for point in np.argsort(masses, kind="stable"):
-        if spent + masses[point] > eps + 1e-12:
-            break
-        flat[point] ^= 1
-        spent += masses[point]
-    return table
-
-
-def test_eps_corruption_matches_reference_loop():
-    for n, mu in ((5, None), (6, NoisyHypercube(6, 0.1)), (6, NoisyHypercube(6, 0.3))):
-        for eps in (0.01, 0.05, 0.2, 0.5):
-            for seed in range(3):
-                inst = generate_instance(n, 2, eps, 0.05, np.random.default_rng(seed), mu=mu)
-                clean = inst.protocol.deciders[inst.protocol.assignment]
-                assert np.array_equal(inst.g.to_table(),
-                                      reference_corruption(clean, inst.mu, eps))
-
-
 def flip_set_law(masses, delta):
     """Exact law of the points flipped along a uniformly random order, stopping at overflow."""
     law = Counter()
@@ -173,31 +156,34 @@ def flip_set_law(masses, delta):
 
 
 def test_flip_set_has_the_law_of_a_random_order_prefix():
+    # the delta pass (f against g) and the eps pass (g against the protocol)
     masses = [0.1, 0.2, 0.3, 0.4]
-    delta = 0.35
     mu = TableJoint(np.reshape(masses, (2, 2)))
-    law = flip_set_law(masses, delta)
     runs = 3000
-    seen = Counter()
-    for seed in range(runs):
-        inst = generate_instance(1, 0, 0.0, delta, np.random.default_rng(seed), mu=mu)
-        flipped = inst.f.to_table() != inst.g.to_table()
-        seen[frozenset(np.flatnonzero(flipped).tolist())] += 1
-    assert set(seen) <= set(law)
-    for points, p in law.items():
-        sigma = math.sqrt(runs * p * (1.0 - p))
-        assert abs(seen[points] - runs * p) <= 4.0 * sigma, (sorted(points), seen[points], p)
+    for eps, delta in ((0.0, 0.35), (0.35, 0.0)):
+        law = flip_set_law(masses, max(eps, delta))
+        seen = Counter()
+        for seed in range(runs):
+            inst = generate_instance(1, 0, eps, delta, np.random.default_rng(seed), mu=mu)
+            before, after = (inst.g, inst.f) if delta else (inst.protocol, inst.g)
+            flipped = before.to_table() != after.to_table()
+            seen[frozenset(np.flatnonzero(flipped).tolist())] += 1
+        assert set(seen) <= set(law)
+        for points, p in law.items():
+            sigma = math.sqrt(runs * p * (1.0 - p))
+            assert abs(seen[points] - runs * p) <= 4.0 * sigma, (sorted(points), seen[points], p)
 
 
 def test_generate_instance_memory_below_old_permutation():
     n = 12
-    tracemalloc.start()
-    try:
-        generate_instance(n, 2, 0.0, 0.05, np.random.default_rng(135))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (4 ** n) * 8
+    for eps in (0.0, 0.01):
+        tracemalloc.start()
+        try:
+            generate_instance(n, 2, eps, 0.05, np.random.default_rng(135))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (4 ** n) * 8
 
 
 def test_generate_instance_rejects_oversized_domain():
