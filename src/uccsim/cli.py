@@ -19,7 +19,8 @@ import numpy as np
 from . import agreement as agr
 from . import parity
 from .core import TableFunction
-from .discrepancy import cc_lower_bound, discrepancy_exact, discrepancy_spectral_bound
+from .discrepancy import (EXACT_MAX_N, cc_lower_bound, discrepancy_exact,
+                          discrepancy_spectral_bound)
 from .distributions import (Distribution, NoisyHypercube, ProductJoint, derive_rng,
                             kl_divergence)
 from .oracle import exact_one_way_cc
@@ -129,7 +130,7 @@ def _cmd_lowerbound_sweep(args) -> int:
     for p in (float(v) for v in args.p_grid.split(",")):
         for n in (int(v) for v in args.n_grid.split(",")):
             bound = discrepancy_spectral_bound(n, p)
-            exact = discrepancy_exact(1, p) if n == 1 else ""
+            exact = discrepancy_exact(n, p) if n <= EXACT_MAX_N else ""
             lb = cc_lower_bound(bound, args.eps)
             gamma = -math.log2(bound) / (p * n)
             lines.append(",".join(_fmt(v) if v != "" else "" for v in
@@ -218,7 +219,8 @@ def _cmd_family_audit(args) -> int:
                 if proto.evaluate(x.value, y.value) != decided or proto.cost_bits() != 1:
                     raise ValueError(f"dense protocol for mask {mask} errs at ({x},{y})")
     rate = over / args.samples
-    bound = math.exp(-args.q * args.n / 6.0)
+    # the mask gap is Binomial(n, q/2); the budget q n is twice its mean
+    bound = agr.chernoff_bound(args.n, args.q * args.n / 2.0, "upper", 1.0)
     lines = [_header("family-audit", seed, args),
              json.dumps({"samples": args.samples, "mask_gap_over_budget_rate": rate,
                          "chernoff_bound": bound, "distance_bound": args.p * budget,

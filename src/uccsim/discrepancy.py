@@ -16,6 +16,8 @@ from .distributions import popcount_table
 
 # tensor_power refuses to build anything wider than this.
 MAX_TENSOR_DIM = 4096
+# discrepancy_exact enumerates the 2^(4^n) row subsets up to this n
+EXACT_MAX_N = 2
 
 
 def coordinate_block(a: float) -> np.ndarray:
@@ -122,31 +124,34 @@ def signed_mass_matrix(n: int, p: float) -> np.ndarray:
 
 
 def discrepancy_exact(n: int, p: float) -> float:
-    """Exact discrepancy of the n=1 signed mass matrix by rectangle enumeration.
+    """Exact discrepancy of the signed mass matrix by rectangle enumeration, n <= EXACT_MAX_N.
 
     For each row subset the best column subset takes all positive (or all
-    negative) column sums, so only the 2^4 row subsets need enumerating.
+    negative) column sums, so only the 2^(4^n) row subsets need enumerating:
+    one product of their indicator rows with the matrix gives every
+    subset's column sums.
     """
-    if n != 1:
-        raise ValueError("exact enumeration only implemented for n = 1")
-    m = signed_mass_matrix(1, p)
-    best = 0.0
-    for rows in range(16):
-        picked = [r for r in range(4) if rows >> r & 1]
-        if not picked:
-            continue
-        v = m[picked].sum(axis=0)
-        best = max(best, v[v > 0].sum(), -v[v < 0].sum())
-    return float(best)
+    if not 1 <= n <= EXACT_MAX_N:
+        raise ValueError(f"exact enumeration only implemented for 1 <= n <= {EXACT_MAX_N}")
+    m = signed_mass_matrix(n, p)
+    sums = ((np.arange(1 << len(m))[:, None] >> np.arange(len(m))) & 1) @ m
+    return float(max(np.maximum(sums, 0.0).sum(axis=1).max(),
+                     -np.minimum(sums, 0.0).sum(axis=1).min()))
 
 
 def discrepancy_spectral_bound(n: int, p: float) -> float:
-    """Spectral upper bound (1-p)^(2n) * ||block||^n on the game's discrepancy."""
+    """Spectral upper bound ((1-p)^2 * ||block||)^n on the game's discrepancy.
+
+    The factor is below 1, so the power cannot overflow; a bound that underflows to 0 raises.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 < p < 0.5:
         raise ValueError("p must lie in (0, 1/2)")
-    return (1.0 - p) ** (2 * n) * spectral_norm(coordinate_block(p / (1.0 - p))) ** n
+    bound = ((1.0 - p) ** 2 * spectral_norm(coordinate_block(p / (1.0 - p)))) ** n
+    if bound == 0.0:
+        raise ValueError(f"the spectral bound underflows to 0 at n = {n}, p = {p}")
+    return bound
 
 
 def cc_lower_bound(disc: float, eps: float) -> float:

@@ -325,6 +325,22 @@ def truncation_limit(mu: JointDistribution, m: int, eps: float) -> int:
     return math.ceil(TRUNCATION_C1 * (m * info / eps + math.log2(1.0 / eps) / eps))
 
 
+def one_way_block(mu: JointDistribution, xs, m: int, eps: float, rng: np.random.Generator):
+    """one_way_rows once per x in xs at failure budget eps, every draw from rng.
+
+    Alice's rows are mu's conditionals at xs, Bob's is its y-marginal, s =
+    hash_bits_per_round(eps / 2) and the cap truncation_limit(mu, m, eps).
+    At m = 0 every row agrees on empty counts for free.
+    """
+    limit = truncation_limit(mu, m, eps)
+    # read before the m = 0 return, so an x off the domain raises for every m
+    p = mu.conditional_rows(xs)
+    if m == 0:
+        empty = np.zeros(p.shape, dtype=np.int64)
+        return empty, empty.copy(), np.zeros(len(p), np.int64), np.ones(len(p), bool)
+    return one_way_rows(p, mu.marginal_y().probs, m, hash_bits_per_round(eps / 2.0), limit, rng)
+
+
 def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
                               shared: SharedRandomness):
     """Sample m points from mu's conditional given x with one message from Alice.
@@ -336,21 +352,13 @@ def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
     many of each party's m samples fall on each y, as length-size_y vectors.
     stats.success reports whether the two sample lists agree, and a failed
     run keeps Bob's counts, a lone false match's or his fallback's, rather
-    than hiding the mismatch.  This is the one-row case of one_way_rows.
+    than hiding the mismatch.  This is the one-row case of one_way_block.
 
     Counts lose nothing a caller needs: each list is m i.i.d. draws, so given
     its counts its order is a uniformly random arrangement.  On success the
     lists are equal; a failed run's lists share no order, so a caller pairs
     them as independent lists.
     """
-    limit = truncation_limit(mu, m, eps)
-    # read before the m = 0 return, so an x off the domain raises for every m
-    p = mu.conditional_rows([x])
-    if m == 0:
-        empty = np.zeros(mu.size_y, dtype=np.int64)
-        return empty, empty.copy(), TranscriptStats(0, 0, 1, True)
-    alice, bob, payload, success = one_way_rows(p, mu.marginal_y().probs, m,
-                                                hash_bits_per_round(eps / 2.0), limit,
-                                                shared.stream(_TAG_OUTPUT))
+    alice, bob, payload, success = one_way_block(mu, [x], m, eps, shared.stream(_TAG_OUTPUT))
     return alice[0], bob[0], TranscriptStats(bits_alice=int(payload[0]), bits_bob=0,
                                              rounds=1, success=bool(success[0]))

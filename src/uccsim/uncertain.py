@@ -38,8 +38,7 @@ import numpy as np
 
 from .core import MAX_SIDE, BoolFunction, OneWayProtocol, TableFunction, distance, protocol_error
 from .distributions import JointDistribution, ProductJoint, derive_rng
-from .sampling import (_TAG_OUTPUT, SharedRandomness, hash_bits_per_round, one_way_rows,
-                       truncation_limit)
+from .sampling import _TAG_OUTPUT, SharedRandomness, one_way_block
 
 _DIST_TOL = 1e-12
 # at most 2^FLIP_CHUNK_BITS candidate points are drawn per round of a flip set
@@ -277,22 +276,6 @@ def decider_errors(deciders: np.ndarray, bob: np.ndarray, ones: np.ndarray) -> n
     return disagree / bob.sum(axis=-1, keepdims=True)
 
 
-def _random_pairing(bob: np.ndarray, revealed: np.ndarray, m: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Per row, how many of Bob's m samples at each y are paired with one of revealed[i] ones.
-
-    Each row of bob is one list of m samples in uniformly random order, so
-    pairing it index by index with Alice's independent list puts her
-    revealed ones on a uniformly random subset of his samples: the first
-    revealed[i] of a row-wise shuffle.
-    """
-    rows, size_y = bob.shape
-    lists = np.repeat(np.tile(np.arange(size_y), rows), bob.reshape(-1)).reshape(rows, m)
-    lists = rng.permuted(lists, axis=1) + size_y * np.arange(rows)[:, None]
-    paired = lists[np.arange(m) < revealed[:, None]]
-    return np.bincount(paired, minlength=rows * size_y).reshape(rows, size_y)
-
-
 def _run_rows(instance: UncertainInstance, xs: np.ndarray, ys: np.ndarray, theta: float,
               rng: np.random.Generator):
     """One full run per (x, y) row, every draw from rng: (output, bits, errors, chosen, ok).
@@ -301,19 +284,16 @@ def _run_rows(instance: UncertainInstance, xs: np.ndarray, ys: np.ndarray, theta
     every decider against Alice's revealed bits on his own sample list and
     answers with the lowest-indexed minimizer.  On success the lists are
     equal, so Alice's counts at y carry f(x, y).  On failure the lists are
-    independent, so Bob's ones are a random pairing (_random_pairing).
+    independent, so Alice's r revealed ones land on a uniformly random
+    r-subset of Bob's samples: one multivariate hypergeometric draw.
     Total communication is the sampling payload plus the m revealed bits.
     """
     m = choose_sample_count(instance.k, theta)
     # the sampler's failure budget, the phi term of choose_sample_count's error split
-    sample_eps = _sample_eps(theta)
-    mu = instance.mu
-    limit = truncation_limit(mu, m, sample_eps)
-    alice, bob, payload, ok = one_way_rows(mu.conditional_rows(xs), mu.marginal_y().probs, m,
-                                           hash_bits_per_round(sample_eps / 2.0), limit, rng)
+    alice, bob, payload, ok = one_way_block(instance.mu, xs, m, _sample_eps(theta), rng)
     ones = alice * instance.f.to_table()[xs]
-    failed = np.flatnonzero(~ok)
-    ones[failed] = _random_pairing(bob[failed], ones[failed].sum(axis=1), m, rng)
+    for i in np.flatnonzero(~ok):
+        ones[i] = rng.multivariate_hypergeometric(bob[i], ones[i].sum())
     deciders = instance.protocol.deciders
     errors = decider_errors(deciders, bob, ones)
     chosen = errors.argmin(axis=1)

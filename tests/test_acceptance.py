@@ -20,6 +20,7 @@ from uccsim.discrepancy import (
     block_eigenvalues,
     block_eigenvectors,
     block_norm_bound,
+    cc_lower_bound,
     coordinate_block,
     discrepancy_exact,
     discrepancy_spectral_bound,
@@ -285,16 +286,17 @@ def test_criterion_06_tensor_identity(capsys):
 
 def test_criterion_07_discrepancy_chain(capsys):
     chain_ok = True
-    for p in np.arange(0.05, 0.46, 0.05):
-        p = float(p)
-        chain_ok &= discrepancy_exact(1, p) <= discrepancy_spectral_bound(1, p) + 1e-12
+    for n in (1, 2):
+        for p in np.arange(0.05, 0.46, 0.05):
+            p = float(p)
+            chain_ok &= discrepancy_exact(n, p) <= discrepancy_spectral_bound(n, p) + 1e-12
     rates = [-math.log2(discrepancy_spectral_bound(100, float(p))) / (float(p) * 100)
              for p in np.arange(0.01, 0.105, 0.01)]
     center = sum(rates) / len(rates)
     stable = all(abs(r - center) <= 0.1 * center for r in rates)
     ok = chain_ok and all(r > 0 for r in rates) and stable
     report(capsys, 7, "discrepancy bound chain and contraction rate", ok,
-           f"exact <= spectral on 9 p-points; per-coordinate rate "
+           f"exact <= spectral on 9 p-points at n = 1 and 2; per-coordinate rate "
            f"{min(rates):.4f}..{max(rates):.4f} around {center:.4f} (stable within 10%)")
 
 
@@ -361,12 +363,27 @@ def test_criterion_10_chernoff_dominance(capsys):
            f"{worst_ratio:.3f} (must stay <= 1)")
 
 
-def test_criterion_11_lower_bound_scope_note(capsys):
-    # The sqrt(n) lower bound quantifies over all protocols and has no
-    # desk-scale witness; its measurable components are criteria 6 through 8.
-    report(capsys, 11, "lower bound covered via its components", True,
-           "tensor identity (06), discrepancy chain (07), and exact family "
-           "costs (08) stand in for the non-reproducible statement")
+def test_criterion_11_lower_bound_grows_like_sqrt_n(capsys):
+    """The discrepancy lower bound at family distance delta grows like sqrt(delta n).
+
+    At p = sqrt(delta / n) and advantage 1/2 the bound is -n log2 of the
+    per-coordinate factor (1-p)^2 ||block||, which is 1 - (2 - sqrt 2) p +
+    O(p^2).  So bound / sqrt(n) tends to gamma0 sqrt(delta) with gamma0 =
+    (2 - sqrt 2) / ln 2 as n grows, and must stay within 10% of it.
+    """
+    gamma0 = (2.0 - math.sqrt(2.0)) / math.log(2.0)
+    worst = {}
+    for delta in (0.05, 0.1):
+        limit = gamma0 * math.sqrt(delta)
+        worst[delta] = max(
+            abs(cc_lower_bound(discrepancy_spectral_bound(n, math.sqrt(delta / n)), 0.5)
+                / math.sqrt(n) - limit) / limit
+            for n in (10 ** e for e in range(2, 7)))
+    ok = all(w <= 0.1 for w in worst.values())
+    report(capsys, 11, "lower bound grows like sqrt(delta n)", ok,
+           f"p = sqrt(delta/n), advantage 0.5, n = 1e2..1e6: bound/sqrt(n) within "
+           f"{100 * worst[0.05]:.1f}% (delta 0.05) and {100 * worst[0.1]:.1f}% (delta 0.1) "
+           f"of gamma0 sqrt(delta), gamma0 = {gamma0:.4f} (cap 10%)")
 
 
 def test_criterion_12_cli_byte_identical(capsys, tmp_path):

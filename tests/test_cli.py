@@ -118,10 +118,22 @@ def test_lowerbound_sweep_rows(tmp_path):
     assert len(rows) == 4
     for row in rows:
         assert float(row[5]) > 0
-        if row[1] == "1":
-            assert row[3] != ""
-        else:
-            assert row[3] == ""
+        # both n are within discrepancy_exact's reach
+        assert 0 < float(row[3]) <= float(row[2]) + 1e-12
+
+
+def test_lowerbound_sweep_large_n(tmp_path, capsys):
+    # the bound is a power of a per-coordinate factor below 1, so it cannot overflow
+    out = tmp_path / "sweep.csv"
+    assert main(["lowerbound-sweep", "--p-grid", "0.05", "--n-grid", "3,20000",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in read(out).splitlines()[2:]]
+    assert [row[3] for row in rows] == ["", ""]
+    assert float(rows[1][2]) > 0 and float(rows[1][5]) == pytest.approx(0.888, abs=5e-4)
+    # a bound that underflows to 0 is a validation error naming n and p
+    assert main(["lowerbound-sweep", "--p-grid", "0.05", "--n-grid", "100000"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "n = 100000" in err and "p = 0.05" in err
 
 
 def test_agreement_audit_identity(tmp_path):

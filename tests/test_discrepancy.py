@@ -196,9 +196,31 @@ def test_discrepancy_exact_below_spectral_bound():
         assert discrepancy_exact(1, p) <= discrepancy_spectral_bound(1, p) + 1e-12
 
 
-def test_discrepancy_exact_only_single_coordinate():
+def test_discrepancy_exact_three_coordinates_raise():
     with pytest.raises(ValueError):
-        discrepancy_exact(2, 0.2)
+        discrepancy_exact(3, 0.2)
+
+
+def _subset_loop_discrepancy(n, p):
+    """The row-subset loop the array product replaced, kept as its reference."""
+    m = signed_mass_matrix(n, p)
+    best = 0.0
+    for rows in range(1 << len(m)):
+        picked = [r for r in range(len(m)) if rows >> r & 1]
+        if not picked:
+            continue
+        v = m[picked].sum(axis=0)
+        best = max(best, v[v > 0].sum(), -v[v < 0].sum())
+    return float(best)
+
+
+def test_discrepancy_exact_matches_the_subset_loop():
+    for p in np.arange(0.01, 0.495, 0.01):
+        p = float(p)
+        assert discrepancy_exact(1, p) == _subset_loop_discrepancy(1, p)
+    for p in (0.01, 0.1, 0.25, 0.4, 0.49):
+        assert discrepancy_exact(2, p) == pytest.approx(_subset_loop_discrepancy(2, p),
+                                                        rel=0, abs=1e-15)
 
 
 def test_spectral_bound_scaling():

@@ -241,7 +241,7 @@ def test_failed_run_scores_like_a_random_per_sample_pairing(monkeypatch):
     m = choose_sample_count(2, theta)
     alice = rng.multinomial(m, inst.mu.conditional_y_given_x(x).probs)
     bob = rng.multinomial(m, inst.mu.marginal_y().probs)
-    monkeypatch.setattr(uncertain, "one_way_rows",
+    monkeypatch.setattr(uncertain, "one_way_block",
                         lambda *args: (alice[None], bob[None], np.array([60]),
                                        np.array([False])))
     deciders = inst.protocol.deciders
