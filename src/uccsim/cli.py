@@ -18,12 +18,12 @@ import numpy as np
 
 from . import agreement as agr
 from . import parity
-from .core import TableFunction
+from .core import MAX_SIDE, TableFunction
 from .discrepancy import (EXACT_MAX_N, cc_lower_bound, discrepancy_exact,
                           discrepancy_spectral_bound)
 from .distributions import (Distribution, NoisyHypercube, ProductJoint, derive_rng,
                             kl_divergence)
-from .oracle import exact_one_way_cc
+from .oracle import check_size, exact_one_way_cc
 from .sampling import correlated_rows
 from .uncertain import ErrorEstimate, choose_sample_count, generate_instance, run_trials
 
@@ -74,6 +74,9 @@ def _parse_mu(spec: str, n: int):
 
 def _cmd_uncertain_run(args) -> int:
     seed = _master_seed(args.seed)
+    m = choose_sample_count(args.k, args.theta)  # checks k and theta before the build
+    if args.trials < 1 or args.jobs < 1:
+        raise ValueError("--trials and --jobs must be at least 1")
     mu = _parse_mu(args.mu, args.n)
     # the tagless stream: trial block b draws from derive_rng(seed, b)
     instance = generate_instance(args.n, args.k, args.eps, args.delta, derive_rng(seed), mu=mu)
@@ -86,7 +89,6 @@ def _cmd_uncertain_run(args) -> int:
     _emit(args.out, lines)
     est = ErrorEstimate.from_records(records)
     # mean_bits is the sample_count revealed bits plus the sampling payload
-    m = choose_sample_count(instance.k, args.theta)
     print(f"error_rate={est.error_rate:.6f} half_width={est.half_width:.6f} "
           f"mean_bits={est.mean_bits:.2f} sample_count={m} "
           f"sampling_failures={est.sampling_failures} trials={est.trials}")
@@ -96,8 +98,8 @@ def _cmd_uncertain_run(args) -> int:
 def _cmd_csample_bench(args) -> int:
     seed = _master_seed(args.seed)
     size = args.universe
-    if size < 2 or size & (size - 1):
-        raise ValueError("universe size must be a power of two >= 2")
+    if size < 2 or size & (size - 1) or size > MAX_SIDE:
+        raise ValueError(f"universe size must be a power of two in [2, {MAX_SIDE}]")
     if args.trials < 1:
         raise ValueError("need at least one trial")
     q = Distribution.uniform(size)
@@ -171,17 +173,16 @@ def _cmd_agreement_audit(args) -> int:
 
 
 def _parse_function(spec: str, n: int | None):
-    if spec.startswith("parity:S="):
-        mask = int(spec.split("=", 1)[1], 0)
-        bits = n if n is not None else max(mask.bit_length(), 1)
+    is_parity = spec.startswith("parity:S=")
+    mask = int(spec.split("=", 1)[1], 0) if is_parity else 0
+    bits = n if n is not None else max(mask.bit_length(), 1)
+    size = 1 << bits
+    check_size(size, size)
+    if is_parity:
         return parity.ParityFunction(mask, bits), bits
     if spec.startswith("const:"):
-        bits = n if n is not None else 1
-        size = 1 << bits
         return TableFunction.constant(size, size, int(spec.split(":", 1)[1])), bits
     if spec == "eq":
-        bits = n if n is not None else 1
-        size = 1 << bits
         return TableFunction(np.eye(size, dtype=np.uint8)), bits
     raise ValueError(f"unknown function spec {spec!r}")
 

@@ -34,11 +34,10 @@ def _set_partitions(count: int) -> np.ndarray:
     return labels
 
 
-def _check_size(f: BoolFunction, mu: JointDistribution) -> None:
-    if f.size_x > MAX_X or f.size_y > MAX_Y:
+def check_size(size_x: int, size_y: int) -> None:
+    """ValueError unless a size_x x size_y domain is within the oracle's cap."""
+    if size_x > MAX_X or size_y > MAX_Y:
         raise ValueError(f"oracle domain capped at {MAX_X} x {MAX_Y}")
-    if (mu.size_x, mu.size_y) != (f.size_x, f.size_y):
-        raise ValueError("distribution rectangle does not match the function")
 
 
 def best_protocol(f: BoolFunction, mu: JointDistribution, eps: float) -> OneWayProtocol:
@@ -48,7 +47,9 @@ def best_protocol(f: BoolFunction, mu: JointDistribution, eps: float) -> OneWayP
     parts among those meeting eps.  Each part decides by mass-weighted
     majority; a partition errs by its parts' minority masses.
     """
-    _check_size(f, mu)
+    check_size(f.size_x, f.size_y)
+    if (mu.size_x, mu.size_y) != (f.size_x, f.size_y):
+        raise ValueError("distribution rectangle does not match the function")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     weight_all = mu.to_table()

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -327,21 +327,17 @@ def _block_trials(instance: UncertainInstance) -> int:
     return max(1, TRIAL_BLOCK // instance.mu.size_y)
 
 
-def _trial_blocks(instance: UncertainInstance, theta: float, trials: int, master_seed: int,
-                  first: int, last: int) -> list[TrialRecord]:
-    """Records of blocks first..last-1 of the trials; each block is one array pass."""
+def _trial_block(instance: UncertainInstance, theta: float, trials: int, master_seed: int,
+                 block: int) -> list[TrialRecord]:
+    """Records of trial block `block`: one array pass drawn from derive_rng(master_seed, block)."""
     size = _block_trials(instance)
-    truth = instance.g.to_table()
-    records = []
-    for block in range(first, last):
-        lo = block * size
-        hi = min(lo + size, trials)
-        rng = derive_rng(master_seed, block)
-        xs, ys = instance.mu.sample(rng, size=hi - lo)
-        output, bits, _errors, _chosen, ok = _run_rows(instance, xs, ys, theta, rng)
-        records += map(TrialRecord, range(lo, hi), xs.tolist(), ys.tolist(), output.tolist(),
-                       truth[xs, ys].tolist(), bits.tolist(), ok.tolist())
-    return records
+    lo = block * size
+    hi = min(lo + size, trials)
+    rng = derive_rng(master_seed, block)
+    xs, ys = instance.mu.sample(rng, size=hi - lo)
+    output, bits, _errors, _chosen, ok = _run_rows(instance, xs, ys, theta, rng)
+    return list(map(TrialRecord, range(lo, hi), xs.tolist(), ys.tolist(), output.tolist(),
+                    instance.g.to_table()[xs, ys].tolist(), bits.tolist(), ok.tolist()))
 
 
 def run_trials(instance: UncertainInstance, theta: float, trials: int, master_seed: int,
@@ -351,19 +347,21 @@ def run_trials(instance: UncertainInstance, theta: float, trials: int, master_se
     Trials run in blocks of TRIAL_BLOCK // size_y, each one array pass drawn
     from its own generator, so a record depends on the seed, its trial index
     and the block layout (the block size and, in the last block, the number
-    of trials).  At most min(jobs, blocks, cpu count) worker processes are
-    started, each running whole blocks.
+    of trials).  At most min(jobs, blocks, cpu count) threads run the blocks.
     """
-    if trials < 1:
-        raise ValueError("no trials requested")
+    if trials < 1 or jobs < 1:
+        raise ValueError(f"need trials >= 1 and jobs >= 1, got {trials} and {jobs}")
     blocks = -(-trials // _block_trials(instance))
     workers = min(jobs, blocks, os.cpu_count() or 1)
-    if workers <= 1:
-        return _trial_blocks(instance, theta, trials, master_seed, 0, blocks)
-    bounds = np.linspace(0, blocks, workers + 1, dtype=int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(_trial_blocks, [instance] * workers, [theta] * workers,
-                          [trials] * workers, [master_seed] * workers, bounds[:-1], bounds[1:])
+    run_block = functools.partial(_trial_block, instance, theta, trials, master_seed)
+    if workers == 1:
+        chunks = list(map(run_block, range(blocks)))
+    else:
+        # The threads share one instance: a trial only reads it.  The one write
+        # is Distribution._cdf, a lazy cache that every thread computes to the
+        # same array and assigns in one step.
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(run_block, range(blocks)))
     return [record for chunk in chunks for record in chunk]
 
 

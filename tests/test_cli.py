@@ -105,6 +105,10 @@ def test_csample_bench_rejects_bad_universe(capsys):
     assert main(["csample-bench", "--universe", "15", "--eps", "0.1",
                  "--trials", "5"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a power of two over the table cap exits before two distributions are allocated
+    assert main(["csample-bench", "--universe", "1048576", "--eps", "0.1",
+                 "--trials", "1", "--tilt-grid", "0"]) == 2
+    assert "16384" in capsys.readouterr().err
 
 
 def test_lowerbound_sweep_rows(tmp_path):
@@ -168,6 +172,30 @@ def test_agreement_audit_codewords(tmp_path):
     h_inf = float(text.split("min_entropy_bits=")[1].splitlines()[0])
     floor = float(text.split("entropy_floor_bits=")[1].splitlines()[0])
     assert h_inf >= floor
+
+
+def test_uncertain_run_checks_cheap_arguments_before_the_build(monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        pytest.fail("generate_instance ran before the arguments were checked")
+
+    monkeypatch.setattr("uccsim.cli.generate_instance", no_build)
+    base = {"--n": "14", "--k": "2", "--delta": "0.05", "--theta": "0.3", "--trials": "10"}
+    for flag, bad in (("--theta", "1.5"), ("--trials", "0"), ("--jobs", "0"), ("--jobs", "-2")):
+        args = dict(base, **{flag: bad})
+        assert main(["uncertain-run", *(token for item in args.items() for token in item)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_oracle_cc_rejects_large_n_before_building(monkeypatch, capsys):
+    # 2^n over the oracle's cap exits 2 before an eq table or a popcount table is built
+    def no_build(*args, **kwargs):
+        pytest.fail("a function was built past the oracle's cap")
+
+    monkeypatch.setattr("uccsim.cli.TableFunction", no_build)
+    monkeypatch.setattr("uccsim.cli.parity.ParityFunction", no_build)
+    for spec, n in (("eq", "20"), ("parity:S=1", "30"), ("const:1", "4")):
+        assert main(["oracle-cc", "--function", spec, "--n", n]) == 2
+        assert "oracle domain capped at 8 x 16" in capsys.readouterr().err
 
 
 def test_oracle_cc_values(capsys):

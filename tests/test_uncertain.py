@@ -3,6 +3,8 @@
 import itertools
 import math
 import os
+import pickle
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -358,8 +360,16 @@ def test_estimate_requires_trials():
         estimate_uncertain_error(inst, 0.3, 0, master_seed=1)
 
 
+def test_run_trials_rejects_jobs_below_one():
+    rng = np.random.default_rng(133)
+    inst = generate_instance(4, 1, 0.0, 0.0, rng)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            run_trials(inst, 0.3, 10, master_seed=1, jobs=jobs)
+
+
 def test_run_trials_parallel_matches_serial():
-    # two worker processes split three blocks, the last one partial
+    # threads split three blocks, the last one partial
     rng = np.random.default_rng(134)
     inst = generate_instance(4, 1, 0.0, 0.05, rng)
     trials = 2 * uncertain._block_trials(inst) + 40
@@ -369,8 +379,33 @@ def test_run_trials_parallel_matches_serial():
     assert [r.trial for r in serial] == list(range(trials))
 
 
+def test_run_trials_threads_need_no_picklable_instance(monkeypatch):
+    # a joint's sample as an instance-attribute closure, as the benchmark tracer installs
+    # it; each threaded run starts on a fresh instance, so its threads race to fill the
+    # marginals' lazy cdf, and 8 threads outnumber a small host's cores while switching often
+    def fresh():
+        return generate_instance(4, 1, 0.0, 0.05, np.random.default_rng(138))
+
+    inst = fresh()
+    trials = 6 * uncertain._block_trials(inst) + 5
+    serial = run_trials(inst, 0.4, trials, master_seed=44, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    interval = sys.getswitchinterval()
+    for jobs in (2, 8):
+        inst = fresh()
+        sample = inst.mu.sample
+        inst.mu.sample = lambda *args, **kwargs: sample(*args, **kwargs)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(inst)
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run_trials(inst, 0.4, trials, master_seed=44, jobs=jobs) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class SerialPool:
-    """Stand-in for ProcessPoolExecutor: records max_workers and maps in-process."""
+    """Stand-in for ThreadPoolExecutor: records max_workers and maps in the caller's thread."""
 
     started = []
 
@@ -393,7 +428,7 @@ def test_run_trials_starts_no_more_workers_than_trials_or_cores(monkeypatch):
     inst = generate_instance(4, 1, 0.0, 0.05, rng)
     trials = 2 * uncertain._block_trials(inst) + 3
     serial = run_trials(inst, 0.4, trials, master_seed=42, jobs=1)
-    monkeypatch.setattr(uncertain, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(uncertain, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "started", [])
     for cores, expect in ((64, 3), (2, 2)):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
@@ -413,7 +448,7 @@ def test_run_trials_job_invariant_across_a_partial_last_block(monkeypatch):
     inst = generate_instance(4, 1, 0.0, 0.05, rng, mu=NoisyHypercube(4, 0.1))
     block = uncertain._block_trials(inst)
     trials = 5 * block // 2
-    monkeypatch.setattr(uncertain, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(uncertain, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "started", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     runs = [run_trials(inst, 0.4, trials, master_seed=43, jobs=jobs) for jobs in (1, 2, 3)]
