@@ -1,6 +1,7 @@
 """Simulation and verification toolkit for one-way protocols under uncertainty."""
 
-from .core import BitString, BoolFunction, OneWayProtocol, TableFunction, distance, protocol_error
+from .core import (BitString, BoolFunction, FlippedFunction, OneWayProtocol, TableFunction,
+                   distance, protocol_error)
 from .distributions import (Distribution, JointDistribution, NoisyHypercube,
                             ProductJoint, TableJoint, binary_entropy, derive_rng,
                             kl_divergence, sample_noisy_copy)

@@ -74,15 +74,16 @@ def _as_indices(values, size: int, side: str) -> np.ndarray:
 class BoolFunction:
     """A total 0/1-valued function on [0, size_x) x [0, size_y).
 
-    Subclasses implement rows(lo, hi), the rows x in [lo, hi) as one
-    (hi - lo) x size_y array, which to_table reads through, and entry(x, y),
-    the value at checked indices, which __call__ reads through.
+    Subclasses implement rows(xs), the rows at an array of in-range x's
+    (repeats and any order allowed) as one fresh len(xs) x size_y array,
+    which to_table reads through, and entry(x, y), the value at checked
+    indices, which __call__ reads through.
     """
 
     size_x: int
     size_y: int
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
+    def rows(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def entry(self, x: int, y: int) -> int:
@@ -92,7 +93,7 @@ class BoolFunction:
         return self.entry(_as_index(x, self.size_x, "x"), _as_index(y, self.size_y, "y"))
 
     def to_table(self) -> np.ndarray:
-        return self.rows(0, self.size_x)
+        return self.rows(np.arange(self.size_x))
 
 
 class TableFunction(BoolFunction):
@@ -107,8 +108,8 @@ class TableFunction(BoolFunction):
         self.table = table
         self.size_x, self.size_y = table.shape
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        return self.table[lo:hi]
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        return self.table[xs]
 
     def entry(self, x: int, y: int) -> int:
         return int(self.table[x, y])
@@ -141,8 +142,8 @@ class OneWayProtocol(BoolFunction):
         self.size_x = assignment.shape[0]
         self.size_y = deciders.shape[1]
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        return self.deciders[self.assignment[lo:hi]]
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        return self.deciders[self.assignment[xs]]
 
     def entry(self, x: int, y: int) -> int:
         return int(self.deciders[self.assignment[x], y])
@@ -157,6 +158,48 @@ class OneWayProtocol(BoolFunction):
         return math.ceil(math.log2(self.message_count)) if self.message_count > 1 else 0
 
 
+class FlippedFunction(BoolFunction):
+    """base with its value flipped at points, sorted flat indices x * size_y + y.
+
+    Row x's points are points[_starts[x]:_starts[x + 1]], offsets found once,
+    so a row read finds every row's flips in a fixed number of array calls.
+    """
+
+    def __init__(self, base: BoolFunction, points):
+        points = np.asarray(points, dtype=np.int64)
+        if points.ndim != 1:
+            raise ValueError("points must be 1-D")
+        if len(points) and (points[0] < 0 or points[-1] >= base.size_x * base.size_y
+                            or (points[1:] <= points[:-1]).any()):
+            raise ValueError("points must be strictly increasing flat indices of the rectangle")
+        self.base = base
+        self.points = points
+        self.size_x, self.size_y = base.size_x, base.size_y
+        self._starts = np.searchsorted(points, np.arange(self.size_x + 1) * self.size_y)
+
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        out = self.base.rows(xs)
+        if not len(self.points):
+            return out
+        # contiguous, so the flat view below writes through to out
+        out = np.ascontiguousarray(out)
+        xs = np.asarray(xs)
+        lo = self._starts[xs]
+        counts = self._starts[xs + 1] - lo
+        # the flips of output row i are points[lo[i]:lo[i] + counts[i]], listed row by row;
+        # point x * size_y + y of row i lands at i * size_y + y of out
+        ids = np.arange(len(xs))
+        row = np.repeat(ids, counts)
+        at = np.arange(len(row)) + (lo + counts - np.cumsum(counts))[row]
+        out.reshape(-1)[self.points[at] + ((ids - xs) * self.size_y)[row]] ^= 1
+        return out
+
+    def entry(self, x: int, y: int) -> int:
+        flat = x * self.size_y + y
+        i = int(np.searchsorted(self.points, flat))
+        return self.base.entry(x, y) ^ int(i < len(self.points) and self.points[i] == flat)
+
+
 def _check_same_rectangle(f, g, mu) -> None:
     if (f.size_x, f.size_y) != (g.size_x, g.size_y):
         raise ValueError("functions live on different rectangles")
@@ -164,17 +207,32 @@ def _check_same_rectangle(f, g, mu) -> None:
         raise ValueError("distribution rectangle does not match the functions")
 
 
+def _disagreements(f: BoolFunction, g: BoolFunction):
+    """Flat indices x * size_y + y where f and g differ, about DISTANCE_BLOCK at a time.
+
+    When one is a FlippedFunction of the other they differ exactly at its
+    points, so no row is read; every other pair is compared row block by row
+    block.
+    """
+    if isinstance(g, FlippedFunction) and g.base is f:
+        f, g = g, f
+    if isinstance(f, FlippedFunction) and f.base is g:
+        for lo in range(0, len(f.points), DISTANCE_BLOCK):
+            yield f.points[lo:lo + DISTANCE_BLOCK]
+        return
+    block = max(1, DISTANCE_BLOCK // f.size_y)
+    for lo in range(0, f.size_x, block):
+        xs = np.arange(lo, min(lo + block, f.size_x))
+        yield lo * f.size_y + np.flatnonzero(f.rows(xs) != g.rows(xs))
+
+
 def distance(f: BoolFunction, g: BoolFunction, mu) -> float:
     """Mass, under mu, of the inputs where f and g disagree."""
     _check_same_rectangle(f, g, mu)
-    block = max(1, DISTANCE_BLOCK // f.size_y)
     total = 0.0
-    for lo in range(0, f.size_x, block):
-        hi = min(lo + block, f.size_x)
-        diff = f.rows(lo, hi) != g.rows(lo, hi)
-        dx, dy = np.divmod(np.flatnonzero(diff), f.size_y)
-        if len(dx):
-            total += float(mu.mass_array(lo + dx, dy).sum())
+    for flat in _disagreements(f, g):
+        if len(flat):
+            total += float(mu.mass_array(*np.divmod(flat, f.size_y)).sum())
     return total
 
 

@@ -35,8 +35,8 @@ class ParityFunction(BoolFunction):
         self.size_x = self.size_y = 1 << n
         self._pc = popcount_table(n)
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        masked = (np.arange(lo, hi)[:, None] ^ np.arange(self.size_y)) & self.mask
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        masked = (np.asarray(xs)[:, None] ^ np.arange(self.size_y)) & self.mask
         return (self._pc[masked] & 1).astype(np.uint8)
 
     def entry(self, x: int, y: int) -> int:

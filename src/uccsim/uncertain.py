@@ -4,7 +4,10 @@ An instance is a random k-bit one-way protocol and two budgeted
 perturbations of its function: g differs from it on mass at most eps under
 the input distribution mu, and f from g on mass at most delta.  Each set of
 flipped points is a prefix of a uniformly random order of the points, drawn
-by one routine (_flip_random_points).  Alice computes f and Bob knows g
+by one routine (_flip_random_points), and stored as it is: g is the
+protocol's function flipped at the eps-set and f is g flipped at the
+delta-set (core.FlippedFunction), so no 4^n table is built, trials read
+rows and verify sums the mass of each set.  Alice computes f and Bob knows g
 through the protocol.  Neither party knows the other's function, so
 instead of running the protocol they correlate samples of Bob's input,
 Alice reveals f on her copies, and Bob picks the decider that disagrees
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MAX_SIDE, BoolFunction, OneWayProtocol, TableFunction, distance, protocol_error
+from .core import MAX_SIDE, BoolFunction, FlippedFunction, OneWayProtocol, distance, protocol_error
 from .distributions import JointDistribution, ProductJoint, derive_rng
 from .sampling import _TAG_OUTPUT, SharedRandomness, one_way_block
 
@@ -158,32 +161,39 @@ def _first_occurrences(draws: np.ndarray) -> np.ndarray:
     return draws[np.sort(keys[first] & ((1 << shift) - 1))]
 
 
-def _flip_random_points(table: np.ndarray, original: np.ndarray, mu: JointDistribution,
-                        budget: float, rng: np.random.Generator) -> None:
-    """Flip table along a uniformly random order of all points until one would overflow budget.
+def _flip_random_points(mu: JointDistribution, budget: float,
+                        rng: np.random.Generator) -> np.ndarray:
+    """The longest prefix of a uniformly random order of all points whose mass fits in budget.
 
-    The order is never built.  The first occurrences of i.i.d. uniform draws,
-    skipping points already flipped (where table != original), come in a
-    uniformly random order, so the flipped set has the law of a prefix of a
-    random permutation.
+    It comes as sorted flat indices x * size_y + y, its mass taken under mu.
+    The order is never built.  The first occurrences of i.i.d.
+    uniform draws, skipping points already taken (marked in a bitmap of
+    total / 8 bytes), come in a uniformly random order, so the set has the
+    law of a prefix of a random permutation.
     """
-    total = table.size
+    total = mu.size_x * mu.size_y
     # A uniform point has mean mass 1/total, so about budget * total points get
-    # flipped; the first chunk usually covers them.
+    # taken; the first chunk usually covers them.
     chunk = min(1 << FLIP_CHUNK_BITS, total, 1024 + int(1.25 * budget * total))
+    taken = np.zeros(-(-total // 8), dtype=np.uint8)
     spent = 0.0
+    prefix = []
     flipped = 0
     while flipped < total:
         points = _first_occurrences(rng.integers(0, total, size=chunk))
         if flipped:
-            points = points[table[points] == original[points]]
+            points = points[(taken[points >> 3] >> (points & 7) & 1) == 0]
         take, spent = _prefix_within(mu.mass_array(*np.divmod(points, mu.size_y)),
                                      spent, budget)
-        # sorted, the scattered writes walk the table in order
-        table[np.sort(points[:take])] ^= 1
+        prefix.append(points[:take])
         if take < len(points):
-            return
+            break
+        # the points are distinct and untaken, so adding their bits sets them
+        np.add.at(taken, points >> 3, (1 << (points & 7)).astype(np.uint8))
         flipped += take
+    points = np.concatenate(prefix)
+    points.sort()
+    return points
 
 
 @dataclass
@@ -216,9 +226,12 @@ def generate_instance(n: int, k: int, eps: float, delta: float, rng: np.random.G
     The protocol is a uniformly random assignment into 2^k parts with uniform
     random deciders.  g flips the protocol's function on a random set of mass
     at most eps under mu, and f flips g on one of mass at most delta, each set
-    a prefix of a uniformly random order of the points.  The tables are
-    dense, so n is at most 14 and 2^k * 2^n at most 4^14; larger requests
-    raise before allocating.
+    a prefix of a uniformly random order of the points, kept as a sorted
+    array of flat indices.  Sides are capped at MAX_SIDE = 2^14, as
+    NoisyHypercube caps n, so n is at most 14; a flip set of mass delta holds
+    about delta * 4^n points, 13M at n = 14 and delta = 0.05.  The deciders
+    are a dense 2^k x 2^n table, so 2^k * 2^n is at most 4^14.  Larger
+    requests raise before allocating.
     """
     if not 0.0 <= delta < 1.0 or not 0.0 <= eps < 1.0:
         raise ValueError("eps and delta must lie in [0, 1)")
@@ -226,9 +239,11 @@ def generate_instance(n: int, k: int, eps: float, delta: float, rng: np.random.G
         raise ValueError("need k >= 0 and n >= 1")
     max_bits = MAX_SIDE.bit_length() - 1
     if n > max_bits:
-        raise ValueError(f"n = {n} is over the dense-table bound n <= {max_bits}")
+        raise ValueError(f"n = {n} is over the bound n <= {max_bits}: sides are capped at "
+                         f"MAX_SIDE = 2^{max_bits}, as NoisyHypercube caps n")
     if k + n > 2 * max_bits:
-        raise ValueError(f"2^k deciders of 2^n bits exceed the 4^{max_bits}-entry table cap")
+        raise ValueError(f"2^k deciders of 2^n bits exceed the 4^{max_bits}-entry decider "
+                         f"table cap")
     size = 1 << n
     if mu is None:
         mu = ProductJoint.uniform_bits(n)
@@ -238,15 +253,9 @@ def generate_instance(n: int, k: int, eps: float, delta: float, rng: np.random.G
     assignment = rng.integers(0, parts, size=size)
     deciders = rng.integers(0, 2, size=(parts, size), dtype=np.uint8)
     protocol = OneWayProtocol(assignment, deciders)
-    f_table = deciders[assignment]
-    g_table = f_table.copy()
-    if eps > 0.0:
-        # f_table still holds the protocol's table
-        _flip_random_points(g_table.reshape(-1), f_table.reshape(-1), mu, eps, rng)
-        np.copyto(f_table, g_table)
-    _flip_random_points(f_table.reshape(-1), g_table.reshape(-1), mu, delta, rng)
-    instance = UncertainInstance(mu=mu, protocol=protocol, g=TableFunction(g_table),
-                                 f=TableFunction(f_table), k=k, eps=eps, delta=delta)
+    g = FlippedFunction(protocol, _flip_random_points(mu, eps, rng) if eps > 0.0 else [])
+    f = FlippedFunction(g, _flip_random_points(mu, delta, rng))
+    instance = UncertainInstance(mu=mu, protocol=protocol, g=g, f=f, k=k, eps=eps, delta=delta)
     instance.verify()
     return instance
 
@@ -291,7 +300,7 @@ def _run_rows(instance: UncertainInstance, xs: np.ndarray, ys: np.ndarray, theta
     m = choose_sample_count(instance.k, theta)
     # the sampler's failure budget, the phi term of choose_sample_count's error split
     alice, bob, payload, ok = one_way_block(instance.mu, xs, m, _sample_eps(theta), rng)
-    ones = alice * instance.f.to_table()[xs]
+    ones = alice * instance.f.rows(xs)
     for i in np.flatnonzero(~ok):
         ones[i] = rng.multivariate_hypergeometric(bob[i], ones[i].sum())
     deciders = instance.protocol.deciders
@@ -337,7 +346,8 @@ def _trial_block(instance: UncertainInstance, theta: float, trials: int, master_
     xs, ys = instance.mu.sample(rng, size=hi - lo)
     output, bits, _errors, _chosen, ok = _run_rows(instance, xs, ys, theta, rng)
     return list(map(TrialRecord, range(lo, hi), xs.tolist(), ys.tolist(), output.tolist(),
-                    instance.g.to_table()[xs, ys].tolist(), bits.tolist(), ok.tolist()))
+                    instance.g.rows(xs)[np.arange(len(xs)), ys].tolist(), bits.tolist(),
+                    ok.tolist()))
 
 
 def run_trials(instance: UncertainInstance, theta: float, trials: int, master_seed: int,
@@ -352,7 +362,9 @@ def run_trials(instance: UncertainInstance, theta: float, trials: int, master_se
     if trials < 1 or jobs < 1:
         raise ValueError(f"need trials >= 1 and jobs >= 1, got {trials} and {jobs}")
     blocks = -(-trials // _block_trials(instance))
-    workers = min(jobs, blocks, os.cpu_count() or 1)
+    workers = min(jobs, blocks)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     run_block = functools.partial(_trial_block, instance, theta, trials, master_seed)
     if workers == 1:
         chunks = list(map(run_block, range(blocks)))

@@ -8,6 +8,7 @@ import pytest
 from uccsim.core import (
     DISTANCE_BLOCK,
     BitString,
+    FlippedFunction,
     OneWayProtocol,
     TableFunction,
     distance,
@@ -15,6 +16,7 @@ from uccsim.core import (
 )
 from uccsim.distributions import NoisyHypercube, ProductJoint, TableJoint
 from uccsim.parity import ParityFunction, parity_protocol
+from uccsim.uncertain import generate_instance
 
 
 def noisy_pair_table(n, p):
@@ -100,8 +102,8 @@ def test_entry_read_matches_the_row_read():
         for x, y in rng.integers(0, size, size=(200, 2)).tolist():
             value = f(x, y)
             assert type(value) is int
-            assert value == f.rows(x, x + 1)[0, y]
-        assert f(BitString(5, n), np.int64(9)) == f.rows(5, 6)[0, 9]
+            assert value == f.rows([x])[0, y]
+        assert f(BitString(5, n), np.int64(9)) == f.rows([5])[0, 9]
         with pytest.raises(IndexError):
             f(size, 0)
         with pytest.raises(IndexError):
@@ -190,7 +192,7 @@ def test_block_reads_match_row_reads():
     rng = np.random.default_rng(14)
     protocol = OneWayProtocol(rng.integers(0, 4, size=size),
                               rng.integers(0, 2, size=(4, size)))
-    g_table = protocol.rows(0, size).copy()
+    g_table = protocol.rows(np.arange(size))
     g_table[rng.random((size, size)) < 0.01] ^= 1
     g = TableFunction(g_table)
     parity = ParityFunction(BitString(5, 3), 3)
@@ -198,13 +200,78 @@ def test_block_reads_match_row_reads():
         for lo, hi in ((0, 1), (1, 5), (0, fn.size_x)):
             # every column of short blocks; every 127th where a block spans all 2^11 rows
             ys = np.arange(0, fn.size_y, 1 if (hi - lo) * fn.size_y <= 1 << 14 else 127)
-            block = fn.rows(lo, hi)
+            block = fn.rows(np.arange(lo, hi))
             assert block.shape == (hi - lo, fn.size_y)
             assert np.array_equal(block[:, ys], entry_reads(fn, lo, hi, ys))
     # same blocks, same order of additions: bit for bit
     tables = TableFunction(protocol.to_table()), TableFunction(g.to_table())
     assert distance(protocol, g, mu) == distance(*tables, mu)
     assert protocol_error(protocol, g, mu) == distance(*tables, mu)
+
+
+def flipped_reference(table, points):
+    """table with its entries at flat indices points flipped, built entry by entry."""
+    table = np.array(table, dtype=np.uint8)
+    for point in points:
+        x, y = divmod(int(point), table.shape[1])
+        table[x, y] ^= 1
+    return table
+
+
+def test_flipped_function_reads_match_a_dense_reference():
+    rng = np.random.default_rng(15)
+    size_x, size_y = 8, 16
+    base = TableFunction(rng.integers(0, 2, size=(size_x, size_y), dtype=np.uint8))
+    total = size_x * size_y
+    # flips in the first and last rows, at both ends of the flat range
+    edges = np.array([0, 1, size_y - 1, 3 * size_y + 5, total - size_y, total - 1])
+    inner = np.sort(rng.choice(total, size=40, replace=False))
+    # the nested set flips some of the inner points back
+    outer = np.union1d(inner[::3], [2, total - 2])
+    cases = [
+        (FlippedFunction(base, []), base.table),
+        (FlippedFunction(base, edges), flipped_reference(base.table, edges)),
+        (FlippedFunction(FlippedFunction(base, inner), outer),
+         flipped_reference(flipped_reference(base.table, inner), outer)),
+    ]
+    for fn, dense in cases:
+        for xs in ([7, 0, 7, 3, 0, 0], [size_x - 1], np.arange(size_x), [], [5, 2, 6, 1, 4]):
+            block = fn.rows(np.array(xs, dtype=np.int64))
+            assert block.shape == (len(xs), size_y)
+            assert np.array_equal(block, dense[np.array(xs, dtype=np.int64)])
+        assert np.array_equal(fn.to_table(), dense)
+        for x in range(size_x):
+            for y in range(size_y):
+                value = fn(x, y)
+                assert type(value) is int and value == dense[x, y]
+    for bad in ([3, 3], [4, 2], [-1], [total], [[1, 2]]):
+        with pytest.raises(ValueError):
+            FlippedFunction(base, bad)
+
+
+def test_distance_of_a_flip_set_matches_the_block_scan(monkeypatch):
+    # f = g + its delta-set and g = protocol + its eps-set: one sum of masses
+    # each, equal to the dense block scan of the same pairs
+    for n in (1, 3, 6):
+        size = 1 << n
+        weights = np.random.default_rng((16, n)).random((size, size))
+        for index, mu in enumerate((ProductJoint.uniform_bits(n), NoisyHypercube(n, 0.1),
+                                    TableJoint(weights / weights.sum()))):
+            inst = generate_instance(n, 2, 0.1, 0.05, np.random.default_rng((17, n, index)),
+                                     mu=mu)
+            f, g = TableFunction(inst.f.to_table()), TableFunction(inst.g.to_table())
+            protocol = TableFunction(inst.protocol.to_table())
+            scans = distance(f, g, mu), distance(protocol, g, mu)
+            with monkeypatch.context() as patch:
+                # the structural case reads no row
+                patch.setattr(FlippedFunction, "rows", None)
+                sums = (distance(inst.f, inst.g, mu), distance(inst.g, inst.f, mu),
+                        protocol_error(inst.protocol, inst.g, mu))
+            assert sums[0] == sums[1]
+            assert abs(sums[0] - scans[0]) <= 1e-12
+            assert abs(sums[2] - scans[1]) <= 1e-12
+            if n == 6:
+                assert sums[0] > 0.0 and sums[2] > 0.0
 
 
 def test_distance_symmetry_and_triangle():

@@ -46,7 +46,7 @@ def reference_best_protocol(f, mu, eps):
     """Pruned per-partition search: skip partitions with no fewer parts than the best."""
     ys = np.arange(f.size_y)
     weight_all = np.stack([mu.mass_array(x, ys) for x in range(f.size_x)])
-    weight1 = np.stack([mu.mass_array(x, ys) * f.rows(x, x + 1)[0] for x in range(f.size_x)])
+    weight1 = np.stack([mu.mass_array(x, ys) * f.rows([x])[0] for x in range(f.size_x)])
     best, best_parts = None, f.size_x + 1
     for labels in reference_partitions(f.size_x):
         parts = max(labels) + 1

@@ -11,11 +11,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from uccsim.core import distance, protocol_error
+from uccsim.core import BoolFunction, FlippedFunction, distance, protocol_error
 from uccsim.distributions import NoisyHypercube, ProductJoint, TableJoint, derive_rng
 from uccsim.sampling import SharedRandomness, one_way_correlated_sample, truncation_limit
 from uccsim import uncertain
 from uccsim.uncertain import (
+    UncertainInstance,
     choose_sample_count,
     decider_errors,
     estimate_uncertain_error,
@@ -185,7 +186,37 @@ def test_generate_instance_memory_below_old_permutation():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (4 ** n) * 8
+        assert peak < (4 ** n) * 3.5
+
+
+def test_verify_rejects_over_budget_flip_sets():
+    # verify sums each set's mass from mu; it never trusts the builder's spend
+    n = 5
+    inst = generate_instance(n, 2, 0.05, 0.05, np.random.default_rng(139))
+    heavy = np.arange(64)  # 64 of the 1024 uniform points: mass 1/16, over both budgets
+    over_delta = UncertainInstance(mu=inst.mu, protocol=inst.protocol, g=inst.g,
+                                   f=FlippedFunction(inst.g, heavy), k=2, eps=0.05, delta=0.05)
+    with pytest.raises(ValueError, match="apart"):
+        over_delta.verify()
+    g = FlippedFunction(inst.protocol, heavy)
+    over_eps = UncertainInstance(mu=inst.mu, protocol=inst.protocol, g=g,
+                                 f=FlippedFunction(g, []), k=2, eps=0.05, delta=0.05)
+    with pytest.raises(ValueError, match="errs"):
+        over_eps.verify()
+
+
+def test_trials_read_no_whole_table(monkeypatch):
+    # the trial path reads rows of f and g, never a dense table, at any jobs value
+    def no_table(self):
+        raise AssertionError("to_table called on the trial path")
+
+    monkeypatch.setattr(BoolFunction, "to_table", no_table)
+    inst = generate_instance(10, 2, 0.01, 0.05, np.random.default_rng(140),
+                             mu=NoisyHypercube(10, 0.1))
+    trials = 3 * uncertain._block_trials(inst) + 7
+    serial = run_trials(inst, 0.3, trials, master_seed=45, jobs=1)
+    assert run_trials(inst, 0.3, trials, master_seed=45, jobs=2) == serial
+    assert [r.trial for r in serial] == list(range(trials))
 
 
 def test_generate_instance_rejects_oversized_domain():
@@ -247,7 +278,7 @@ def test_failed_run_scores_like_a_random_per_sample_pairing(monkeypatch):
                         lambda *args: (alice[None], bob[None], np.array([60]),
                                        np.array([False])))
     deciders = inst.protocol.deciders
-    revealed = inst.f.rows(x, x + 1)[0, np.repeat(np.arange(16), alice)]
+    revealed = inst.f.rows([x])[0, np.repeat(np.arange(16), alice)]
     bob_list = np.repeat(np.arange(16), bob)
     seeds = 3000
     got = np.array([run_uncertain_protocol(inst, x, 0, theta, SharedRandomness((24, seed)))
