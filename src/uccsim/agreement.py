@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from .distributions import binary_entropy, popcount_table
+from .distributions import _check_bit_count, binary_entropy, popcount_table
 
 AUDIT_MAX_BITS = 20
 
@@ -50,12 +50,11 @@ class NearestCodewordStrategy:
 
 
 def greedy_covering_code(size_y: int, radius: int) -> list[int]:
-    """Greedy set cover of {0,1}^size_y by Hamming balls; size_y <= 14.
+    """Greedy set cover of {0,1}^size_y by Hamming balls; 2^size_y is at most MAX_SIDE.
 
     Each step takes the first word whose ball holds the most uncovered words.
     """
-    if size_y > 14:
-        raise ValueError("greedy cover only built for size_y <= 14")
+    _check_bit_count(size_y)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     words = np.arange(1 << size_y)

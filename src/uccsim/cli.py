@@ -215,7 +215,7 @@ def _cmd_family_audit(args) -> int:
             decided = sent ^ ((mask.value & y.value).bit_count() & 1)
             if decided != parity.parity_eval(mask, x, y):
                 raise ValueError(f"one-bit protocol for mask {mask} errs at ({x},{y})")
-            if args.n <= 14:
+            if args.n <= MAX_SIDE.bit_length() - 1:
                 proto = parity.parity_protocol(mask.value, args.n)
                 if proto.evaluate(x.value, y.value) != decided or proto.cost_bits() != 1:
                     raise ValueError(f"dense protocol for mask {mask} errs at ({x},{y})")

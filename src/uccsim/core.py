@@ -74,23 +74,23 @@ def _as_indices(values, size: int, side: str) -> np.ndarray:
 class BoolFunction:
     """A total 0/1-valued function on [0, size_x) x [0, size_y).
 
-    Subclasses implement rows(xs), the rows at an array of in-range x's
-    (repeats and any order allowed) as one fresh len(xs) x size_y array,
-    which to_table reads through, and entry(x, y), the value at checked
-    indices, which __call__ reads through.
+    Subclasses implement values(xs, ys), the uint8 values at in-range index
+    arrays that broadcast together, which __call__ reads at checked indices.
+    rows(xs), the fresh len(xs) x size_y rows at in-range x's in any order,
+    repeats allowed, reads through it unless a subclass has a cheaper read.
     """
 
     size_x: int
     size_y: int
 
-    def rows(self, xs: np.ndarray) -> np.ndarray:
+    def values(self, xs, ys) -> np.ndarray:
         raise NotImplementedError
 
-    def entry(self, x: int, y: int) -> int:
-        raise NotImplementedError
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        return self.values(np.asarray(xs)[:, None], np.arange(self.size_y))
 
     def __call__(self, x, y) -> int:
-        return self.entry(_as_index(x, self.size_x, "x"), _as_index(y, self.size_y, "y"))
+        return int(self.values(_as_index(x, self.size_x, "x"), _as_index(y, self.size_y, "y")))
 
     def to_table(self) -> np.ndarray:
         return self.rows(np.arange(self.size_x))
@@ -111,8 +111,8 @@ class TableFunction(BoolFunction):
     def rows(self, xs: np.ndarray) -> np.ndarray:
         return self.table[xs]
 
-    def entry(self, x: int, y: int) -> int:
-        return int(self.table[x, y])
+    def values(self, xs, ys) -> np.ndarray:
+        return self.table[xs, ys]
 
     @classmethod
     def constant(cls, size_x: int, size_y: int, bit: int) -> "TableFunction":
@@ -145,8 +145,8 @@ class OneWayProtocol(BoolFunction):
     def rows(self, xs: np.ndarray) -> np.ndarray:
         return self.deciders[self.assignment[xs]]
 
-    def entry(self, x: int, y: int) -> int:
-        return int(self.deciders[self.assignment[x], y])
+    def values(self, xs, ys) -> np.ndarray:
+        return self.deciders[self.assignment[xs], ys]
 
     def message(self, x) -> int:
         return int(self.assignment[_as_index(x, self.size_x, "x")])
@@ -194,10 +194,13 @@ class FlippedFunction(BoolFunction):
         out.reshape(-1)[self.points[at] + ((ids - xs) * self.size_y)[row]] ^= 1
         return out
 
-    def entry(self, x: int, y: int) -> int:
-        flat = x * self.size_y + y
-        i = int(np.searchsorted(self.points, flat))
-        return self.base.entry(x, y) ^ int(i < len(self.points) and self.points[i] == flat)
+    def values(self, xs, ys) -> np.ndarray:
+        out = self.base.values(xs, ys)
+        if len(self.points):
+            flat = np.multiply(xs, self.size_y) + ys
+            # an index past the last point clips to it, which flat then exceeds
+            out = out ^ (self.points.take(np.searchsorted(self.points, flat), mode="clip") == flat)
+        return out
 
 
 def _check_same_rectangle(f, g, mu) -> None:

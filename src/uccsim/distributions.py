@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import BitString, _as_index, _as_indices
+from .core import MAX_SIDE, BitString, _as_index, _as_indices
 
 # NoisyHypercube only materializes a dense joint table up to this many bits.
 MATERIALIZE_MAX_N = 7
@@ -27,6 +27,13 @@ def derive_rng(master_seed: int, *tags: int) -> np.random.Generator:
     """
     return np.random.default_rng(np.random.SeedSequence(int(master_seed),
                                                         spawn_key=tuple(map(int, tags))))
+
+
+def _check_bit_count(n: int) -> None:
+    """ValueError unless n >= 1 and a side of 2^n points is within MAX_SIDE."""
+    top = MAX_SIDE.bit_length() - 1
+    if not 1 <= n <= top:
+        raise ValueError(f"n = {n} is outside 1..{top}: sides are capped at MAX_SIDE = 2^{top}")
 
 
 def popcount_table(n: int) -> np.ndarray:
@@ -176,6 +183,7 @@ class ProductJoint(JointDistribution):
 
     @classmethod
     def uniform_bits(cls, n: int) -> "ProductJoint":
+        _check_bit_count(n)
         return cls(Distribution.uniform(1 << n), Distribution.uniform(1 << n))
 
     def mass_array(self, xs, ys) -> np.ndarray:
@@ -204,8 +212,7 @@ class NoisyHypercube(JointDistribution):
     """
 
     def __init__(self, n: int, p: float):
-        if not 1 <= n <= 14:
-            raise ValueError("n must be in 1..14")
+        _check_bit_count(n)
         if not 0.0 <= p <= 1.0:
             raise ValueError("flip probability must lie in [0, 1]")
         self.n = n

@@ -35,12 +35,8 @@ class ParityFunction(BoolFunction):
         self.size_x = self.size_y = 1 << n
         self._pc = popcount_table(n)
 
-    def rows(self, xs: np.ndarray) -> np.ndarray:
-        masked = (np.asarray(xs)[:, None] ^ np.arange(self.size_y)) & self.mask
-        return (self._pc[masked] & 1).astype(np.uint8)
-
-    def entry(self, x: int, y: int) -> int:
-        return (self.mask & (x ^ y)).bit_count() & 1
+    def values(self, xs, ys) -> np.ndarray:
+        return self._pc[np.bitwise_xor(xs, ys) & self.mask] & 1
 
 
 def parity_eval(mask: BitString, x: BitString, y: BitString) -> int:

@@ -330,14 +330,11 @@ def one_way_block(mu: JointDistribution, xs, m: int, eps: float, rng: np.random.
 
     Alice's rows are mu's conditionals at xs, Bob's is its y-marginal, s =
     hash_bits_per_round(eps / 2) and the cap truncation_limit(mu, m, eps).
-    At m = 0 every row agrees on empty counts for free.
     """
     limit = truncation_limit(mu, m, eps)
-    # read before the m = 0 return, so an x off the domain raises for every m
     p = mu.conditional_rows(xs)
-    if m == 0:
-        empty = np.zeros(p.shape, dtype=np.int64)
-        return empty, empty.copy(), np.zeros(len(p), np.int64), np.ones(len(p), bool)
+    if m < 1:
+        raise ValueError(f"need m >= 1 samples, got {m}")
     return one_way_rows(p, mu.marginal_y().probs, m, hash_bits_per_round(eps / 2.0), limit, rng)
 
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import MAX_SIDE, BoolFunction, FlippedFunction, OneWayProtocol, distance, protocol_error
-from .distributions import JointDistribution, ProductJoint, derive_rng
+from .distributions import JointDistribution, ProductJoint, _check_bit_count, derive_rng
 from .sampling import _TAG_OUTPUT, SharedRandomness, one_way_block
 
 _DIST_TOL = 1e-12
@@ -235,12 +235,10 @@ def generate_instance(n: int, k: int, eps: float, delta: float, rng: np.random.G
     """
     if not 0.0 <= delta < 1.0 or not 0.0 <= eps < 1.0:
         raise ValueError("eps and delta must lie in [0, 1)")
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    _check_bit_count(n)
     max_bits = MAX_SIDE.bit_length() - 1
-    if n > max_bits:
-        raise ValueError(f"n = {n} is over the bound n <= {max_bits}: sides are capped at "
-                         f"MAX_SIDE = 2^{max_bits}, as NoisyHypercube caps n")
     if k + n > 2 * max_bits:
         raise ValueError(f"2^k deciders of 2^n bits exceed the 4^{max_bits}-entry decider "
                          f"table cap")
@@ -346,7 +344,7 @@ def _trial_block(instance: UncertainInstance, theta: float, trials: int, master_
     xs, ys = instance.mu.sample(rng, size=hi - lo)
     output, bits, _errors, _chosen, ok = _run_rows(instance, xs, ys, theta, rng)
     return list(map(TrialRecord, range(lo, hi), xs.tolist(), ys.tolist(), output.tolist(),
-                    instance.g.rows(xs)[np.arange(len(xs)), ys].tolist(), bits.tolist(),
+                    instance.g.values(xs, ys).tolist(), bits.tolist(),
                     ok.tolist()))
 
 

@@ -1,8 +1,11 @@
 """Tests for the command-line drivers: smoke runs, determinism, exit codes."""
 
 import json
+import shlex
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,12 +247,46 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     assert main(["csample-bench", "--universe", "16", "--eps", "0.1",
                  "--trials", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a product mu over more bits than a capped side exits before its marginals are built
+    for n in ("22", "40"):
+        tracemalloc.start()
+        try:
+            code = main(["uncertain-run", "--n", n, "--k", "1", "--delta", "0.05",
+                         "--theta", "0.3", "--trials", "1", "--mu", "product"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 8 << 20
+        assert "error:" in capsys.readouterr().err
     for name, doc in (("missing.json", {"kind": "constant"}), ("list.json", [1])):
         strategy = tmp_path / name
         strategy.write_text(json.dumps(doc))
         assert main(["agreement-audit", "--size-y", "8", "--delta2", "0.2",
                      "--strategy", str(strategy)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def readme_commands():
+    """Every `uccsim ...` line of README's Command line code blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```")[1::2]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("uccsim ")]
+
+
+def test_readme_examples_run(tmp_path):
+    # each example exits 0 as written, with a temporary identity strategy file;
+    # every subcommand but oracle-cc, which draws nothing, also takes --seed
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(json.dumps({"kind": "identity"}))
+    commands = readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        argv = [str(strategy) if arg == "strategy.json" else arg for arg in argv]
+        assert main(argv) == 0, argv
+        if argv[0] != "oracle-cc" and "--seed" not in argv:
+            assert main(argv + ["--seed", "1"]) == 0, argv
 
 
 def test_seed_from_environment(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from uccsim.core import (
     DISTANCE_BLOCK,
     BitString,
+    BoolFunction,
     FlippedFunction,
     OneWayProtocol,
     TableFunction,
@@ -87,29 +88,67 @@ def test_call_rejects_non_integer_indices():
     assert f(BitString(0b10, 2), BitString(0b10, 2)) == 1
 
 
-def test_entry_read_matches_the_row_read():
-    # every subclass's direct entry read against its row read, with the same index checks
+def test_values_match_a_dense_reference():
+    # every subclass's point read against a table built entry by entry, at broadcast,
+    # repeated-and-unsorted and 0-d indices, with its rows and f(x, y) on top
     rng = np.random.default_rng(31)
     n = 6
     size = 1 << n
-    functions = [
-        TableFunction(rng.integers(0, 2, size=(size, size), dtype=np.uint8)),
-        OneWayProtocol(rng.integers(0, 4, size=size), rng.integers(0, 2, size=(4, size))),
-        ParityFunction(0b101101, n),
-        parity_protocol(0b011, n),
+    table = rng.integers(0, 2, size=(size, size), dtype=np.uint8)
+    assignment = rng.integers(0, 4, size=size)
+    deciders = rng.integers(0, 2, size=(4, size), dtype=np.uint8)
+    grid = [(x, y) for x in range(size) for y in range(size)]
+
+    def dense(value):
+        return np.array([value(x, y) for x, y in grid], dtype=np.uint8).reshape(size, size)
+
+    def masked_parity(mask):
+        return dense(lambda x, y: bin(mask & (x ^ y)).count("1") & 1)
+
+    protocol = OneWayProtocol(assignment, deciders)
+    protocol_table = dense(lambda x, y: deciders[assignment[x]][y])
+    total = size * size
+    # flips in the first and last rows, at both ends of the flat range
+    edges = np.array([0, 1, size - 1, 3 * size + 5, total - size, total - 1])
+    eps_set = np.sort(rng.choice(total, size=200, replace=False))
+    # the delta set flips some of the eps points back
+    delta_set = np.union1d(eps_set[::3], np.sort(rng.choice(total, size=150, replace=False)))
+    nested = FlippedFunction(FlippedFunction(protocol, eps_set), delta_set)
+    cases = [
+        (TableFunction(table), table),
+        (protocol, protocol_table),
+        (ParityFunction(0b101101, n), masked_parity(0b101101)),
+        (parity_protocol(0b011, n), masked_parity(0b011)),
+        (FlippedFunction(protocol, []), protocol_table),
+        (FlippedFunction(ParityFunction(0b11, n), edges),
+         flipped_reference(masked_parity(0b11), edges)),
+        (nested, flipped_reference(flipped_reference(protocol_table, eps_set), delta_set)),
     ]
-    for f in functions:
-        for x, y in rng.integers(0, size, size=(200, 2)).tolist():
-            value = f(x, y)
-            assert type(value) is int
-            assert value == f.rows([x])[0, y]
-        assert f(BitString(5, n), np.int64(9)) == f.rows([5])[0, 9]
+    for fn, expect in cases:
+        assert np.array_equal(fn.values(np.arange(size)[:, None], np.arange(size)), expect)
+        xs = np.array([size - 1, 0, 7, 7, 3, 0, size - 1])
+        ys = rng.integers(0, size, size=len(xs))
+        assert fn.values(xs, ys).dtype == np.uint8
+        assert np.array_equal(fn.values(xs, ys), expect[xs, ys])
+        assert np.array_equal(fn.values(xs[:, None], ys), expect[xs[:, None], ys])
+        for x, y in rng.integers(0, size, size=(50, 2)).tolist():
+            assert fn.values(np.int64(x), np.int64(y)) == expect[x, y]
+            assert np.shape(fn.values(np.array(x), np.array(y))) == ()
+            value = fn(x, y)
+            assert type(value) is int and value == expect[x, y]
+        assert fn(BitString(5, n), np.int64(9)) == expect[5, 9]
+        # the default row read through values, against any cheaper override
+        for rows in ([], [0], xs, np.arange(size)):
+            rows = np.array(rows, dtype=np.int64)
+            assert np.array_equal(fn.rows(rows), expect[rows])
+            assert np.array_equal(BoolFunction.rows(fn, rows), fn.rows(rows))
+        assert np.array_equal(fn.to_table(), expect)
         with pytest.raises(IndexError):
-            f(size, 0)
+            fn(size, 0)
         with pytest.raises(IndexError):
-            f(0, -1)
+            fn(0, -1)
         with pytest.raises(TypeError):
-            f(1.0, 0)
+            fn(1.0, 0)
 
 
 def test_table_function_validation():
@@ -180,7 +219,7 @@ def test_distance_matches_brute_force_across_row_blocks():
     assert distance(f, f, mu) == 0.0
 
 
-def entry_reads(fn, lo, hi, ys):
+def point_reads(fn, lo, hi, ys):
     """fn's rows lo..hi-1 at columns ys, one fn(x, y) call per entry."""
     return np.array([[fn(x, y) for y in ys] for x in range(lo, hi)], dtype=np.uint8)
 
@@ -202,7 +241,7 @@ def test_block_reads_match_row_reads():
             ys = np.arange(0, fn.size_y, 1 if (hi - lo) * fn.size_y <= 1 << 14 else 127)
             block = fn.rows(np.arange(lo, hi))
             assert block.shape == (hi - lo, fn.size_y)
-            assert np.array_equal(block[:, ys], entry_reads(fn, lo, hi, ys))
+            assert np.array_equal(block[:, ys], point_reads(fn, lo, hi, ys))
     # same blocks, same order of additions: bit for bit
     tables = TableFunction(protocol.to_table()), TableFunction(g.to_table())
     assert distance(protocol, g, mu) == distance(*tables, mu)

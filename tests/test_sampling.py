@@ -15,6 +15,7 @@ from uccsim.sampling import (
     correlated_rows,
     correlated_sample,
     hash_bits_per_round,
+    one_way_block,
     one_way_correlated_sample,
     one_way_rows,
     payload_bits,
@@ -205,11 +206,13 @@ def test_truncation_limit_product_case():
 
 
 def test_one_way_zero_samples():
+    # a one-way run draws at least one sample; m = 0 is rejected, not a free agreement
     mu = NoisyHypercube(4, 0.1)
-    alice, bob, stats = one_way_correlated_sample(mu, 3, 0, 0.1, SharedRandomness(8))
-    assert alice.shape == bob.shape == (16,)
-    assert not alice.any() and not bob.any()
-    assert stats.bits_alice == 0 and stats.success
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            one_way_correlated_sample(mu, 3, m, 0.1, SharedRandomness(8))
+        with pytest.raises(ValueError):
+            one_way_block(mu, [3, 5], m, 0.1, np.random.default_rng(8))
 
 
 def test_one_way_stats_shape():

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from uccsim.core import BoolFunction, FlippedFunction, distance, protocol_error
+from uccsim.core import BoolFunction, FlippedFunction, OneWayProtocol, distance, protocol_error
 from uccsim.distributions import NoisyHypercube, ProductJoint, TableJoint, derive_rng
 from uccsim.sampling import SharedRandomness, one_way_correlated_sample, truncation_limit
 from uccsim import uncertain
@@ -206,16 +206,29 @@ def test_verify_rejects_over_budget_flip_sets():
 
 
 def test_trials_read_no_whole_table(monkeypatch):
-    # the trial path reads rows of f and g, never a dense table, at any jobs value
+    # the trial path reads rows of f and one value of g per trial, never a dense table,
+    # at any jobs value: f's row read reaches the protocol's rows once per block
     def no_table(self):
         raise AssertionError("to_table called on the trial path")
 
     monkeypatch.setattr(BoolFunction, "to_table", no_table)
     inst = generate_instance(10, 2, 0.01, 0.05, np.random.default_rng(140),
                              mu=NoisyHypercube(10, 0.1))
-    trials = 3 * uncertain._block_trials(inst) + 7
+    block = uncertain._block_trials(inst)
+    trials = 3 * block + 7
+    row_reads = []
+    protocol_rows = OneWayProtocol.rows
+
+    def counted(self, xs):
+        row_reads.append(len(xs))
+        return protocol_rows(self, xs)
+
+    monkeypatch.setattr(OneWayProtocol, "rows", counted)
     serial = run_trials(inst, 0.3, trials, master_seed=45, jobs=1)
+    assert row_reads == [block] * 3 + [7]
+    row_reads.clear()
     assert run_trials(inst, 0.3, trials, master_seed=45, jobs=2) == serial
+    assert sorted(row_reads) == [7] + [block] * 3
     assert [r.trial for r in serial] == list(range(trials))
 
 
