@@ -151,14 +151,21 @@ def _first_occurrences(draws: np.ndarray) -> np.ndarray:
     """The distinct values of draws, in the order of their first occurrence.
 
     One sort of (value << FLIP_CHUNK_BITS) | position puts each value's first
-    position first; draws holds at most 2^FLIP_CHUNK_BITS values.
+    position first, and a scatter of those positions into a mask restores
+    draw order; draws holds at most 2^FLIP_CHUNK_BITS values.  The keys are
+    dropped before the gather, so that the allocator can reuse their memory.
     """
     shift = FLIP_CHUNK_BITS
     keys = np.sort((draws << shift) | np.arange(len(draws)))
     values = keys >> shift
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=first[1:])
-    return draws[np.sort(keys[first] & ((1 << shift) - 1))]
+    at = keys[first]
+    at &= (1 << shift) - 1
+    del keys, values
+    first[:] = False
+    first[at] = True
+    return draws[first]
 
 
 def _flip_random_points(mu: JointDistribution, budget: float,
@@ -166,10 +173,9 @@ def _flip_random_points(mu: JointDistribution, budget: float,
     """The longest prefix of a uniformly random order of all points whose mass fits in budget.
 
     It comes as sorted flat indices x * size_y + y, its mass taken under mu.
-    The order is never built.  The first occurrences of i.i.d.
-    uniform draws, skipping points already taken (marked in a bitmap of
-    total / 8 bytes), come in a uniformly random order, so the set has the
-    law of a prefix of a random permutation.
+    The order is never built: the first occurrences of i.i.d. uniform draws,
+    skipping points already taken (marked in a bitmap of total / 8 bytes),
+    come in a uniformly random order, so the set is a random permutation's prefix.
     """
     total = mu.size_x * mu.size_y
     # A uniform point has mean mass 1/total, so about budget * total points get

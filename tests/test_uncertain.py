@@ -177,6 +177,42 @@ def test_flip_set_has_the_law_of_a_random_order_prefix():
             assert abs(seen[points] - runs * p) <= 4.0 * sigma, (sorted(points), seen[points], p)
 
 
+def reference_flip_set(mu, budget, seed, chunk_bits):
+    """The flip set as a plain loop over the same draws, as sorted flat indices.
+
+    It takes first occurrences in draw order, skips points already taken and
+    stops at the first point whose mass overflows the budget.
+    """
+    rng = np.random.default_rng(seed)
+    total = mu.size_x * mu.size_y
+    chunk = min(1 << chunk_bits, total, 1024 + int(1.25 * budget * total))
+    taken, spent = set(), 0.0
+    while len(taken) < total:
+        for point in rng.integers(0, total, size=chunk).tolist():
+            if point in taken:
+                continue
+            mass = float(mu.mass_array(*divmod(point, mu.size_y)))
+            if spent + mass > budget + 1e-12:
+                return sorted(taken)
+            taken.add(point)
+            spent += mass
+    return sorted(taken)
+
+
+def test_flip_set_matches_a_plain_loop_over_the_same_draws(monkeypatch):
+    # at the real chunk size one chunk holds every set here; at 2^4 draws a
+    # chunk, the sets span many chunks and later chunks skip taken points
+    for chunk_bits in (uncertain.FLIP_CHUNK_BITS, 4):
+        monkeypatch.setattr(uncertain, "FLIP_CHUNK_BITS", chunk_bits)
+        for n in range(3, 7):
+            for mu in (ProductJoint.uniform_bits(n), NoisyHypercube(n, 0.1)):
+                for budget, seed in ((0.05, 1), (0.3, 2), (0.999, 3)):
+                    got = uncertain._flip_random_points(mu, budget, np.random.default_rng(seed))
+                    assert got.dtype == np.int64
+                    assert got.tolist() == reference_flip_set(mu, budget, seed, chunk_bits), \
+                        (chunk_bits, n, budget)
+
+
 def test_generate_instance_memory_below_old_permutation():
     n = 12
     for eps in (0.0, 0.01):
