@@ -74,10 +74,10 @@ def _as_indices(values, size: int, side: str) -> np.ndarray:
 class BoolFunction:
     """A total 0/1-valued function on [0, size_x) x [0, size_y).
 
-    Subclasses implement values(xs, ys), the uint8 values at in-range index
-    arrays that broadcast together, which __call__ reads at checked indices.
-    rows(xs), the fresh len(xs) x size_y rows at in-range x's in any order,
-    repeats allowed, reads through it unless a subclass has a cheaper read.
+    Subclasses implement values(xs, ys), the uint8 values at index arrays
+    that broadcast together.  rows(xs), the fresh len(xs) x size_y rows at
+    x's in any order, repeats allowed, reads through it unless a subclass
+    has a cheaper read.  Both raise IndexError for an index off the rectangle.
     """
 
     size_x: int
@@ -109,10 +109,10 @@ class TableFunction(BoolFunction):
         self.size_x, self.size_y = table.shape
 
     def rows(self, xs: np.ndarray) -> np.ndarray:
-        return self.table[xs]
+        return self.table[_as_indices(xs, self.size_x, "x")]
 
     def values(self, xs, ys) -> np.ndarray:
-        return self.table[xs, ys]
+        return self.table[_as_indices(xs, self.size_x, "x"), _as_indices(ys, self.size_y, "y")]
 
     @classmethod
     def constant(cls, size_x: int, size_y: int, bit: int) -> "TableFunction":
@@ -143,10 +143,11 @@ class OneWayProtocol(BoolFunction):
         self.size_y = deciders.shape[1]
 
     def rows(self, xs: np.ndarray) -> np.ndarray:
-        return self.deciders[self.assignment[xs]]
+        return self.deciders[self.assignment[_as_indices(xs, self.size_x, "x")]]
 
     def values(self, xs, ys) -> np.ndarray:
-        return self.deciders[self.assignment[xs], ys]
+        return self.deciders[self.assignment[_as_indices(xs, self.size_x, "x")],
+                             _as_indices(ys, self.size_y, "y")]
 
     def message(self, x) -> int:
         return int(self.assignment[_as_index(x, self.size_x, "x")])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BitString, BoolFunction, OneWayProtocol
+from .core import BitString, BoolFunction, OneWayProtocol, _as_indices
 from .distributions import popcount_table, sample_noisy_copy, uniform_bits
 
 
@@ -36,6 +36,7 @@ class ParityFunction(BoolFunction):
         self._pc = popcount_table(n)
 
     def values(self, xs, ys) -> np.ndarray:
+        xs, ys = _as_indices(xs, self.size_x, "x"), _as_indices(ys, self.size_y, "y")
         return self._pc[np.bitwise_xor(xs, ys) & self.mask] & 1
 
 

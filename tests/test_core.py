@@ -151,6 +151,35 @@ def test_values_match_a_dense_reference():
             fn(1.0, 0)
 
 
+def test_reads_reject_off_range_indices():
+    # values and rows of every subclass raise IndexError for -1 or size on
+    # either side, at scalar and array indices; before, a negative index
+    # wrapped silently or reached np.repeat with a negative count
+    n = 3
+    size = 1 << n
+    protocol = OneWayProtocol(np.arange(size) % 2, np.eye(2, size, dtype=np.uint8))
+    functions = (TableFunction(np.zeros((size, size), np.uint8)), protocol,
+                 ParityFunction(0b101, n), FlippedFunction(protocol, [0, 12, size * size - 1]),
+                 FlippedFunction(ParityFunction(0b11, n), []))
+    for fn in functions:
+        for bad in (-1, size):
+            for xs, ys in ((bad, 0), (0, bad), ([0, bad], [1, 2]), ([1, 2], [bad, 0]),
+                           (np.array([[bad]]), np.arange(size))):
+                with pytest.raises(IndexError):
+                    fn.values(xs, ys)
+            for xs in ([bad], [0, bad], np.array([bad, 1])):
+                with pytest.raises(IndexError):
+                    fn.rows(np.asarray(xs))
+                with pytest.raises(IndexError):
+                    BoolFunction.rows(fn, np.asarray(xs))
+    # the case that read a wrong value: the base's -1 wraps to row 3, whose (3, 0) is 1
+    flipped = FlippedFunction(TableFunction(np.zeros((4, 4), np.uint8)), [12])
+    with pytest.raises(IndexError):
+        flipped.values(-1, 0)
+    with pytest.raises(IndexError):
+        flipped.rows(np.array([-1]))
+
+
 def test_table_function_validation():
     with pytest.raises(ValueError):
         TableFunction([[0, 2], [1, 0]])
