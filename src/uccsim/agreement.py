@@ -105,14 +105,10 @@ def chernoff_bound(n: int, mean: float, kind: str, param: float) -> float:
     """
     if n < 1 or mean < 0:
         raise ValueError("need n >= 1 and mean >= 0")
-    if kind == "lower":
+    if kind in ("lower", "upper"):
         if not 0.0 <= param <= 1.0:
             raise ValueError("relative deviation must lie in [0, 1]")
-        return math.exp(-param * param * mean / 2.0)
-    if kind == "upper":
-        if not 0.0 <= param <= 1.0:
-            raise ValueError("relative deviation must lie in [0, 1]")
-        return math.exp(-param * param * mean / 3.0)
+        return math.exp(-param * param * mean / (2.0 if kind == "lower" else 3.0))
     if kind == "additive":
         if param < 0.0:
             raise ValueError("absolute deviation must be nonnegative")

@@ -135,8 +135,7 @@ def _cmd_lowerbound_sweep(args) -> int:
             exact = discrepancy_exact(n, p) if n <= EXACT_MAX_N else ""
             lb = cc_lower_bound(bound, args.eps)
             gamma = -math.log2(bound) / (p * n)
-            lines.append(",".join(_fmt(v) if v != "" else "" for v in
-                                  (p, n, bound, exact, lb, gamma)))
+            lines.append(",".join(_fmt(v) for v in (p, n, bound, exact, lb, gamma)))
     _emit(args.out, lines)
     return 0
 

@@ -36,6 +36,34 @@ def _check_bit_count(n: int) -> None:
         raise ValueError(f"n = {n} is outside 1..{top}: sides are capped at MAX_SIDE = 2^{top}")
 
 
+def _alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table (ACM TOMS 1977): column i keeps share own[i], alias[i] takes the rest.
+
+    With s = size * probs, light cells (s < 1) are topped up by heavy ones
+    (the rest, always with the heaviest).  Laying the light deficits 1 - s
+    and the heavy surpluses s - 1 end to end in index order, a light cell
+    goes to the heavy one whose surplus holds its deficit's start; a heavy
+    cell whose surplus ends inside a deficit pays the rest from its own
+    column, which the next heavy cell tops up.
+    """
+    own = probs * len(probs)
+    light = own < 1.0
+    light[own.argmax()] = False
+    small, heavy = np.flatnonzero(light), np.flatnonzero(~light)
+    deficit = np.concatenate(([0.0], np.cumsum(1.0 - own[small])))
+    surplus = np.cumsum(own[heavy] - 1.0)
+    alias = np.arange(len(probs))
+    alias[small] = heavy[np.searchsorted(surplus[:-1], deficit[:-1], side="right")]
+    alias[heavy[:-1]] = heavy[1:]
+    own[heavy] = 1.0 - np.maximum(deficit[np.searchsorted(deficit[:-1], surplus)] - surplus, 0.0)
+    return own, alias
+
+
+def _log2_floored(masses) -> np.ndarray:
+    """log2 of masses, each floored at the smallest normal float so that every log is finite."""
+    return np.log2(np.maximum(masses, np.finfo(np.float64).tiny))
+
+
 def popcount_table(n: int) -> np.ndarray:
     """Bit counts of 0..2^n-1 as a uint8 array."""
     table = np.zeros(1 << n, dtype=np.uint8)
@@ -58,6 +86,7 @@ class Distribution:
         self.probs = probs / probs.sum()
         self.size = len(probs)
         self._cdf = None
+        self._alias = None
 
     def sample(self, rng: np.random.Generator, size=None):
         """Exactly rng.choice(self.size, size=size, p=self.probs), with the cdf built once.
@@ -71,6 +100,14 @@ class Distribution:
             self._cdf = cdf
         index = self._cdf.searchsorted(rng.random(size), side="right")
         return int(index) if size is None else index
+
+    def draws(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """i.i.d. int64 draws, O(1) each through an alias table built once; not sample's stream."""
+        if self._alias is None:
+            self._alias = _alias_table(self.probs)
+        u = rng.random(shape) * self.size
+        cell = u.astype(np.int64)
+        return np.where(u - cell < self._alias[0][cell], cell, self._alias[1][cell])
 
     @classmethod
     def uniform(cls, size: int) -> "Distribution":
@@ -97,7 +134,7 @@ class JointDistribution:
     """A joint distribution over [0, size_x) x [0, size_y).
 
     Subclasses implement mass_array, the marginals and sample; the
-    conditionals and the dense table read through mass_array.
+    conditionals, sample lists and dense table read through mass_array.
     """
 
     size_x: int
@@ -123,6 +160,19 @@ class JointDistribution:
         if (total <= 0).any():
             raise ValueError("conditional undefined: an x has zero mass")
         return rows / total
+
+    def log2_conditional(self, xs, ys) -> np.ndarray:
+        """Floored log2 mu(y | x) at broadcasting index arrays; ValueError at an x of mass 0."""
+        mass, px = self.mass_array(xs, ys), self.marginal_x().probs[xs]
+        if (px <= 0).any():
+            raise ValueError("conditional undefined: an x has zero mass")
+        return _log2_floored(mass / px)
+
+    def sample_lists(self, xs, m: int, rng: np.random.Generator) -> np.ndarray:
+        """m i.i.d. draws of y from mu(. | x) per x in xs, a len(xs) x m array, by inverse cdf."""
+        cdf = np.cumsum(self.conditional_rows(xs), axis=1)
+        cdf /= cdf[:, -1:]
+        return (rng.random((len(cdf), m))[:, :, None] >= cdf[:, None, :]).sum(axis=2)
 
     def sample(self, rng: np.random.Generator, size=None):
         """One (x, y) pair of ints, or with numpy's size convention two arrays of that shape."""
@@ -168,9 +218,6 @@ class TableJoint(JointDistribution):
             return int(flat) // self.size_y, int(flat) % self.size_y
         return np.divmod(flat, self.size_y)
 
-    def to_table(self) -> np.ndarray:
-        return self.table
-
 
 class ProductJoint(JointDistribution):
     """Independent coordinates: mass(x, y) = px(x) * py(y)."""
@@ -199,6 +246,9 @@ class ProductJoint(JointDistribution):
     def sample(self, rng: np.random.Generator, size=None):
         return self.px.sample(rng, size), self.py.sample(rng, size)
 
+    def sample_lists(self, xs, m: int, rng: np.random.Generator) -> np.ndarray:
+        return self.py.draws(rng, (len(_as_indices(xs, self.size_x, "x")), m))
+
     def mutual_information(self) -> float:
         return 0.0
 
@@ -223,6 +273,9 @@ class NoisyHypercube(JointDistribution):
         self._cond_by_distance = (p ** d) * ((1.0 - p) ** (n - d))
         # x is uniform, and flipping uniform bits leaves y uniform too.
         self._uniform = Distribution.uniform(self.size_x)
+        # y = x ^ z, with one law of the flip pattern z for every x
+        self._flips = Distribution(self._cond_by_distance[self._pc])
+        self._log2_by_distance = _log2_floored(self._cond_by_distance)
 
     def mass_array(self, xs, ys) -> np.ndarray:
         d = self._pc[_as_indices(xs, self.size_x, "x") ^ _as_indices(ys, self.size_y, "y")]
@@ -240,6 +293,13 @@ class NoisyHypercube(JointDistribution):
         flips = rng.random(np.shape(x) + (self.n,)) < self.p
         y = x ^ (flips @ (1 << np.arange(self.n)))
         return (int(x), int(y)) if size is None else (x, y)
+
+    def sample_lists(self, xs, m: int, rng: np.random.Generator) -> np.ndarray:
+        return _as_indices(xs, self.size_x, "x")[:, None] ^ self._flips.draws(rng, (len(xs), m))
+
+    def log2_conditional(self, xs, ys) -> np.ndarray:
+        d = self._pc[_as_indices(xs, self.size_x, "x") ^ _as_indices(ys, self.size_y, "y")]
+        return self._log2_by_distance[d]
 
     def mutual_information(self) -> float:
         return self.n * (1.0 - binary_entropy(self.p))

@@ -16,13 +16,12 @@ Bob's set after about log2(P(v)/Q(v)) rounds for its value v, so a one-way
 run over m copies pays about 3 m D(P||Q) + s bits.
 
 The one-way protocol runs over a product universe of m copies, far too
-large to enumerate, so it draws Alice's sample counts directly and draws
+large to enumerate, so it draws Alice's sample list directly and draws
 the hash-filtered false candidates as the point process they form: a
 proposal that bounds their intensity, thinned to the candidates a literal
-run would hold.  It runs many independent runs at once, one per row of its
-arrays.  The interactive protocol is its m = 1 case plus Bob's reply bits,
-with as many rounds as a candidate budget allows; Bob's candidate set and
-termination round are the same.
+run would hold, one run per row of its arrays.  The interactive protocol is
+its m = 1 case plus Bob's reply bits, with as many rounds as a candidate
+budget allows; Bob's candidate set and termination round are the same.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, JointDistribution, derive_rng
+from .core import _as_indices
+from .distributions import Distribution, JointDistribution, ProductJoint, _log2_floored, derive_rng
 
 # A label only: it selects no code path.  The frozen benchmark tracer reads it
 # to mark one-way calls on product universes of at most this many points.
@@ -43,8 +43,6 @@ DEFAULT_MAX_CANDIDATES = 10_000_000
 INDEX_CELL_BITS = 53
 # constant factor of the one-way payload cap, see truncation_limit
 TRUNCATION_C1 = 4.0
-# correlated_rows draws its runs in blocks of about this many count cells
-ROW_BLOCK_CELLS = 1 << 16
 
 # fresh hash bits Alice reveals in every round after the first; more than 2,
 # so the false matches thin out faster than Bob's candidate set grows
@@ -95,32 +93,14 @@ def rounds_within(s: int, bits):
     return np.maximum((bits - s) // FRESH_BITS_PER_ROUND + 1, 0)
 
 
-def _multinomial_rows(m: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One row of counts per row of probs: m i.i.d. draws from that row, counted per column.
-
-    numpy hands whatever mass rounding leaves over to the last category, so
-    each row's heaviest cell is swapped into the last column for the draw:
-    the leftover then never lands on a zero-mass cell.
-    """
-    rows = np.arange(len(probs))
-    heavy = probs.argmax(axis=1)
-    moved = probs.copy()
-    moved[rows, heavy], moved[rows, -1] = probs[rows, -1], probs[rows, heavy]
-    counts = rng.multinomial(m, moved)
-    counts[rows, heavy], counts[rows, -1] = counts[rows, -1], counts[rows, heavy]
-    return counts
-
-
 def _index_cells(log2_cells) -> np.ndarray:
     """2^log2_cells index positions, exact up to 2^INDEX_CELL_BITS and capped there."""
     return np.rint(np.exp2(np.minimum(log2_cells, INDEX_CELL_BITS)))
 
 
-def _false_matches(p: np.ndarray, q: np.ndarray, m: int, s: int, alice_index: np.ndarray,
-                   last_round: int, rng: np.random.Generator):
-    """False matches of row i in Bob's set by round last_round: (row, entry, last, value).
-
-    value holds each match's count vector, one row per match.
+def _false_matches(mu: JointDistribution, xs: np.ndarray, q: Distribution, m: int, s: int,
+                   alice_index: np.ndarray, last_round: int, rng: np.random.Generator):
+    """False matches of row i in Bob's set by round last_round: (row, entry, last, list).
 
     The product universe has N = d^m points, and row i's Alice candidate sits
     at 0-based index floor(alice_index[i] * N).  A candidate (index, value v,
@@ -147,24 +127,22 @@ def _false_matches(p: np.ndarray, q: np.ndarray, m: int, s: int, alice_index: np
     (N-1)/N.
     """
     ratio = 2.0 ** (2 - FRESH_BITS_PER_ROUND)
-    log2_size = m * math.log2(len(q))
+    log2_size = m * math.log2(q.size)
     size = float(_index_cells(log2_size))
     # with N = 1 Alice's index is the only one, so nothing lies before it
     boost = size / max(size - 1.0, 1.0)
     row = np.repeat(np.arange(len(alice_index)),
                     rng.poisson(boost * 2.0 ** (1 - s) / (1.0 - ratio), size=len(alice_index)))
-    # size-0 draws below would leave rng's state as it is, so skipping them keeps every stream
+    # most blocks propose no candidate, and then every draw below is empty
     if not len(row):
-        return row, row, row, np.zeros((0, len(q)), np.int64)
+        return row, row, row, np.zeros((0, m), np.int64)
     entry = rng.geometric(1.0 - ratio, size=len(row))
     last = entry + rng.geometric(1.0 - 2.0 ** -FRESH_BITS_PER_ROUND, size=len(row)) - 1
-    value = _multinomial_rows(m, np.broadcast_to(q, (len(row), len(q))), rng)
+    value = q.draws(rng, (len(row), m))
     offset, level, keep = rng.random((3, len(row)))
-    tiny = np.finfo(np.float64).tiny
-    log_q = value @ np.log2(np.maximum(q, tiny))
-    log_p = np.einsum("ij,ij->i", value, np.log2(np.maximum(p[row], tiny)))
+    log_p = mu.log2_conditional(xs[row, None], value).sum(axis=1)
     with np.errstate(divide="ignore"):
-        log_level = entry + log_q + np.log2(level)
+        log_level = entry + _log2_floored(q.probs)[value].sum(axis=1) + np.log2(level)
     cells = _index_cells(log2_size + entry - 1.0)
     cell = np.floor(offset * cells)
     alice = np.floor(np.ldexp(alice_index[row], 1 - entry) * cells)
@@ -204,41 +182,31 @@ def _termination_rounds(entry: np.ndarray, ev_row: np.ndarray, ev_entry: np.ndar
     return term
 
 
-def one_way_rows(p: np.ndarray, q: np.ndarray, m: int, s: int, limit: int,
-                 rng: np.random.Generator):
-    """The one-way run once per row of p, every draw from rng.
+def one_way_rows(mu: JointDistribution, xs: np.ndarray, q: Distribution, m: int, s: int,
+                 limit: int, rng: np.random.Generator):
+    """The one-way run once per x in xs, every draw from rng.
 
-    p holds one conditional of Alice per row and q Bob's marginal, both over
-    the coordinate universe; the product universe of N = d^m points is never
-    built.  Alice's sample is her count vector, one multinomial draw per
-    row.  Her candidate's 1-based index is Geometric(1/N), floor(E / lam) + 1
-    for an exponential E and lam = -log1p(-1/N); with her acceptance level
-    it gives the exact round at which the candidate enters Bob's set.  The other
-    matching candidates are drawn by _false_matches.  Alice reveals s hash
-    bits in round 1 and FRESH_BITS_PER_ROUND fresh bits in each later round.
-    A row terminates at the first round with exactly one candidate in Bob's
-    set if that comes within the last round whose payload_bits fit in limit,
-    and Bob then holds that candidate's counts: Alice's, or those of a lone
-    false match.  A row succeeds when it terminates and Bob's counts equal
-    Alice's.  For m >= 2 a false match with Alice's counts in another order
-    counts as agreement here, where the literal run needs the same ordered
-    tuple.  Returns (alice, bob, payload_bits, success): count matrices of
-    one row per run, each row summing to m, and per-row vectors.  A row
-    pays payload_bits(s, T) for termination round T, or the whole limit if
-    it never terminates; then Bob falls back to counts drawn from q.
+    Row i's P is mu's conditional at xs[i] and Bob's Q is q; the product
+    universe of N = d^m points is never built.  Alice's sample is a list of
+    m i.i.d. draws from P, her log-ratio read at its points.  Her index is
+    Geometric(1/N), floor(E / lam) + 1 for an exponential E and lam =
+    -log1p(-1/N); with her acceptance level it gives the round her candidate
+    enters Bob's set.  _false_matches draws the other matches.  A row ends
+    at the first round with one candidate in Bob's set, if its payload_bits
+    fit in limit, and succeeds if that candidate's list is Alice's ordered
+    tuple; else it pays the whole limit and Bob falls back to a list drawn
+    from q.  Returns (alice, bob, payload_bits, success): len(xs) x m lists
+    of y indices and per-row vectors.
     """
     last_round = int(rounds_within(s, limit))
-    alice = _multinomial_rows(m, p, rng)
-    level = rng.random(len(p))
-    position = rng.standard_exponential(len(p))
-    # sum log2(P/Q) over Alice's draws, with the masses floored at the smallest
-    # normal float so that every log is finite: a cell of P-mass 0 is never
-    # drawn, and a drawn cell of Q-mass 0 keeps her candidate out of Bob's set
-    tiny = np.finfo(np.float64).tiny
-    log_ratio = (np.einsum("ij,ij->i", alice, np.log2(np.maximum(p, tiny)))
-                 - alice @ np.log2(np.maximum(q, tiny)))
-    enters = ~alice[:, q == 0].any(axis=1)
-    size = _index_cells(m * math.log2(len(q)))
+    alice = mu.sample_lists(xs, m, rng)
+    level = rng.random(len(xs))
+    position = rng.standard_exponential(len(xs))
+    # P-mass-0 cells are never drawn; a drawn Q-mass-0 cell keeps her out of Bob's set
+    log_q = _log2_floored(q.probs)
+    log_ratio = (mu.log2_conditional(xs[:, None], alice) - log_q[alice]).sum(axis=1)
+    enters = (q.probs[alice] > 0).all(axis=1)
+    size = _index_cells(m * math.log2(q.size))
     with np.errstate(divide="ignore"):
         log_level = np.log2(level)
         # Alice's index over N, E / (lam N): her 0-based index is floor(index * N)
@@ -247,7 +215,7 @@ def one_way_rows(p: np.ndarray, q: np.ndarray, m: int, s: int, limit: int,
     # the first round whose horizon N 2^(t-1) reaches past her index
     horizon = np.floor(np.log2(np.maximum(index, 0.5))) + 2.0
     entry = np.where(enters, np.maximum(accept, horizon), 0.0).astype(np.int64)
-    ev_row, ev_entry, ev_last, ev_value = _false_matches(p, q, m, s, index, last_round, rng)
+    ev_row, ev_entry, ev_last, ev_value = _false_matches(mu, xs, q, m, s, index, last_round, rng)
     term = _termination_rounds(entry, ev_row, ev_entry, ev_last)
     terminated = (term > 0) & (term <= last_round)
     payload = np.where(terminated, payload_bits(s, term), limit)
@@ -256,9 +224,8 @@ def one_way_rows(p: np.ndarray, q: np.ndarray, m: int, s: int, limit: int,
     lone = terminated[ev_row] & (ev_entry <= term[ev_row]) & (term[ev_row] <= ev_last)
     bob[ev_row[lone]] = ev_value[lone]
     unended = np.flatnonzero(~terminated)
-    # a size-0 draw leaves rng's state as it is, so skipping it keeps every stream
     if len(unended):
-        bob[unended] = _multinomial_rows(m, np.broadcast_to(q, (len(unended), len(q))), rng)
+        bob[unended] = q.draws(rng, (len(unended), m))
     success = terminated & (bob == alice).all(axis=1)
     return alice, bob, payload, success
 
@@ -267,12 +234,10 @@ def correlated_rows(p: Distribution, q: Distribution, eps: float, runs: int,
                     rng: np.random.Generator, max_candidates: int = DEFAULT_MAX_CANDIDATES):
     """runs interactive runs as m = 1 one_way_rows rows, every draw from rng.
 
-    Returns (a, b, bits_alice, rounds, success) arrays, one entry per run.
-    The runs go in blocks of ROW_BLOCK_CELLS // p.size rows, one after the
-    other on rng, so the count arrays stay small on large universes.  Round
-    t looks at the first p.size 2^(t-1) candidates, so a run stops after the
-    last round whose horizon fits in max_candidates and pays payload_bits
-    for that many rounds.
+    Returns (a, b, bits_alice, rounds, success) arrays, one entry per run;
+    p is the conditional of a one-point x side.  Round t looks at the first
+    p.size 2^(t-1) candidates, so a run stops after the last round whose
+    horizon fits in max_candidates and pays payload_bits for them.
     """
     if p.size != q.size:
         raise ValueError("distributions live on different universes")
@@ -284,29 +249,21 @@ def correlated_rows(p: Distribution, q: Distribution, eps: float, runs: int,
         raise ValueError("need at least one run")
     s = hash_bits_per_round(eps)
     limit = payload_bits(s, (max_candidates // p.size).bit_length())
-    block = max(1, ROW_BLOCK_CELLS // p.size)
-    parts = []
-    for lo in range(0, runs, block):
-        alice, bob, payload, success = one_way_rows(np.tile(p.probs, (min(block, runs - lo), 1)),
-                                                    q.probs, 1, s, limit, rng)
-        parts.append((alice.argmax(axis=1), bob.argmax(axis=1), payload, success))
-    a, b, payload, success = (np.concatenate(column) for column in zip(*parts))
-    return a, b, payload, rounds_within(s, payload), success
+    alice, bob, payload, success = one_way_rows(ProductJoint(Distribution([1.0]), p),
+                                                np.zeros(runs, np.int64), q, 1, s, limit, rng)
+    return alice[:, 0], bob[:, 0], payload, rounds_within(s, payload), success
 
 
 def correlated_sample(p: Distribution, q: Distribution, eps: float, shared: SharedRandomness,
                       max_candidates: int = DEFAULT_MAX_CANDIDATES):
     """Interactive correlated sampling; returns (a, b, stats).
 
-    The one-way run with m = 1 plus Bob's reply bit each round: his
-    candidate set and termination round are the same.  This is the one-run
-    case of correlated_rows on shared's output stream.  Alice's output a is
-    exactly p-distributed, and she pays s = hash_bits_per_round(eps) bits
-    in round 1 and FRESH_BITS_PER_ROUND a round after it.  stats.success
-    reports that Bob's set held exactly one candidate within the
-    max_candidates cap and that its value b equals a; a run that never gets
-    there is reported, never hidden, and Bob falls back to a fresh draw
-    from q.
+    The one-run case of correlated_rows on shared's output stream, plus
+    Bob's reply bit each round.  Alice's a is exactly p-distributed; she pays
+    s = hash_bits_per_round(eps) bits in round 1 and FRESH_BITS_PER_ROUND a
+    round after it.  stats.success reports that Bob's set held exactly one
+    candidate within the max_candidates cap and that its value b equals a; a
+    run that never gets there is reported, and Bob falls back to a draw from q.
     """
     a, b, bits, rounds, success = correlated_rows(p, q, eps, 1, shared.stream(_TAG_OUTPUT),
                                                   max_candidates)
@@ -328,34 +285,26 @@ def truncation_limit(mu: JointDistribution, m: int, eps: float) -> int:
 def one_way_block(mu: JointDistribution, xs, m: int, eps: float, rng: np.random.Generator):
     """one_way_rows once per x in xs at failure budget eps, every draw from rng.
 
-    Alice's rows are mu's conditionals at xs, Bob's is its y-marginal, s =
-    hash_bits_per_round(eps / 2) and the cap truncation_limit(mu, m, eps).
+    Bob's Q is mu's y-marginal, s = hash_bits_per_round(eps / 2) and the
+    cap truncation_limit(mu, m, eps).
     """
     limit = truncation_limit(mu, m, eps)
-    p = mu.conditional_rows(xs)
+    xs = _as_indices(xs, mu.size_x, "x")
     if m < 1:
         raise ValueError(f"need m >= 1 samples, got {m}")
-    return one_way_rows(p, mu.marginal_y().probs, m, hash_bits_per_round(eps / 2.0), limit, rng)
+    return one_way_rows(mu, xs, mu.marginal_y(), m, hash_bits_per_round(eps / 2.0), limit, rng)
 
 
 def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
                               shared: SharedRandomness):
     """Sample m points from mu's conditional given x with one message from Alice.
 
-    Alice holds the conditional, Bob only the marginal over his side; since
-    the marginal is public, Alice simulates Bob's side of the interactive
-    protocol and ships exactly the hash bits it would consume, capped at
-    truncation_limit bits.  Returns (alice_counts, bob_counts, stats): how
-    many of each party's m samples fall on each y, as length-size_y vectors.
-    stats.success reports whether the two sample lists agree, and a failed
-    run keeps Bob's counts, a lone false match's or his fallback's, rather
-    than hiding the mismatch.  This is the one-row case of one_way_block.
-
-    Counts lose nothing a caller needs: each list is m i.i.d. draws, so given
-    its counts its order is a uniformly random arrangement.  On success the
-    lists are equal; a failed run's lists share no order, so a caller pairs
-    them as independent lists.
+    Alice holds the conditional and Bob the public marginal, so Alice
+    simulates Bob's side and ships the hash bits it would consume, capped at
+    truncation_limit bits.  Returns (alice_counts, bob_counts, stats): the
+    one-row case of one_way_block, each list counted over y.  stats.success
+    says whether the lists agree as ordered tuples; a failure is not hidden.
     """
-    alice, bob, payload, success = one_way_block(mu, [x], m, eps, shared.stream(_TAG_OUTPUT))
-    return alice[0], bob[0], TranscriptStats(bits_alice=int(payload[0]), bits_bob=0,
-                                             rounds=1, success=bool(success[0]))
+    alice, bob, bits, ok = one_way_block(mu, [x], m, eps, shared.stream(_TAG_OUTPUT))
+    return (np.bincount(alice[0], minlength=mu.size_y), np.bincount(bob[0], minlength=mu.size_y),
+            TranscriptStats(bits_alice=int(bits[0]), bits_bob=0, rounds=1, success=bool(ok[0])))

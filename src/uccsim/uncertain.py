@@ -3,29 +3,17 @@
 An instance is a random k-bit one-way protocol and two budgeted
 perturbations of its function: g differs from it on mass at most eps under
 the input distribution mu, and f from g on mass at most delta.  Each set of
-flipped points is a prefix of a uniformly random order of the points, drawn
-by one routine (_flip_random_points), and stored as it is: g is the
-protocol's function flipped at the eps-set and f is g flipped at the
-delta-set (core.FlippedFunction), so no 4^n table is built, trials read
-rows and verify sums the mass of each set.  Alice computes f and Bob knows g
-through the protocol.  Neither party knows the other's function, so
-instead of running the protocol they correlate samples of Bob's input,
-Alice reveals f on her copies, and Bob picks the decider that disagrees
-least with what she revealed.
+flipped points is a prefix of a uniformly random order of the points
+(_flip_random_points), kept as it is: g is the protocol's function flipped
+at the eps-set and f is g flipped at the delta-set (core.FlippedFunction).
+Alice computes f and Bob knows g through the protocol.  Neither knows the
+other's function, so they correlate lists of m = choose_sample_count(k, theta)
+samples of Bob's input, Alice reveals f on her list, and Bob pairs her bits
+with his list and picks the decider that disagrees least with them.
 
-A run sends the sampling payload plus the m revealed bits.  m =
-choose_sample_count(k, theta) is Hoeffding's inequality inverted: the least
-m for which some deviation t has 2 t + 2^k exp(-2 m t^2) + 1.5 (theta /
-10)^2 <= theta, a one-sided tail per decider, a union bound over the 2^k
-deciders, and the sampler's failure.  The least m at deviation t has one
-minimum over t, found by one bisection, so m = 136 at k = 2, theta = 0.3.
-The payload grows with the input's mutual information I: Alice's sample
-enters Bob's set after about m I rounds, and she sends s hash bits in the
-first round and 3 in each later one, so it is about 3 m I + s bits, with
-I = n (1 - h(p)) on NoisyHypercube(n, p).  That is the O(k (1 + I)) of the
-theory for a fixed theta.  At n = 12, k = 2, theta = 0.3 on
-NoisyHypercube(12, 0.1) a trial sends about 2,750 bits, of which 136 are
-revealed bits and the rest payload.
+A run sends the m revealed bits plus the sampling payload, about 3 m I + s
+bits for mutual information I (see sampling): O(k (1 + I)) for a fixed
+theta, about 2,750 bits on NoisyHypercube(12, 0.1) at k = 2, theta = 0.3.
 """
 
 from __future__ import annotations
@@ -47,7 +35,7 @@ _DIST_TOL = 1e-12
 # at most 2^FLIP_CHUNK_BITS candidate points are drawn per round of a flip set
 FLIP_CHUNK_BITS = 20
 # trials per block times size_y: a block's count arrays hold about this many cells
-TRIAL_BLOCK = 1 << 15
+TRIAL_BLOCK = 1 << 17
 
 WILSON_Z = 1.959963984540054
 
@@ -293,22 +281,23 @@ def _run_rows(instance: UncertainInstance, xs: np.ndarray, ys: np.ndarray, theta
               rng: np.random.Generator):
     """One full run per (x, y) row, every draw from rng: (output, bits, errors, chosen, ok).
 
-    Correlate samples, reveal f there, let Bob pick a decider.  Bob scores
-    every decider against Alice's revealed bits on his own sample list and
-    answers with the lowest-indexed minimizer.  On success the lists are
-    equal, so Alice's counts at y carry f(x, y).  On failure the lists are
-    independent, so Alice's r revealed ones land on a uniformly random
-    r-subset of Bob's samples: one multivariate hypergeometric draw.
-    Total communication is the sampling payload plus the m revealed bits.
+    Correlate sample lists and reveal f on Alice's.  Bob pairs her bits with
+    his own list index by index, as the protocol does, scores every decider
+    on his counts and the revealed ones among them, and answers with the
+    lowest-indexed minimizer.  On success the lists are equal; on failure
+    they are independent.  A run sends the payload plus the m revealed bits.
     """
     m = choose_sample_count(instance.k, theta)
     # the sampler's failure budget, the phi term of choose_sample_count's error split
     alice, bob, payload, ok = one_way_block(instance.mu, xs, m, _sample_eps(theta), rng)
-    ones = alice * instance.f.rows(xs)
-    for i in np.flatnonzero(~ok):
-        ones[i] = rng.multivariate_hypergeometric(bob[i], ones[i].sum())
+    # Bob's samples, and those paired with a revealed 1, by flat (row, y) cell
+    cell = np.arange(len(xs))[:, None] * instance.mu.size_y
+    at = (cell + bob).ravel()
+    one = instance.f.rows(xs).take(cell + alice).ravel() == 1
+    counts, ones = (np.bincount(a, minlength=cell.size * instance.mu.size_y).reshape(len(xs), -1)
+                    for a in (at, at[one]))
     deciders = instance.protocol.deciders
-    errors = decider_errors(deciders, bob, ones)
+    errors = decider_errors(deciders, counts, ones)
     chosen = errors.argmin(axis=1)
     return deciders[chosen, ys], payload + m, errors, chosen, ok
 
@@ -350,8 +339,7 @@ def _trial_block(instance: UncertainInstance, theta: float, trials: int, master_
     xs, ys = instance.mu.sample(rng, size=hi - lo)
     output, bits, _errors, _chosen, ok = _run_rows(instance, xs, ys, theta, rng)
     return list(map(TrialRecord, range(lo, hi), xs.tolist(), ys.tolist(), output.tolist(),
-                    instance.g.values(xs, ys).tolist(), bits.tolist(),
-                    ok.tolist()))
+                    instance.g.values(xs, ys).tolist(), bits.tolist(), ok.tolist()))
 
 
 def run_trials(instance: UncertainInstance, theta: float, trials: int, master_seed: int,
@@ -373,9 +361,9 @@ def run_trials(instance: UncertainInstance, theta: float, trials: int, master_se
     if workers == 1:
         chunks = list(map(run_block, range(blocks)))
     else:
-        # The threads share one instance: a trial only reads it.  The one write
-        # is Distribution._cdf, a lazy cache that every thread computes to the
-        # same array and assigns in one step.
+        # The threads share one instance: a trial only reads it.  The only
+        # writes are Distribution's lazy caches, _cdf and _alias, which every
+        # thread computes to the same arrays and assigns in one step.
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_block, range(blocks)))
     return [record for chunk in chunks for record in chunk]

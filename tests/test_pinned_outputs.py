@@ -75,9 +75,8 @@ def _one_way_batch() -> bytes:
                                             (8, 0.1, 300, 0.01, 1, 51)):
         mu = NoisyHypercube(n, noise)
         xs = np.arange(mu.size_x).repeat(repeats)
-        outputs = one_way_rows(mu.conditional_rows(xs), mu.marginal_y().probs, m,
-                               hash_bits_per_round(eps / 2.0), truncation_limit(mu, m, eps),
-                               np.random.default_rng(seed))
+        outputs = one_way_rows(mu, xs, mu.marginal_y(), m, hash_bits_per_round(eps / 2.0),
+                               truncation_limit(mu, m, eps), np.random.default_rng(seed))
         parts += [np.asarray(out).astype("<i8").tobytes() for out in outputs]
     return b"".join(parts)
 

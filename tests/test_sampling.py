@@ -70,6 +70,11 @@ def interactive_rows(p, q, eps, runs, seed, max_candidates=DEFAULT_MAX_CANDIDATE
     return correlated_rows(p, q, eps, runs, np.random.default_rng(seed), max_candidates)
 
 
+def one_point_joint(p):
+    """A joint with one x, whose conditional is p: one_way_rows' form of a lone P."""
+    return ProductJoint(Distribution([1.0]), p)
+
+
 def test_correlated_sample_is_the_one_row_case():
     # Every output of a call, for any max_candidates, is row 0 of one_way_rows
     # at m = 1 on the call's output stream, with the round cap that
@@ -87,9 +92,10 @@ def test_correlated_sample_is_the_one_row_case():
             for seed in range(200):
                 shared = SharedRandomness((40, index, seed))
                 a, b, stats = correlated_sample(p, q, eps, shared, max_candidates)
-                alice, bob, bits, ok = one_way_rows(p.probs[None, :], q.probs, 1, s, limit,
+                alice, bob, bits, ok = one_way_rows(one_point_joint(p), np.zeros(1, np.int64),
+                                                    q, 1, s, limit,
                                                     shared.stream(sampling._TAG_OUTPUT))
-                assert (a, b) == (alice[0].argmax(), bob[0].argmax())
+                assert (a, b) == (alice[0, 0], bob[0, 0])
                 assert payload_bits(s, stats.rounds) == bits[0]
                 assert stats == sampling.TranscriptStats(
                     bits_alice=bits[0], bits_bob=stats.rounds, rounds=stats.rounds,
@@ -231,10 +237,12 @@ def test_one_way_stats_shape():
 
 
 def test_one_way_zero_mass_x_rejected():
-    table = np.array([[0.0, 0.0], [0.5, 0.5]])
-    mu = TableJoint(table)
-    with pytest.raises(ValueError):
-        one_way_correlated_sample(mu, 0, 2, 0.1, SharedRandomness(10))
+    # the conditional at an x of zero mass is undefined, whether the joint
+    # draws through its conditional rows or, as a product, from its y-marginal
+    for mu in (TableJoint(np.array([[0.0, 0.0], [0.5, 0.5]])),
+               ProductJoint(Distribution([0.0, 1.0]), Distribution([0.5, 0.5]))):
+        with pytest.raises(ValueError):
+            one_way_correlated_sample(mu, 0, 2, 0.1, SharedRandomness(10))
 
 
 def test_one_way_deterministic():
@@ -442,17 +450,22 @@ def literal_one_way(p, q, m, eps, limit, seeds):
 def assert_lazy_matches_literal(mu, x, m, eps, trials, seed):
     # The lazy run as one block of rows, the literal one seed by seed.  They
     # draw from different streams, so Alice's digit frequencies and the
-    # agreement rates must match within 4 sigma.
+    # agreement rates must match within 4 sigma.  Both agree only on the
+    # same ordered tuple: the literal run compares product-universe indices,
+    # whose digit j is copy j, and the lazy run whole lists.
     p = mu.conditional_y_given_x(x).probs
     q = mu.marginal_y().probs
     limit = truncation_limit(mu, m, eps)
-    alice, _, _, ok = one_way_rows(np.tile(p, (trials, 1)), q, m, hash_bits_per_round(eps / 2.0),
-                                   limit, np.random.default_rng(seed))
+    alice, bob, _, ok = one_way_rows(mu, np.full(trials, x), mu.marginal_y(), m,
+                                     hash_bits_per_round(eps / 2.0), limit,
+                                     np.random.default_rng(seed))
+    assert (alice[ok] == bob[ok]).all()
     digits, agree = literal_one_way(p, q, m, eps, limit,
                                     [(seed, x, run) for run in range(trials)])
     draws = trials * m
     sigma = np.sqrt(2.0 * p * (1.0 - p) / draws)
-    assert np.all(np.abs(alice.sum(axis=0) - digits) / draws <= 4.0 * sigma)
+    assert np.all(np.abs(np.bincount(alice.ravel(), minlength=len(p)) - digits) / draws
+                  <= 4.0 * sigma)
     rate = {"lazy": ok.mean(), "literal": agree / trials}
     pooled = (rate["lazy"] + rate["literal"]) / 2.0
     assert min(rate.values()) >= 1.0 - eps
@@ -485,43 +498,44 @@ def test_one_way_lazy_matches_literal_when_p_equals_q():
     assert_lazy_matches_literal(ProductJoint.uniform_bits(2), 0, 2, 0.5, 20_000, 39)
 
 
-def test_lazy_alice_counts_follow_the_multinomial_law():
-    # Per cell, the mean and variance of Alice's counts over the rows of one
-    # block must match those of bincounted rng.choice draws, within 4 sigma
-    # of their difference.  Cells expected to get fewer than 10 draws over
-    # all rows are too discrete for that normal bound; they are pooled into
-    # one cell, itself a multinomial cell.
+def test_lazy_alice_lists_are_iid_draws_of_the_conditional():
+    # Over the rows of one block, each cell's count must lie within 4 sigma
+    # of its binomial mean for: the values over all list positions against
+    # p; at each position, the value's distance from x against the law of
+    # that distance; and the distances at (position 1, position 2) against
+    # the product of that law, which checks their independence.
+    # NoisyHypercube's p is uniform on each distance from x, so the distance
+    # cells carry its whole shape.  Cells expected to get fewer than 100
+    # draws are pooled into one cell: below that, a 4 sigma normal bound
+    # understates a cell's upper tail several times over.  At m = 9935 the
+    # per-position check runs at the first two and the last position.
     mu = NoisyHypercube(8, 0.1)
-    q = mu.marginal_y().probs
     rows = 2000
+
+    def assert_binomial(values, law, draws):
+        common = law * draws >= 100
+        counts = np.bincount(values, minlength=len(law))
+        counts = np.append(counts[common], counts[~common].sum())
+        law = np.append(law[common], law[~common].sum())
+        assert np.all(np.abs(counts - draws * law) <= 4.0 * np.sqrt(draws * law * (1.0 - law)))
+
     for x, m in ((0, 37), (173, 9935)):
         p = mu.conditional_y_given_x(x).probs
-        lazy = one_way_rows(np.tile(p, (rows, 1)), q, m, hash_bits_per_round(0.05),
-                            truncation_limit(mu, m, 0.1), np.random.default_rng((33, x)))[0]
-        reference = np.array([np.bincount(np.random.default_rng((34, x, seed))
-                                          .choice(256, size=m, p=p), minlength=256)
-                              for seed in range(rows)])
-        assert lazy.shape == reference.shape == (rows, 256)
-        assert (lazy.sum(axis=1) == m).all()
-        common = m * p * rows >= 10
-
-        def pooled(cells):
-            return np.column_stack([cells[..., common], cells[..., ~common].sum(axis=-1)])
-
-        lazy, reference, p = pooled(lazy), pooled(reference), pooled(p[None, :])[0]
-        var = m * p * (1.0 - p)
-        fourth = var * (1.0 + 3.0 * (m - 2) * p * (1.0 - p))
-        mean_sigma = np.sqrt(2.0 * var / rows)
-        var_sigma = np.sqrt(2.0 * np.maximum(fourth - var ** 2, 0.0) / rows)
-        assert np.all(np.abs(lazy.mean(axis=0) - reference.mean(axis=0)) <= 4.0 * mean_sigma)
-        assert np.all(np.abs(lazy.var(axis=0) - reference.var(axis=0)) <= 4.0 * var_sigma)
-        # and Alice's mean sits on the multinomial's own, m * p
-        assert np.all(np.abs(lazy.mean(axis=0) - m * p) <= 4.0 * mean_sigma)
+        lists = one_way_rows(mu, np.full(rows, x), mu.marginal_y(), m, hash_bits_per_round(0.05),
+                             truncation_limit(mu, m, 0.1), np.random.default_rng((33, x)))[0]
+        assert lists.shape == (rows, m) and lists.dtype == np.int64
+        assert_binomial(lists.ravel(), p, rows * m)
+        distance = mu._pc[np.arange(256) ^ x]
+        law = np.bincount(distance, weights=p)
+        for j in range(m) if m < 100 else (0, 1, m - 1):
+            assert_binomial(distance[lists[:, j]], law, rows)
+        pair = distance[lists[:, 0]] * len(law) + distance[lists[:, 1]]
+        assert_binomial(pair, np.outer(law, law).ravel(), rows)
 
 
 def test_lazy_run_never_draws_a_zero_mass_cell():
     # P and Q have zero-mass cells, the last one included, and the rows of the
-    # second table have different supports; neither Alice's counts nor Bob's
+    # second table have different supports; neither Alice's list nor Bob's
     # fallback may land on a zero-mass cell of their row, whether or not the
     # run ends.
     first = np.array([[3.0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.0, 0.0],
@@ -540,10 +554,11 @@ def test_lazy_run_never_draws_a_zero_mass_cell():
         assert (p[:, -1] == 0).any() and q[4] == 0
         # a one-round cap makes most runs fall back to Bob's own draw
         for limit, seed in ((truncation_limit(mu, m, eps), 35), (s, 36)):
-            alice, bob, _, ok = one_way_rows(p, q, m, s, limit, np.random.default_rng(seed))
-            assert (alice.sum(axis=1) == m).all() and (bob.sum(axis=1) == m).all()
-            assert not alice[p == 0].any()
-            assert not bob[:, q == 0].any()
+            alice, bob, _, ok = one_way_rows(mu, xs, mu.marginal_y(), m, s, limit,
+                                             np.random.default_rng(seed))
+            assert alice.shape == bob.shape == (len(xs), m)
+            assert (p[np.arange(len(xs))[:, None], alice] > 0).all()
+            assert (q[bob] > 0).all()
             assert np.array_equal(alice[ok], bob[ok])
             if limit == s:
                 assert (~ok).sum() > len(xs) // 2
@@ -553,34 +568,58 @@ def test_lazy_run_never_enters_on_a_digit_bob_cannot_draw(monkeypatch):
     # Digit 0 has Q-mass 0, so once Alice draws it her candidate never enters
     # Bob's set; digit 3 has no mass on either side and must not turn the
     # log-ratio into nan.
-    p = np.array([0.5, 0.5, 0.0, 0.0])
-    q = np.array([0.0, 0.5, 0.5, 0.0])
+    p = Distribution([0.5, 0.5, 0.0, 0.0])
+    q = Distribution([0.0, 0.5, 0.5, 0.0])
     entries = []
     sweep = sampling._termination_rounds
     monkeypatch.setattr(sampling, "_termination_rounds",
                         lambda entry, *events: entries.append(entry) or sweep(entry, *events))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alice, _, _, ok = one_way_rows(np.tile(p, (50, 1)), q, 20, 6, 40 * 6,
-                                       np.random.default_rng(31))
-    assert (alice[:, 0] > 0).all()
+        alice, _, _, ok = one_way_rows(one_point_joint(p), np.zeros(50, np.int64), q, 20, 6,
+                                       40 * 6, np.random.default_rng(31))
+    assert (alice == 0).any(axis=1).all()
     assert len(entries) == 1 and not entries[0].any()
     assert not ok.any()
 
 
 def test_block_that_all_terminates_draws_no_fallback(monkeypatch):
     # With P = Q every row's candidate enters by its horizon round, and at
-    # s = 40 no false match is proposed; Alice's counts are then the block's
-    # only multinomial draw, since Bob needs no fallback.
+    # s = 40 no false match is proposed; Alice's list is then the block's
+    # only list draw, since Bob needs no fallback.
     calls = []
-    draw = sampling._multinomial_rows
-    monkeypatch.setattr(sampling, "_multinomial_rows",
-                        lambda m, probs, rng: calls.append(len(probs)) or draw(m, probs, rng))
-    q = np.full(4, 0.25)
-    _, _, payload, ok = one_way_rows(np.tile(q, (50, 1)), q, 1, 40, payload_bits(40, 40),
-                                     np.random.default_rng(37))
+    draws = Distribution.draws
+    monkeypatch.setattr(Distribution, "draws",
+                        lambda self, rng, shape: calls.append(shape) or draws(self, rng, shape))
+    q = Distribution.uniform(4)
+    _, _, payload, ok = one_way_rows(one_point_joint(q), np.zeros(50, np.int64), q, 1, 40,
+                                     payload_bits(40, 40), np.random.default_rng(37))
     assert ok.all() and (payload < payload_bits(40, 40)).all()
-    assert calls == [50]
+    assert calls == [(50, 1)]
+
+
+def test_lone_false_match_in_another_order_is_no_agreement(monkeypatch):
+    # A lone false match that holds Alice's list in another order ends the
+    # run with Bob's list a permutation of hers; the literal run compares
+    # ordered tuples, so such a run fails.  Here every row gets one match
+    # from round 1 on, holding Alice's list reversed, so a row whose own
+    # candidate enters after round 1 ends on it.
+    mu = NoisyHypercube(4, 0.1)
+    drawn = []
+    sample_lists = NoisyHypercube.sample_lists
+    monkeypatch.setattr(NoisyHypercube, "sample_lists",
+                        lambda self, xs, m, rng: drawn.append(sample_lists(self, xs, m, rng))
+                        or drawn[-1])
+    monkeypatch.setattr(sampling, "_false_matches",
+                        lambda mu, xs, q, m, s, index, last_round, rng:
+                        (np.arange(len(xs)), np.ones(len(xs), np.int64),
+                         np.full(len(xs), 1000), drawn[-1][:, ::-1]))
+    alice, bob, _, ok = one_way_rows(mu, np.arange(16).repeat(20), mu.marginal_y(), 3, 40,
+                                     payload_bits(40, 60), np.random.default_rng(41))
+    permuted = (np.sort(bob, axis=1) == np.sort(alice, axis=1)).all(axis=1) \
+        & (bob != alice).any(axis=1)
+    assert permuted.sum() > 20
+    assert not ok[permuted].any()
 
 
 def test_termination_sweep_matches_reference_loop():
@@ -623,8 +662,8 @@ def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
     mu = NoisyHypercube(8, 0.1)
     m, eps = 20, 0.02
     s = hash_bits_per_round(eps / 2.0)
-    p = mu.conditional_rows([101])
-    q = mu.marginal_y().probs
+    xs = np.array([101])
+    q = mu.marginal_y()
     uncapped = {seed: one_way_correlated_sample(mu, 101, m, eps, SharedRandomness((32, seed)))
                 for seed in range(10)}
     cap = payload_bits(s, 3)
@@ -637,14 +676,14 @@ def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
         assert not stats.success
         assert np.array_equal(alice, full_alice)
         # Bob's fallback is the next draw of the run's one stream, after
-        # Alice's counts, her level and position, and the false matches; on
+        # Alice's list, her level and position, and the false matches; on
         # 256^20 points her index over N is her exponential to float precision
         rng = shared.stream(sampling._TAG_OUTPUT)
-        sampling._multinomial_rows(m, p, rng)
+        mu.sample_lists(xs, m, rng)
         rng.random(1)
         position = rng.standard_exponential(1)
-        sampling._false_matches(p, q, m, s, position, 3, rng)
-        assert np.array_equal(bob, sampling._multinomial_rows(m, q[None, :], rng)[0])
+        sampling._false_matches(mu, xs, q, m, s, position, 3, rng)
+        assert np.array_equal(bob, np.bincount(q.draws(rng, (1, m))[0], minlength=256))
 
 
 def test_communication_scales_with_divergence():

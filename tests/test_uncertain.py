@@ -312,42 +312,27 @@ def test_decider_errors_equal_per_sample_gather():
                 assert np.array_equal(got_success[i], reference)
 
 
-def test_failed_run_scores_like_a_random_per_sample_pairing(monkeypatch):
-    # After a failed sampling run Bob scores his own counts against Alice's
-    # revealed bits paired at random.  Per decider, the mean and variance over
-    # seeds must match those of a per-sample gather under a uniformly random
-    # pairing of the two lists, within 4 sigma of their difference.
+def test_failed_run_pairs_the_lists_index_by_index(monkeypatch):
+    # After a failed sampling run Bob scores his own list against Alice's
+    # revealed bits index by index, as the literal protocol pairs them: each
+    # decider's score is its share of positions j where it disagrees with
+    # f(x, alice[j]) at bob[j].  Two independent i.i.d. lists paired by index
+    # are a uniformly random pairing in law.
     rng = np.random.default_rng(142)
     inst = generate_instance(4, 2, 0.0, 0.05, rng)
     theta, x = 0.4, 5
     m = choose_sample_count(2, theta)
-    alice = rng.multinomial(m, inst.mu.conditional_y_given_x(x).probs)
-    bob = rng.multinomial(m, inst.mu.marginal_y().probs)
-    monkeypatch.setattr(uncertain, "one_way_block",
-                        lambda *args: (alice[None], bob[None], np.array([60]),
-                                       np.array([False])))
     deciders = inst.protocol.deciders
-    revealed = inst.f.rows([x])[0, np.repeat(np.arange(16), alice)]
-    bob_list = np.repeat(np.arange(16), bob)
-    seeds = 3000
-    got = np.array([run_uncertain_protocol(inst, x, 0, theta, SharedRandomness((24, seed)))
-                    .errors for seed in range(seeds)])
-    reference = np.array([(deciders[:, bob_list]
-                           != revealed[np.random.default_rng((25, seed)).permutation(m)])
-                          .mean(axis=1) for seed in range(seeds)])
-
-    def moment_sigma(sample, power):
-        centred = sample - sample.mean(axis=0)
-        return np.sqrt((centred ** (2 * power)).mean(axis=0)
-                       - ((centred ** power).mean(axis=0)) ** 2)
-
-    for power, stat in ((1, np.mean), (2, np.var)):
-        sigma = np.sqrt((moment_sigma(got, power) ** 2 + moment_sigma(reference, power) ** 2)
-                        / seeds)
-        assert np.all(np.abs(stat(got, axis=0) - stat(reference, axis=0)) <= 4.0 * sigma)
-    # a failed run still pays its payload plus the m revealed bits
-    result = run_uncertain_protocol(inst, x, 0, theta, SharedRandomness((24, 0)))
-    assert not result.sampling_ok and result.bits == 60 + m
+    for seed in range(20):
+        alice = inst.mu.sample_lists([x], m, derive_rng(seed, 4))
+        bob = inst.mu.marginal_y().draws(derive_rng(seed, 5), (1, m))
+        monkeypatch.setattr(uncertain, "one_way_block",
+                            lambda *args: (alice, bob, np.array([60]), np.array([False])))
+        result = run_uncertain_protocol(inst, x, 0, theta, SharedRandomness((24, seed)))
+        revealed = inst.f.rows([x])[0, alice[0]]
+        assert np.array_equal(result.errors, (deciders[:, bob[0]] != revealed).mean(axis=1))
+        # a failed run still pays its payload plus the m revealed bits
+        assert not result.sampling_ok and result.bits == 60 + m
 
 
 def test_run_exact_instance_scores_true_decider_zero():
