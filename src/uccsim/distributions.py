@@ -85,29 +85,16 @@ class Distribution:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
         self.probs = probs / probs.sum()
         self.size = len(probs)
-        self._cdf = None
         self._alias = None
 
     def sample(self, rng: np.random.Generator, size=None):
-        """Exactly rng.choice(self.size, size=size, p=self.probs), with the cdf built once.
-
-        The same normalised cumsum, the same rng.random(size) draw and the
-        same side="right" lookup, without choice's per-call checks of probs.
-        """
-        if self._cdf is None:
-            cdf = np.cumsum(self.probs)
-            cdf /= cdf[-1]
-            self._cdf = cdf
-        index = self._cdf.searchsorted(rng.random(size), side="right")
-        return int(index) if size is None else index
-
-    def draws(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """i.i.d. int64 draws, O(1) each through an alias table built once; not sample's stream."""
+        """i.i.d. draws in numpy's size convention, O(1) each by an alias table built once."""
         if self._alias is None:
             self._alias = _alias_table(self.probs)
-        u = rng.random(shape) * self.size
+        u = np.asarray(rng.random(size)) * self.size
         cell = u.astype(np.int64)
-        return np.where(u - cell < self._alias[0][cell], cell, self._alias[1][cell])
+        index = np.where(u - cell < self._alias[0][cell], cell, self._alias[1][cell])
+        return int(index) if size is None else index
 
     @classmethod
     def uniform(cls, size: int) -> "Distribution":
@@ -169,10 +156,17 @@ class JointDistribution:
         return _log2_floored(mass / px)
 
     def sample_lists(self, xs, m: int, rng: np.random.Generator) -> np.ndarray:
-        """m i.i.d. draws of y from mu(. | x) per x in xs, a len(xs) x m array, by inverse cdf."""
-        cdf = np.cumsum(self.conditional_rows(xs), axis=1)
-        cdf /= cdf[:, -1:]
-        return (rng.random((len(cdf), m))[:, :, None] >= cdf[:, None, :]).sum(axis=2)
+        """m i.i.d. draws of y from mu(. | x) per x in xs, a len(xs) x m array.
+
+        The rows of each distinct x, in increasing order of x, come from one
+        sample call of its conditional.
+        """
+        xs = _as_indices(xs, self.size_x, "x")
+        lists = np.empty((len(xs), m), np.int64)
+        for x in np.unique(xs):
+            rows = xs == x
+            lists[rows] = self.conditional_y_given_x(x).sample(rng, (rows.sum(), m))
+        return lists
 
     def sample(self, rng: np.random.Generator, size=None):
         """One (x, y) pair of ints, or with numpy's size convention two arrays of that shape."""
@@ -202,6 +196,7 @@ class TableJoint(JointDistribution):
             raise ValueError(f"masses sum to {table.sum()}, not 1")
         self.table = table / table.sum()
         self.size_x, self.size_y = table.shape
+        self._flat = None
 
     def mass_array(self, xs, ys) -> np.ndarray:
         return self.table[_as_indices(xs, self.size_x, "x"), _as_indices(ys, self.size_y, "y")]
@@ -213,10 +208,10 @@ class TableJoint(JointDistribution):
         return Distribution(self.table.sum(axis=0))
 
     def sample(self, rng: np.random.Generator, size=None):
-        flat = rng.choice(self.table.size, size=size, p=self.table.reshape(-1))
-        if size is None:
-            return int(flat) // self.size_y, int(flat) % self.size_y
-        return np.divmod(flat, self.size_y)
+        """(x, y) by divmod of a flat cell x * size_y + y, drawn from the whole table's law."""
+        if self._flat is None:
+            self._flat = Distribution(self.table.reshape(-1))
+        return divmod(self._flat.sample(rng, size), self.size_y)
 
 
 class ProductJoint(JointDistribution):
@@ -247,7 +242,7 @@ class ProductJoint(JointDistribution):
         return self.px.sample(rng, size), self.py.sample(rng, size)
 
     def sample_lists(self, xs, m: int, rng: np.random.Generator) -> np.ndarray:
-        return self.py.draws(rng, (len(_as_indices(xs, self.size_x, "x")), m))
+        return self.py.sample(rng, (len(_as_indices(xs, self.size_x, "x")), m))
 
     def mutual_information(self) -> float:
         return 0.0
@@ -288,14 +283,13 @@ class NoisyHypercube(JointDistribution):
         return self._uniform
 
     def sample(self, rng: np.random.Generator, size=None):
-        """x, then n flip bits per x drawn as flip_mask draws them."""
+        """x, then y = x ^ z for a flip pattern z drawn from its law."""
         x = rng.integers(self.size_x, size=size)
-        flips = rng.random(np.shape(x) + (self.n,)) < self.p
-        y = x ^ (flips @ (1 << np.arange(self.n)))
+        y = x ^ self._flips.sample(rng, size)
         return (int(x), int(y)) if size is None else (x, y)
 
     def sample_lists(self, xs, m: int, rng: np.random.Generator) -> np.ndarray:
-        return _as_indices(xs, self.size_x, "x")[:, None] ^ self._flips.draws(rng, (len(xs), m))
+        return _as_indices(xs, self.size_x, "x")[:, None] ^ self._flips.sample(rng, (len(xs), m))
 
     def log2_conditional(self, xs, ys) -> np.ndarray:
         d = self._pc[_as_indices(xs, self.size_x, "x") ^ _as_indices(ys, self.size_y, "y")]

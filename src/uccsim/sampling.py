@@ -138,7 +138,7 @@ def _false_matches(mu: JointDistribution, xs: np.ndarray, q: Distribution, m: in
         return row, row, row, np.zeros((0, m), np.int64)
     entry = rng.geometric(1.0 - ratio, size=len(row))
     last = entry + rng.geometric(1.0 - 2.0 ** -FRESH_BITS_PER_ROUND, size=len(row)) - 1
-    value = q.draws(rng, (len(row), m))
+    value = q.sample(rng, (len(row), m))
     offset, level, keep = rng.random((3, len(row)))
     log_p = mu.log2_conditional(xs[row, None], value).sum(axis=1)
     with np.errstate(divide="ignore"):
@@ -225,7 +225,7 @@ def one_way_rows(mu: JointDistribution, xs: np.ndarray, q: Distribution, m: int,
     bob[ev_row[lone]] = ev_value[lone]
     unended = np.flatnonzero(~terminated)
     if len(unended):
-        bob[unended] = q.draws(rng, (len(unended), m))
+        bob[unended] = q.sample(rng, (len(unended), m))
     success = terminated & (bob == alice).all(axis=1)
     return alice, bob, payload, success
 
@@ -301,10 +301,10 @@ def one_way_correlated_sample(mu: JointDistribution, x: int, m: int, eps: float,
 
     Alice holds the conditional and Bob the public marginal, so Alice
     simulates Bob's side and ships the hash bits it would consume, capped at
-    truncation_limit bits.  Returns (alice_counts, bob_counts, stats): the
-    one-row case of one_way_block, each list counted over y.  stats.success
+    truncation_limit bits.  Returns (alice, bob, stats): the one-row case of
+    one_way_block, Alice's and Bob's lists of m y indices.  stats.success
     says whether the lists agree as ordered tuples; a failure is not hidden.
     """
     alice, bob, bits, ok = one_way_block(mu, [x], m, eps, shared.stream(_TAG_OUTPUT))
-    return (np.bincount(alice[0], minlength=mu.size_y), np.bincount(bob[0], minlength=mu.size_y),
-            TranscriptStats(bits_alice=int(bits[0]), bits_bob=0, rounds=1, success=bool(ok[0])))
+    return alice[0], bob[0], TranscriptStats(bits_alice=int(bits[0]), bits_bob=0, rounds=1,
+                                             success=bool(ok[0]))

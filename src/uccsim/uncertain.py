@@ -34,7 +34,8 @@ from .sampling import _TAG_OUTPUT, SharedRandomness, one_way_block
 _DIST_TOL = 1e-12
 # at most 2^FLIP_CHUNK_BITS candidate points are drawn per round of a flip set
 FLIP_CHUNK_BITS = 20
-# trials per block times size_y: a block's count arrays hold about this many cells
+# trials per block times the wider of size_y and m: a block's count arrays and
+# sample lists hold about this many cells each
 TRIAL_BLOCK = 1 << 17
 
 WILSON_Z = 1.959963984540054
@@ -325,14 +326,15 @@ class TrialRecord(NamedTuple):
         return self.output == self.truth
 
 
-def _block_trials(instance: UncertainInstance) -> int:
-    return max(1, TRIAL_BLOCK // instance.mu.size_y)
+def _block_trials(instance: UncertainInstance, theta: float) -> int:
+    width = max(instance.mu.size_y, choose_sample_count(instance.k, theta))
+    return max(1, TRIAL_BLOCK // width)
 
 
 def _trial_block(instance: UncertainInstance, theta: float, trials: int, master_seed: int,
                  block: int) -> list[TrialRecord]:
     """Records of trial block `block`: one array pass drawn from derive_rng(master_seed, block)."""
-    size = _block_trials(instance)
+    size = _block_trials(instance, theta)
     lo = block * size
     hi = min(lo + size, trials)
     rng = derive_rng(master_seed, block)
@@ -346,14 +348,15 @@ def run_trials(instance: UncertainInstance, theta: float, trials: int, master_se
                jobs: int = 1) -> list[TrialRecord]:
     """Independent seeded trials; identical output for any jobs value.
 
-    Trials run in blocks of TRIAL_BLOCK // size_y, each one array pass drawn
-    from its own generator, so a record depends on the seed, its trial index
-    and the block layout (the block size and, in the last block, the number
-    of trials).  At most min(jobs, blocks, cpu count) threads run the blocks.
+    Trials run in blocks of TRIAL_BLOCK // max(size_y, m) for m =
+    choose_sample_count(k, theta), each one array pass drawn from its own
+    generator, so a record depends on the seed, its trial index and the
+    block layout (the block size and, in the last block, the number of
+    trials).  At most min(jobs, blocks, cpu count) threads run the blocks.
     """
     if trials < 1 or jobs < 1:
         raise ValueError(f"need trials >= 1 and jobs >= 1, got {trials} and {jobs}")
-    blocks = -(-trials // _block_trials(instance))
+    blocks = -(-trials // _block_trials(instance, theta))
     workers = min(jobs, blocks)
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)
@@ -362,8 +365,8 @@ def run_trials(instance: UncertainInstance, theta: float, trials: int, master_se
         chunks = list(map(run_block, range(blocks)))
     else:
         # The threads share one instance: a trial only reads it.  The only
-        # writes are Distribution's lazy caches, _cdf and _alias, which every
-        # thread computes to the same arrays and assigns in one step.
+        # writes are lazy caches (Distribution._alias, TableJoint._flat), which
+        # every thread computes to equal values and assigns in one step.
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_block, range(blocks)))
     return [record for chunk in chunks for record in chunk]
@@ -398,6 +401,6 @@ class ErrorEstimate:
 
 
 def estimate_uncertain_error(instance: UncertainInstance, theta: float, trials: int,
-                             master_seed: int, jobs: int = 1) -> ErrorEstimate:
+                             master_seed: int) -> ErrorEstimate:
     """Monte Carlo error of the protocol against g, with a Wilson 95% half-width."""
-    return ErrorEstimate.from_records(run_trials(instance, theta, trials, master_seed, jobs))
+    return ErrorEstimate.from_records(run_trials(instance, theta, trials, master_seed))

@@ -1,6 +1,7 @@
 """Tests for distributions, the noisy pair model, and information measures."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,14 +260,32 @@ def test_sample_matches_distribution_tv():
         assert xs.shape == ys.shape == (2, 3)
 
 
-def test_noisy_hypercube_sample_draws_flip_mask_bits():
-    # a pair is x, then the flip_mask draws of its n bits
+def test_noisy_hypercube_flip_patterns_follow_their_law():
+    # x ^ y is the flip pattern z, with w(z) = p^|z| (1-p)^(n-|z|) whatever x is
+    n, p, draws = 4, 0.3, 200_000
+    mu = NoisyHypercube(n, p)
+    xs, ys = mu.sample(np.random.default_rng(58), size=draws)
+    weight = np.array([bin(z).count("1") for z in range(1 << n)])
+    law = p ** weight * (1 - p) ** (n - weight)
+    for x in (0, 5):
+        counts = np.bincount(xs[xs == x] ^ ys[xs == x], minlength=1 << n)
+        assert 0.5 * np.abs(counts / counts.sum() - law).sum() <= 0.02
+    assert 0.5 * np.abs(np.bincount(xs ^ ys, minlength=1 << n) / draws - law).sum() <= 0.01
+
+
+def test_noisy_hypercube_sample_is_x_then_a_flip_pattern_draw():
+    # a pair is x = rng.integers, then z from the flip-pattern law on the same stream
     mu = NoisyHypercube(5, 0.3)
-    for seed in range(20):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        x = int(ref.integers(32))
-        assert mu.sample(rng) == (x, x ^ flip_mask(5, 0.3, ref))
-        assert rng.random() == ref.random()
+    for size in (None, 7, (2, 3)):
+        for seed in range(10):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            x = ref.integers(32, size=size)
+            z = mu._flips.sample(ref, size)
+            got_x, got_y = mu.sample(rng, size)
+            assert np.array_equal(got_x, x) and np.array_equal(got_y, x ^ z)
+            if size is None:
+                assert type(got_x) is int and type(got_y) is int
+            assert rng.random() == ref.random()
 
 
 def test_flip_mask_bit_order_and_stream_position():
@@ -276,6 +295,47 @@ def test_flip_mask_bit_order_and_stream_position():
         expect = sum(1 << i for i in np.flatnonzero(flips).tolist())
         assert flip_mask(n, 0.3, rng) == expect
         assert rng.random() == ref.random()
+
+
+def test_table_joint_sample_lists_follow_each_conditional():
+    # unsorted, repeated x's; zero-mass cells, the last cell among them
+    table = np.array([[0.1, 0.0, 0.3, 0.2, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.4],
+                      [0.5, 0.1, 0.0, 0.2, 0.1],
+                      [0.2, 0.2, 0.2, 0.2, 0.2]])
+    mu = TableJoint(table / table.sum())
+    xs = np.array([3, 0, 2, 3, 1, 0, 3, 2])
+    lists = mu.sample_lists(xs, 20_000, np.random.default_rng(59))
+    assert lists.shape == (len(xs), 20_000)
+    for x in range(mu.size_x):
+        values = lists[xs == x]
+        law = mu.conditional_y_given_x(x).probs
+        assert not np.isin(values, np.flatnonzero(law == 0)).any()
+        counts = np.bincount(values.ravel(), minlength=mu.size_y)
+        assert 0.5 * np.abs(counts / values.size - law).sum() <= 0.01
+        # repeated x's get their own draws
+        assert len({row.tobytes() for row in values}) == len(values)
+    for bad in (-1, mu.size_x):
+        with pytest.raises(IndexError):
+            mu.sample_lists([0, bad], 3, np.random.default_rng(60))
+
+
+def test_table_joint_sample_lists_memory_is_the_lists():
+    # 512 rows x 136 draws from a 256 x 256 table of heterogeneous rows: the
+    # int64 lists take 0.55 MiB, and a rows x m x |Y| broadcast would take 17
+    rng = np.random.default_rng(61)
+    mu = TableJoint((lambda t: t / t.sum())(rng.random((256, 256)) ** 8))
+    xs = rng.integers(256, size=512)
+    # the first call's one-time imports take about 1 MiB; trace a later call
+    mu.sample_lists(xs[:2], 1, rng)
+    tracemalloc.start()
+    try:
+        lists = mu.sample_lists(xs, 136, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lists.shape == (512, 136)
+    assert peak < 2 << 20
 
 
 def test_joints_reject_out_of_range_x():

@@ -225,6 +225,23 @@ def test_generate_instance_memory_below_old_permutation():
         assert peak < (4 ** n) * 3.5
 
 
+def test_trial_blocks_are_bounded_by_list_width():
+    # n = 1 has |Y| = 2 but m = 1473 samples a run at k = 2, theta = 0.1: a
+    # block sized by |Y| alone would hold every trial's lists at once, 2000 x
+    # 1473 int64s per array, 22 MiB
+    inst = generate_instance(1, 2, 0.0, 0.05, np.random.default_rng(141),
+                             mu=NoisyHypercube(1, 0.1))
+    assert uncertain._block_trials(inst, 0.1) == uncertain.TRIAL_BLOCK // 1473
+    tracemalloc.start()
+    try:
+        records = run_trials(inst, 0.1, 2000, master_seed=46)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 2000
+    assert peak < 12 << 20
+
+
 def test_verify_rejects_over_budget_flip_sets():
     # verify sums each set's mass from mu; it never trusts the builder's spend
     n = 5
@@ -250,7 +267,7 @@ def test_trials_read_no_whole_table(monkeypatch):
     monkeypatch.setattr(BoolFunction, "to_table", no_table)
     inst = generate_instance(10, 2, 0.01, 0.05, np.random.default_rng(140),
                              mu=NoisyHypercube(10, 0.1))
-    block = uncertain._block_trials(inst)
+    block = uncertain._block_trials(inst, 0.3)
     trials = 3 * block + 7
     row_reads = []
     protocol_rows = OneWayProtocol.rows
@@ -325,7 +342,7 @@ def test_failed_run_pairs_the_lists_index_by_index(monkeypatch):
     deciders = inst.protocol.deciders
     for seed in range(20):
         alice = inst.mu.sample_lists([x], m, derive_rng(seed, 4))
-        bob = inst.mu.marginal_y().draws(derive_rng(seed, 5), (1, m))
+        bob = inst.mu.marginal_y().sample(derive_rng(seed, 5), (1, m))
         monkeypatch.setattr(uncertain, "one_way_block",
                             lambda *args: (alice, bob, np.array([60]), np.array([False])))
         result = run_uncertain_protocol(inst, x, 0, theta, SharedRandomness((24, seed)))
@@ -437,7 +454,7 @@ def test_run_trials_parallel_matches_serial():
     # threads split three blocks, the last one partial
     rng = np.random.default_rng(134)
     inst = generate_instance(4, 1, 0.0, 0.05, rng)
-    trials = 2 * uncertain._block_trials(inst) + 40
+    trials = 2 * uncertain._block_trials(inst, 0.4) + 40
     serial = run_trials(inst, 0.4, trials, master_seed=41, jobs=1)
     parallel = run_trials(inst, 0.4, trials, master_seed=41, jobs=4)
     assert serial == parallel
@@ -447,12 +464,13 @@ def test_run_trials_parallel_matches_serial():
 def test_run_trials_threads_need_no_picklable_instance(monkeypatch):
     # a joint's sample as an instance-attribute closure, as the benchmark tracer installs
     # it; each threaded run starts on a fresh instance, so its threads race to fill the
-    # marginals' lazy cdf, and 8 threads outnumber a small host's cores while switching often
+    # marginals' lazy alias tables, and 8 threads outnumber a small host's cores while
+    # switching often
     def fresh():
         return generate_instance(4, 1, 0.0, 0.05, np.random.default_rng(138))
 
     inst = fresh()
-    trials = 6 * uncertain._block_trials(inst) + 5
+    trials = 6 * uncertain._block_trials(inst, 0.4) + 5
     serial = run_trials(inst, 0.4, trials, master_seed=44, jobs=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     interval = sys.getswitchinterval()
@@ -491,7 +509,7 @@ def test_run_trials_starts_no_more_workers_than_trials_or_cores(monkeypatch):
     # workers take whole blocks, so at most min(jobs, blocks, cpu count) start
     rng = np.random.default_rng(135)
     inst = generate_instance(4, 1, 0.0, 0.05, rng)
-    trials = 2 * uncertain._block_trials(inst) + 3
+    trials = 2 * uncertain._block_trials(inst, 0.4) + 3
     serial = run_trials(inst, 0.4, trials, master_seed=42, jobs=1)
     monkeypatch.setattr(uncertain, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "started", [])
@@ -511,7 +529,7 @@ def test_run_trials_job_invariant_across_a_partial_last_block(monkeypatch):
     # about 2.5 blocks: jobs 1, 2 and 3 split them differently, the records agree
     rng = np.random.default_rng(137)
     inst = generate_instance(4, 1, 0.0, 0.05, rng, mu=NoisyHypercube(4, 0.1))
-    block = uncertain._block_trials(inst)
+    block = uncertain._block_trials(inst, 0.4)
     trials = 5 * block // 2
     monkeypatch.setattr(uncertain, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "started", [])
