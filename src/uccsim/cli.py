@@ -80,14 +80,16 @@ def _cmd_uncertain_run(args) -> int:
     mu = _parse_mu(args.mu, args.n)
     # the tagless stream: trial block b draws from derive_rng(seed, b)
     instance = generate_instance(args.n, args.k, args.eps, args.delta, derive_rng(seed), mu=mu)
-    records = run_trials(instance, args.theta, args.trials, seed, jobs=args.jobs)
+    trials = run_trials(instance, args.theta, args.trials, seed, jobs=args.jobs)
     lines = [_header("uncertain-run", seed, args),
              "trial,x,y,output,truth,correct,bits,sampling_ok"]
-    lines += [",".join(_fmt(v) for v in (r.trial, r.x, r.y, r.output, r.truth,
-                                         r.correct, r.bits, r.sampling_ok))
-              for r in records]
+    # row i is trial i; numpy scalars print as numbers, and bools viewed as uint8 as 0 and 1
+    columns = (range(args.trials), trials.x, trials.y, trials.output, trials.truth,
+               (trials.output == trials.truth).view(np.uint8), trials.bits,
+               trials.sampling_ok.view(np.uint8))
+    lines += map(",".join, zip(*(map(str, c) for c in columns)))
     _emit(args.out, lines)
-    est = ErrorEstimate.from_records(records)
+    est = ErrorEstimate.from_trials(trials)
     # mean_bits is the sample_count revealed bits plus the sampling payload
     print(f"error_rate={est.error_rate:.6f} half_width={est.half_width:.6f} "
           f"mean_bits={est.mean_bits:.2f} sample_count={m} "

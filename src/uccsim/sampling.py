@@ -288,10 +288,11 @@ def one_way_block(mu: JointDistribution, xs, m: int, eps: float, rng: np.random.
     Bob's Q is mu's y-marginal, s = hash_bits_per_round(eps / 2) and the
     cap truncation_limit(mu, m, eps).
     """
-    limit = truncation_limit(mu, m, eps)
     xs = _as_indices(xs, mu.size_x, "x")
     if m < 1:
         raise ValueError(f"need m >= 1 samples, got {m}")
+    # after the cheap checks: the cap reads I(X;Y), which can build mu's whole table
+    limit = truncation_limit(mu, m, eps)
     return one_way_rows(mu, xs, mu.marginal_y(), m, hash_bits_per_round(eps / 2.0), limit, rng)
 
 

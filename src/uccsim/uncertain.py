@@ -264,18 +264,18 @@ class RunResult:
     sampling_ok: bool
 
 
-def decider_errors(deciders: np.ndarray, bob: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """Share of Bob's samples on which each decider disagrees with Alice's bit, row by row.
+def decider_errors(deciders: np.ndarray, signed: np.ndarray, ones: np.ndarray,
+                   m: int) -> np.ndarray:
+    """Share of each run's m samples on which each decider disagrees with Alice's bit.
 
-    bob[i, y] counts run i's samples at y and ones[i, y] those of them paired
-    with a revealed 1.  A decider bit 1 disagrees with the bob - ones zeros
-    revealed at y and a bit 0 with the ones, so one product scores every
-    decider of every run.  It runs in floats, exact for integers below 2^53;
-    integer counts over m give the same floats as the mean of the per-sample
-    comparisons.
+    signed[i, y] counts run i's samples at y paired with a revealed 0 minus
+    those paired with a 1, and ones[i] counts its revealed 1s.  A decider
+    disagrees with the 1s where its bit is 0 and with the 0s, the 1s plus
+    signed[i, y], where it is 1, so one product scores every decider of
+    every run.  It runs in floats, exact for integers below 2^53, so the
+    counts over m give the same floats as the per-sample comparisons' mean.
     """
-    disagree = ones.sum(axis=-1, keepdims=True) + (bob - 2 * ones).astype(np.float64) @ deciders.T
-    return disagree / bob.sum(axis=-1, keepdims=True)
+    return (ones[:, None] + signed @ deciders.T) / m
 
 
 def _run_rows(instance: UncertainInstance, xs: np.ndarray, ys: np.ndarray, theta: float,
@@ -284,21 +284,19 @@ def _run_rows(instance: UncertainInstance, xs: np.ndarray, ys: np.ndarray, theta
 
     Correlate sample lists and reveal f on Alice's.  Bob pairs her bits with
     his own list index by index, as the protocol does, scores every decider
-    on his counts and the revealed ones among them, and answers with the
-    lowest-indexed minimizer.  On success the lists are equal; on failure
-    they are independent.  A run sends the payload plus the m revealed bits.
+    on one signed table (+1 a sample paired with a revealed 0, -1 with a 1)
+    and answers with the lowest-indexed minimizer.  The lists are equal on
+    success and independent on failure.  A run sends the payload plus the m revealed bits.
     """
     m = choose_sample_count(instance.k, theta)
     # the sampler's failure budget, the phi term of choose_sample_count's error split
     alice, bob, payload, ok = one_way_block(instance.mu, xs, m, _sample_eps(theta), rng)
-    # Bob's samples, and those paired with a revealed 1, by flat (row, y) cell
     cell = np.arange(len(xs))[:, None] * instance.mu.size_y
-    at = (cell + bob).ravel()
-    one = instance.f.rows(xs).take(cell + alice).ravel() == 1
-    counts, ones = (np.bincount(a, minlength=cell.size * instance.mu.size_y).reshape(len(xs), -1)
-                    for a in (at, at[one]))
+    revealed = instance.f.rows(xs).take(cell + alice)
+    signed = np.bincount((cell + bob).ravel(), weights=(1.0 - 2.0 * revealed).ravel(),
+                         minlength=cell.size * instance.mu.size_y).reshape(len(xs), -1)
     deciders = instance.protocol.deciders
-    errors = decider_errors(deciders, counts, ones)
+    errors = decider_errors(deciders, signed, np.count_nonzero(revealed, axis=1), m)
     chosen = errors.argmin(axis=1)
     return deciders[chosen, ys], payload + m, errors, chosen, ok
 
@@ -312,18 +310,15 @@ def run_uncertain_protocol(instance: UncertainInstance, x: int, y: int, theta: f
                      chosen=int(chosen[0]), sampling_ok=bool(ok[0]))
 
 
-class TrialRecord(NamedTuple):
-    trial: int
-    x: int
-    y: int
-    output: int
-    truth: int
-    bits: int
-    sampling_ok: bool
+class Trials(NamedTuple):
+    """Trials as columns: entry i of each array belongs to trial i."""
 
-    @property
-    def correct(self) -> bool:
-        return self.output == self.truth
+    x: np.ndarray
+    y: np.ndarray
+    output: np.ndarray
+    truth: np.ndarray
+    bits: np.ndarray
+    sampling_ok: np.ndarray
 
 
 def _block_trials(instance: UncertainInstance, theta: float) -> int:
@@ -332,27 +327,27 @@ def _block_trials(instance: UncertainInstance, theta: float) -> int:
 
 
 def _trial_block(instance: UncertainInstance, theta: float, trials: int, master_seed: int,
-                 block: int) -> list[TrialRecord]:
-    """Records of trial block `block`: one array pass drawn from derive_rng(master_seed, block)."""
+                 block: int) -> Trials:
+    """Trials of block `block`: one array pass drawn from derive_rng(master_seed, block)."""
     size = _block_trials(instance, theta)
     lo = block * size
     hi = min(lo + size, trials)
     rng = derive_rng(master_seed, block)
     xs, ys = instance.mu.sample(rng, size=hi - lo)
     output, bits, _errors, _chosen, ok = _run_rows(instance, xs, ys, theta, rng)
-    return list(map(TrialRecord, range(lo, hi), xs.tolist(), ys.tolist(), output.tolist(),
-                    instance.g.values(xs, ys).tolist(), bits.tolist(), ok.tolist()))
+    return Trials(xs, ys, output, instance.g.values(xs, ys), bits, ok)
 
 
 def run_trials(instance: UncertainInstance, theta: float, trials: int, master_seed: int,
-               jobs: int = 1) -> list[TrialRecord]:
-    """Independent seeded trials; identical output for any jobs value.
+               jobs: int = 1) -> Trials:
+    """Independent seeded trials as columns, trial i at entry i; identical for any jobs value.
 
     Trials run in blocks of TRIAL_BLOCK // max(size_y, m) for m =
     choose_sample_count(k, theta), each one array pass drawn from its own
-    generator, so a record depends on the seed, its trial index and the
-    block layout (the block size and, in the last block, the number of
-    trials).  At most min(jobs, blocks, cpu count) threads run the blocks.
+    generator, so a trial depends on the seed, its index and the block
+    layout (the block size and, in the last block, the number of trials).
+    The blocks' columns are concatenated in block order.  At most min(jobs,
+    blocks, cpu count) threads run the blocks.
     """
     if trials < 1 or jobs < 1:
         raise ValueError(f"need trials >= 1 and jobs >= 1, got {trials} and {jobs}")
@@ -369,7 +364,7 @@ def run_trials(instance: UncertainInstance, theta: float, trials: int, master_se
         # every thread computes to equal values and assigns in one step.
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_block, range(blocks)))
-    return [record for chunk in chunks for record in chunk]
+    return Trials(*map(np.concatenate, zip(*chunks)))
 
 
 def wilson_half_width(p_hat: float, n: int) -> float:
@@ -390,17 +385,18 @@ class ErrorEstimate:
     sampling_failures: int
 
     @classmethod
-    def from_records(cls, records: list[TrialRecord]) -> "ErrorEstimate":
+    def from_trials(cls, trials: Trials) -> "ErrorEstimate":
         """Error rate against g, with a Wilson 95% half-width, of finished trials."""
-        rate = sum(not r.correct for r in records) / len(records)
+        count = len(trials.x)
+        rate = np.count_nonzero(trials.output != trials.truth) / count
         return cls(error_rate=rate,
-                   mean_bits=float(np.mean([r.bits for r in records])),
-                   half_width=wilson_half_width(rate, len(records)),
-                   trials=len(records),
-                   sampling_failures=sum(not r.sampling_ok for r in records))
+                   mean_bits=float(trials.bits.mean()),
+                   half_width=wilson_half_width(rate, count),
+                   trials=count,
+                   sampling_failures=count - np.count_nonzero(trials.sampling_ok))
 
 
 def estimate_uncertain_error(instance: UncertainInstance, theta: float, trials: int,
                              master_seed: int) -> ErrorEstimate:
     """Monte Carlo error of the protocol against g, with a Wilson 95% half-width."""
-    return ErrorEstimate.from_records(run_trials(instance, theta, trials, master_seed))
+    return ErrorEstimate.from_trials(run_trials(instance, theta, trials, master_seed))

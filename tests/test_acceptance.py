@@ -458,7 +458,7 @@ def test_criterion_13_communication_follows_information(capsys):
                 point += 1
                 mu = NoisyHypercube(n, p)
                 inst = generate_instance(n, k, 0.0, delta, derive_rng(1500, point), mu=mu)
-                bits = np.array([r.bits for r in run_trials(inst, theta, trials, 1501 + point)])
+                bits = run_trials(inst, theta, trials, 1501 + point).bits
                 info = m * mu.mutual_information()
                 rounds = (bits - m - s) / c + 1.0
                 slack = 4.0 * rounds.std() / math.sqrt(trials)

@@ -46,6 +46,18 @@ def test_uncertain_run_deterministic_and_job_invariant(tmp_path):
                      "--jobs", jobs, "--out", str(out)]) == 0
         outs.append(read(out))
     assert outs[0] == outs[1] == outs[2]
+    # three trial blocks of 512, the last one partial, split differently by 1, 2 and 3 jobs
+    block = uncertain.TRIAL_BLOCK // max(256, uncertain.choose_sample_count(1, 0.4))
+    assert (block, -(-1064 // block)) == (512, 3)
+    outs = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"blocks-{jobs}.csv"
+        assert main(["uncertain-run", "--n", "8", "--k", "1", "--delta", "0.05",
+                     "--theta", "0.4", "--trials", "1064", "--seed", "9",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+    assert len(outs[0].splitlines()) == 2 + 1064
 
 
 def test_uncertain_run_runs_each_trial_once(tmp_path, capsys, monkeypatch):
@@ -58,16 +70,25 @@ def test_uncertain_run_runs_each_trial_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(uncertain, "_run_rows", counted)
     out = tmp_path / "runs.csv"
-    assert main(["uncertain-run", "--n", "4", "--k", "1", "--delta", "0.05",
-                 "--theta", "0.4", "--trials", "10", "--seed", "5",
-                 "--out", str(out)]) == 0
-    assert len(runs) == 10
-    rows = [line.split(",") for line in read(out).splitlines()[2:]]
-    summary = dict(token.split("=") for token in capsys.readouterr().out.split())
-    wrong = sum(row[3] != row[4] for row in rows)
-    assert summary["error_rate"] == f"{wrong / len(rows):.6f}"
-    assert summary["mean_bits"] == f"{sum(int(row[6]) for row in rows) / len(rows):.2f}"
-    assert summary["sampling_failures"] == str(sum(row[7] == "0" for row in rows))
+    # one block of 10 trials, then three blocks (the last partial) with sampling failures
+    for case, trials in ((["--n", "4", "--theta", "0.4", "--seed", "5"], 10),
+                         (["--n", "8", "--theta", "0.9", "--mu", "noisy:0.1", "--seed", "9"],
+                          1064)):
+        runs.clear()
+        assert main(["uncertain-run", "--k", "1", "--delta", "0.05", "--trials", str(trials),
+                     "--out", str(out)] + case) == 0
+        assert len(runs) == trials
+        rows = [line.split(",") for line in read(out).splitlines()[2:]]
+        assert [int(row[0]) for row in rows] == list(range(trials))
+        assert all(row[5] == str(int(row[3] == row[4])) for row in rows)
+        summary = dict(token.split("=") for token in capsys.readouterr().out.split())
+        wrong = sum(row[3] != row[4] for row in rows)
+        assert summary["error_rate"] == f"{wrong / len(rows):.6f}"
+        assert summary["mean_bits"] == f"{sum(int(row[6]) for row in rows) / len(rows):.2f}"
+        assert summary["sampling_failures"] == str(sum(row[7] == "0" for row in rows))
+        assert summary["trials"] == str(trials)
+    # the multi-block run: its seeded figures
+    assert (summary["error_rate"], summary["sampling_failures"]) == ("0.015977", "4")
 
 
 def test_uncertain_run_prints_the_sample_count(tmp_path, capsys):

@@ -221,6 +221,20 @@ def test_one_way_zero_samples():
             one_way_block(mu, [3, 5], m, 0.1, np.random.default_rng(8))
 
 
+def test_one_way_block_checks_arguments_before_reading_the_information(monkeypatch):
+    # the cap reads I(X;Y), which on a TableJoint builds the whole table; an
+    # off-range x and m = 0 are rejected before it
+    def no_information(self):
+        raise AssertionError("mutual_information read before the argument checks")
+
+    mu = TableJoint(np.full((4, 4), 1.0 / 16))
+    monkeypatch.setattr(TableJoint, "mutual_information", no_information)
+    with pytest.raises(IndexError):
+        one_way_block(mu, [1, 4], 3, 0.1, np.random.default_rng(8))
+    with pytest.raises(ValueError):
+        one_way_block(mu, [1, 2], 0, 0.1, np.random.default_rng(8))
+
+
 def test_one_way_stats_shape():
     mu = NoisyHypercube(3, 0.2)
     limit = truncation_limit(mu, 4, 0.1)

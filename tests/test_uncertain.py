@@ -27,6 +27,12 @@ from uccsim.uncertain import (
 )
 
 
+def same_trials(a, b):
+    # Trials columns agree field by field, in value and in dtype
+    return a._fields == b._fields and all(p.dtype == q.dtype and np.array_equal(p, q)
+                                          for p, q in zip(a, b))
+
+
 def satisfies_budget(k, theta, m, t):
     # 2t + beta + phi within theta at deviation t
     beta = 2.0 ** k * math.exp(-2.0 * m * t * t)
@@ -79,7 +85,9 @@ def test_decider_scores_concentrate_within_the_hoeffding_deviation():
     deciders = inst.protocol.deciders
     exact = (deciders != f_row).astype(np.float64) @ cond
     counts = np.random.default_rng(151).multinomial(m, cond, size=rows)
-    errors = decider_errors(deciders, counts, counts * f_row)
+    # Alice revealed f on Bob's own list: +1 a sample at f's 0s, -1 at its 1s
+    signed = counts * (1 - 2 * f_row.astype(np.int64))
+    errors = decider_errors(deciders, signed, counts @ f_row, m)
     # positive where a decider's tail is the wrong one: j*'s upper, the others' lower
     right = np.arange(len(deciders)) == inst.protocol.assignment[x]
     drift = np.where(right, errors - exact, exact - errors)
@@ -234,11 +242,11 @@ def test_trial_blocks_are_bounded_by_list_width():
     assert uncertain._block_trials(inst, 0.1) == uncertain.TRIAL_BLOCK // 1473
     tracemalloc.start()
     try:
-        records = run_trials(inst, 0.1, 2000, master_seed=46)
+        trials = run_trials(inst, 0.1, 2000, master_seed=46)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(records) == 2000
+    assert all(len(column) == 2000 for column in trials)
     assert peak < 12 << 20
 
 
@@ -280,9 +288,9 @@ def test_trials_read_no_whole_table(monkeypatch):
     serial = run_trials(inst, 0.3, trials, master_seed=45, jobs=1)
     assert row_reads == [block] * 3 + [7]
     row_reads.clear()
-    assert run_trials(inst, 0.3, trials, master_seed=45, jobs=2) == serial
+    assert same_trials(run_trials(inst, 0.3, trials, master_seed=45, jobs=2), serial)
     assert sorted(row_reads) == [7] + [block] * 3
-    assert [r.trial for r in serial] == list(range(trials))
+    assert all(len(column) == trials for column in serial)
 
 
 def test_generate_instance_rejects_oversized_domain():
@@ -314,12 +322,16 @@ def test_decider_errors_equal_per_sample_gather():
             bob = rng.integers(0, size_y, size=(rows, m))
             alice_bits = rng.integers(0, 2, size=(rows, m), dtype=np.uint8)
             f_rows = rng.integers(0, 2, size=(rows, size_y), dtype=np.uint8)
-            counts = np.stack([np.bincount(b, minlength=size_y) for b in bob])
-            ones = np.stack([np.bincount(b[a == 1], minlength=size_y)
-                             for b, a in zip(bob, alice_bits)])
-            got = decider_errors(deciders, counts, ones)
+
+            def score(revealed):
+                # the signed table _run_rows builds: +1 a sample paired with a 0, -1 with a 1
+                signed = np.stack([np.bincount(b, weights=1.0 - 2.0 * a, minlength=size_y)
+                                   for b, a in zip(bob, revealed)])
+                return decider_errors(deciders, signed, revealed.sum(axis=1), m)
+
+            got = score(alice_bits)
             # the success path: Alice revealed f on Bob's own list
-            got_success = decider_errors(deciders, counts, counts * f_rows)
+            got_success = score(np.take_along_axis(f_rows, bob, axis=1))
             assert got.shape == got_success.shape == (rows, 1 << k)
             for i in range(rows):
                 reference = (deciders[:, bob[i]] != alice_bits[i][None, :]).mean(axis=1)
@@ -457,8 +469,8 @@ def test_run_trials_parallel_matches_serial():
     trials = 2 * uncertain._block_trials(inst, 0.4) + 40
     serial = run_trials(inst, 0.4, trials, master_seed=41, jobs=1)
     parallel = run_trials(inst, 0.4, trials, master_seed=41, jobs=4)
-    assert serial == parallel
-    assert [r.trial for r in serial] == list(range(trials))
+    assert same_trials(serial, parallel)
+    assert all(len(column) == trials for column in serial)
 
 
 def test_run_trials_threads_need_no_picklable_instance(monkeypatch):
@@ -482,7 +494,7 @@ def test_run_trials_threads_need_no_picklable_instance(monkeypatch):
             pickle.dumps(inst)
         sys.setswitchinterval(1e-6)
         try:
-            assert run_trials(inst, 0.4, trials, master_seed=44, jobs=jobs) == serial
+            assert same_trials(run_trials(inst, 0.4, trials, master_seed=44, jobs=jobs), serial)
         finally:
             sys.setswitchinterval(interval)
 
@@ -515,18 +527,19 @@ def test_run_trials_starts_no_more_workers_than_trials_or_cores(monkeypatch):
     monkeypatch.setattr(SerialPool, "started", [])
     for cores, expect in ((64, 3), (2, 2)):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert run_trials(inst, 0.4, trials, master_seed=42, jobs=10 ** 6) == serial
+        assert same_trials(run_trials(inst, 0.4, trials, master_seed=42, jobs=10 ** 6), serial)
         assert SerialPool.started[-1] == expect
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert run_trials(inst, 0.4, trials, master_seed=42, jobs=10 ** 6) == serial
+    assert same_trials(run_trials(inst, 0.4, trials, master_seed=42, jobs=10 ** 6), serial)
     # fewer trials than a block make one block: no worker starts
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert len(run_trials(inst, 0.4, 3, master_seed=42, jobs=10 ** 6)) == 3
+    assert all(len(column) == 3
+               for column in run_trials(inst, 0.4, 3, master_seed=42, jobs=10 ** 6))
     assert SerialPool.started == [3, 2]
 
 
 def test_run_trials_job_invariant_across_a_partial_last_block(monkeypatch):
-    # about 2.5 blocks: jobs 1, 2 and 3 split them differently, the records agree
+    # about 2.5 blocks: jobs 1, 2 and 3 split them differently, the trials agree
     rng = np.random.default_rng(137)
     inst = generate_instance(4, 1, 0.0, 0.05, rng, mu=NoisyHypercube(4, 0.1))
     block = uncertain._block_trials(inst, 0.4)
@@ -536,8 +549,8 @@ def test_run_trials_job_invariant_across_a_partial_last_block(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     runs = [run_trials(inst, 0.4, trials, master_seed=43, jobs=jobs) for jobs in (1, 2, 3)]
     assert SerialPool.started == [2, 3]
-    assert runs[0] == runs[1] == runs[2]
-    assert [r.trial for r in runs[0]] == list(range(trials))
+    assert same_trials(runs[0], runs[1]) and same_trials(runs[0], runs[2])
+    assert all(len(column) == trials for column in runs[0])
 
 
 def test_wilson_half_width_values():
