@@ -9,10 +9,13 @@ byte-identical.  Exit codes: 0 success, 2 validation or audit failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -25,7 +28,8 @@ from .distributions import (Distribution, NoisyHypercube, ProductJoint, derive_r
                             kl_divergence)
 from .oracle import check_size, exact_one_way_cc
 from .sampling import correlated_rows
-from .uncertain import ErrorEstimate, choose_sample_count, generate_instance, run_trials
+from .uncertain import (ErrorEstimate, check_instance_size, choose_sample_count,
+                        generate_instance, run_trials)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,18 +46,15 @@ def _master_seed(value) -> int:
 
 
 def _header(sub: str, seed: int, args: argparse.Namespace) -> str:
-    skip = {"func", "seed", "out", "jobs"}
+    skip = {"func", "seed", "out"}
     params = " ".join(f"{k}={v}" for k, v in sorted(vars(args).items()) if k not in skip)
     return f"# uccsim {sub} seed={seed} {params}"
 
 
-def _emit(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(path: str | None, lines: Iterable[str]) -> None:
+    """Write each line of an iterable as it is produced, to path or else to stdout."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as handle:
+        handle.writelines(line + "\n" for line in lines)
 
 
 def _fmt(value) -> str:
@@ -74,21 +75,22 @@ def _parse_mu(spec: str, n: int):
 
 def _cmd_uncertain_run(args) -> int:
     seed = _master_seed(args.seed)
-    m = choose_sample_count(args.k, args.theta)  # checks k and theta before the build
-    if args.trials < 1 or args.jobs < 1:
-        raise ValueError("--trials and --jobs must be at least 1")
+    # k, n, theta and trials are checked before the build
+    check_instance_size(args.n, args.k)
+    m = choose_sample_count(args.k, args.theta)
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     mu = _parse_mu(args.mu, args.n)
     # the tagless stream: trial block b draws from derive_rng(seed, b)
     instance = generate_instance(args.n, args.k, args.eps, args.delta, derive_rng(seed), mu=mu)
-    trials = run_trials(instance, args.theta, args.trials, seed, jobs=args.jobs)
-    lines = [_header("uncertain-run", seed, args),
-             "trial,x,y,output,truth,correct,bits,sampling_ok"]
+    trials = run_trials(instance, args.theta, args.trials, seed)
     # row i is trial i; numpy scalars print as numbers, and bools viewed as uint8 as 0 and 1
     columns = (range(args.trials), trials.x, trials.y, trials.output, trials.truth,
                (trials.output == trials.truth).view(np.uint8), trials.bits,
                trials.sampling_ok.view(np.uint8))
-    lines += map(",".join, zip(*(map(str, c) for c in columns)))
-    _emit(args.out, lines)
+    _emit(args.out, itertools.chain([_header("uncertain-run", seed, args),
+                                     "trial,x,y,output,truth,correct,bits,sampling_ok"],
+                                    map(",".join, zip(*(map(str, c) for c in columns)))))
     est = ErrorEstimate.from_trials(trials)
     # mean_bits is the sample_count revealed bits plus the sampling payload
     print(f"error_rate={est.error_rate:.6f} half_width={est.half_width:.6f} "
@@ -248,7 +250,6 @@ def build_parser() -> _Parser:
     run.add_argument("--trials", type=int, required=True)
     run.add_argument("--mu", default="product")
     run.add_argument("--seed", type=int)
-    run.add_argument("--jobs", type=int, default=1)
     run.add_argument("--out")
     run.set_defaults(func=_cmd_uncertain_run)
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -122,7 +120,8 @@ def choose_sample_count(k: int, theta: float) -> int:
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     t, c = _error_split(k, theta)
-    return math.ceil(math.log(2.0 ** k / (c - 2.0 * t)) / (2.0 * t * t))
+    # k ln 2 - ln(c - 2 t) rather than ln(2^k / (c - 2 t)): 2.0 ** k overflows past k = 1023
+    return math.ceil((k * math.log(2.0) - math.log(c - 2.0 * t)) / (2.0 * t * t))
 
 
 def _prefix_within(masses: np.ndarray, spent: float, budget: float) -> tuple[int, float]:
@@ -214,6 +213,17 @@ class UncertainInstance:
             raise ValueError(f"protocol errs {e}, over the promised {self.eps}")
 
 
+def check_instance_size(n: int, k: int) -> None:
+    """ValueError unless generate_instance's caps admit n and k: n in 1..14, 2^k * 2^n <= 4^14."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    _check_bit_count(n)
+    max_bits = MAX_SIDE.bit_length() - 1
+    if k + n > 2 * max_bits:
+        raise ValueError(f"2^k deciders of 2^n bits exceed the 4^{max_bits}-entry decider "
+                         f"table cap")
+
+
 def generate_instance(n: int, k: int, eps: float, delta: float, rng: np.random.Generator,
                       mu: JointDistribution | None = None) -> UncertainInstance:
     """Draw a random instance on {0,1}^n x {0,1}^n and certify its promises.
@@ -230,13 +240,7 @@ def generate_instance(n: int, k: int, eps: float, delta: float, rng: np.random.G
     """
     if not 0.0 <= delta < 1.0 or not 0.0 <= eps < 1.0:
         raise ValueError("eps and delta must lie in [0, 1)")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    _check_bit_count(n)
-    max_bits = MAX_SIDE.bit_length() - 1
-    if k + n > 2 * max_bits:
-        raise ValueError(f"2^k deciders of 2^n bits exceed the 4^{max_bits}-entry decider "
-                         f"table cap")
+    check_instance_size(n, k)
     size = 1 << n
     if mu is None:
         mu = ProductJoint.uniform_bits(n)
@@ -338,32 +342,22 @@ def _trial_block(instance: UncertainInstance, theta: float, trials: int, master_
     return Trials(xs, ys, output, instance.g.values(xs, ys), bits, ok)
 
 
-def run_trials(instance: UncertainInstance, theta: float, trials: int, master_seed: int,
-               jobs: int = 1) -> Trials:
-    """Independent seeded trials as columns, trial i at entry i; identical for any jobs value.
+def run_trials(instance: UncertainInstance, theta: float, trials: int,
+               master_seed: int) -> Trials:
+    """Independent seeded trials as columns, trial i at entry i.
 
     Trials run in blocks of TRIAL_BLOCK // max(size_y, m) for m =
     choose_sample_count(k, theta), each one array pass drawn from its own
     generator, so a trial depends on the seed, its index and the block
     layout (the block size and, in the last block, the number of trials).
-    The blocks' columns are concatenated in block order.  At most min(jobs,
-    blocks, cpu count) threads run the blocks.
+    The blocks run one after another and their columns are concatenated in
+    block order.
     """
-    if trials < 1 or jobs < 1:
-        raise ValueError(f"need trials >= 1 and jobs >= 1, got {trials} and {jobs}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     blocks = -(-trials // _block_trials(instance, theta))
-    workers = min(jobs, blocks)
-    if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
-    run_block = functools.partial(_trial_block, instance, theta, trials, master_seed)
-    if workers == 1:
-        chunks = list(map(run_block, range(blocks)))
-    else:
-        # The threads share one instance: a trial only reads it.  The only
-        # writes are lazy caches (Distribution._alias, TableJoint._flat), which
-        # every thread computes to equal values and assigns in one step.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_block, range(blocks)))
+    chunks = [_trial_block(instance, theta, trials, master_seed, block)
+              for block in range(blocks)]
     return Trials(*map(np.concatenate, zip(*chunks)))
 
 

@@ -37,27 +37,21 @@ def test_uncertain_run_writes_csv(tmp_path, capsys):
     assert "error_rate=" in summary and "mean_bits=" in summary
 
 
-def test_uncertain_run_deterministic_and_job_invariant(tmp_path):
-    outs = []
-    for name, jobs in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "2")):
-        out = tmp_path / name
-        assert main(["uncertain-run", "--n", "4", "--k", "1", "--delta", "0.05",
-                     "--theta", "0.4", "--trials", "16", "--seed", "9",
-                     "--jobs", jobs, "--out", str(out)]) == 0
-        outs.append(read(out))
-    assert outs[0] == outs[1] == outs[2]
-    # three trial blocks of 512, the last one partial, split differently by 1, 2 and 3 jobs
+def test_uncertain_run_deterministic_across_trial_blocks(tmp_path):
+    # one block of 16 trials, then three trial blocks of 512, the last one partial
     block = uncertain.TRIAL_BLOCK // max(256, uncertain.choose_sample_count(1, 0.4))
     assert (block, -(-1064 // block)) == (512, 3)
-    outs = []
-    for jobs in ("1", "2", "3"):
-        out = tmp_path / f"blocks-{jobs}.csv"
-        assert main(["uncertain-run", "--n", "8", "--k", "1", "--delta", "0.05",
-                     "--theta", "0.4", "--trials", "1064", "--seed", "9",
-                     "--jobs", jobs, "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
-    assert len(outs[0].splitlines()) == 2 + 1064
+    for n, trials in (("4", 16), ("8", 1064)):
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert main(["uncertain-run", "--n", n, "--k", "1", "--delta", "0.05",
+                         "--theta", "0.4", "--trials", str(trials), "--seed", "9",
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        rows = outs[0].splitlines()[2:]
+        assert [int(row.split(b",")[0]) for row in rows] == list(range(trials))
 
 
 def test_uncertain_run_runs_each_trial_once(tmp_path, capsys, monkeypatch):
@@ -204,7 +198,7 @@ def test_uncertain_run_checks_cheap_arguments_before_the_build(monkeypatch, caps
 
     monkeypatch.setattr("uccsim.cli.generate_instance", no_build)
     base = {"--n": "14", "--k": "2", "--delta": "0.05", "--theta": "0.3", "--trials": "10"}
-    for flag, bad in (("--theta", "1.5"), ("--trials", "0"), ("--jobs", "0"), ("--jobs", "-2")):
+    for flag, bad in (("--theta", "1.5"), ("--trials", "0"), ("--k", "1100")):
         args = dict(base, **{flag: bad})
         assert main(["uncertain-run", *(token for item in args.items() for token in item)]) == 2
         assert "error:" in capsys.readouterr().err

@@ -2,9 +2,6 @@
 
 import itertools
 import math
-import os
-import pickle
-import sys
 import tracemalloc
 from collections import Counter
 
@@ -25,12 +22,6 @@ from uccsim.uncertain import (
     run_uncertain_protocol,
     wilson_half_width,
 )
-
-
-def same_trials(a, b):
-    # Trials columns agree field by field, in value and in dtype
-    return a._fields == b._fields and all(p.dtype == q.dtype and np.array_equal(p, q)
-                                          for p, q in zip(a, b))
 
 
 def satisfies_budget(k, theta, m, t):
@@ -100,6 +91,8 @@ def test_decider_scores_concentrate_within_the_hoeffding_deviation():
 def test_choose_sample_count_monotone_in_k():
     for k in range(5):
         assert choose_sample_count(k + 1, 0.3) > choose_sample_count(k, 0.3)
+    # past k = 1023, where 2.0 ** k overflows a float
+    assert choose_sample_count(1100, 0.3) > choose_sample_count(1023, 0.3)
 
 
 def test_choose_sample_count_validation():
@@ -267,8 +260,8 @@ def test_verify_rejects_over_budget_flip_sets():
 
 
 def test_trials_read_no_whole_table(monkeypatch):
-    # the trial path reads rows of f and one value of g per trial, never a dense table,
-    # at any jobs value: f's row read reaches the protocol's rows once per block
+    # the trial path reads rows of f and one value of g per trial, never a dense table:
+    # f's row read reaches the protocol's rows once per block, in block order
     def no_table(self):
         raise AssertionError("to_table called on the trial path")
 
@@ -285,12 +278,9 @@ def test_trials_read_no_whole_table(monkeypatch):
         return protocol_rows(self, xs)
 
     monkeypatch.setattr(OneWayProtocol, "rows", counted)
-    serial = run_trials(inst, 0.3, trials, master_seed=45, jobs=1)
+    run = run_trials(inst, 0.3, trials, master_seed=45)
     assert row_reads == [block] * 3 + [7]
-    row_reads.clear()
-    assert same_trials(run_trials(inst, 0.3, trials, master_seed=45, jobs=2), serial)
-    assert sorted(row_reads) == [7] + [block] * 3
-    assert all(len(column) == trials for column in serial)
+    assert all(len(column) == trials for column in run)
 
 
 def test_generate_instance_rejects_oversized_domain():
@@ -452,105 +442,6 @@ def test_estimate_requires_trials():
     inst = generate_instance(4, 1, 0.0, 0.0, rng)
     with pytest.raises(ValueError):
         estimate_uncertain_error(inst, 0.3, 0, master_seed=1)
-
-
-def test_run_trials_rejects_jobs_below_one():
-    rng = np.random.default_rng(133)
-    inst = generate_instance(4, 1, 0.0, 0.0, rng)
-    for jobs in (0, -1):
-        with pytest.raises(ValueError, match="jobs"):
-            run_trials(inst, 0.3, 10, master_seed=1, jobs=jobs)
-
-
-def test_run_trials_parallel_matches_serial():
-    # threads split three blocks, the last one partial
-    rng = np.random.default_rng(134)
-    inst = generate_instance(4, 1, 0.0, 0.05, rng)
-    trials = 2 * uncertain._block_trials(inst, 0.4) + 40
-    serial = run_trials(inst, 0.4, trials, master_seed=41, jobs=1)
-    parallel = run_trials(inst, 0.4, trials, master_seed=41, jobs=4)
-    assert same_trials(serial, parallel)
-    assert all(len(column) == trials for column in serial)
-
-
-def test_run_trials_threads_need_no_picklable_instance(monkeypatch):
-    # a joint's sample as an instance-attribute closure, as the benchmark tracer installs
-    # it; each threaded run starts on a fresh instance, so its threads race to fill the
-    # marginals' lazy alias tables, and 8 threads outnumber a small host's cores while
-    # switching often
-    def fresh():
-        return generate_instance(4, 1, 0.0, 0.05, np.random.default_rng(138))
-
-    inst = fresh()
-    trials = 6 * uncertain._block_trials(inst, 0.4) + 5
-    serial = run_trials(inst, 0.4, trials, master_seed=44, jobs=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    interval = sys.getswitchinterval()
-    for jobs in (2, 8):
-        inst = fresh()
-        sample = inst.mu.sample
-        inst.mu.sample = lambda *args, **kwargs: sample(*args, **kwargs)
-        with pytest.raises((pickle.PicklingError, AttributeError)):
-            pickle.dumps(inst)
-        sys.setswitchinterval(1e-6)
-        try:
-            assert same_trials(run_trials(inst, 0.4, trials, master_seed=44, jobs=jobs), serial)
-        finally:
-            sys.setswitchinterval(interval)
-
-
-class SerialPool:
-    """Stand-in for ThreadPoolExecutor: records max_workers and maps in the caller's thread."""
-
-    started = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-def test_run_trials_starts_no_more_workers_than_trials_or_cores(monkeypatch):
-    # workers take whole blocks, so at most min(jobs, blocks, cpu count) start
-    rng = np.random.default_rng(135)
-    inst = generate_instance(4, 1, 0.0, 0.05, rng)
-    trials = 2 * uncertain._block_trials(inst, 0.4) + 3
-    serial = run_trials(inst, 0.4, trials, master_seed=42, jobs=1)
-    monkeypatch.setattr(uncertain, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "started", [])
-    for cores, expect in ((64, 3), (2, 2)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert same_trials(run_trials(inst, 0.4, trials, master_seed=42, jobs=10 ** 6), serial)
-        assert SerialPool.started[-1] == expect
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert same_trials(run_trials(inst, 0.4, trials, master_seed=42, jobs=10 ** 6), serial)
-    # fewer trials than a block make one block: no worker starts
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert all(len(column) == 3
-               for column in run_trials(inst, 0.4, 3, master_seed=42, jobs=10 ** 6))
-    assert SerialPool.started == [3, 2]
-
-
-def test_run_trials_job_invariant_across_a_partial_last_block(monkeypatch):
-    # about 2.5 blocks: jobs 1, 2 and 3 split them differently, the trials agree
-    rng = np.random.default_rng(137)
-    inst = generate_instance(4, 1, 0.0, 0.05, rng, mu=NoisyHypercube(4, 0.1))
-    block = uncertain._block_trials(inst, 0.4)
-    trials = 5 * block // 2
-    monkeypatch.setattr(uncertain, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "started", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    runs = [run_trials(inst, 0.4, trials, master_seed=43, jobs=jobs) for jobs in (1, 2, 3)]
-    assert SerialPool.started == [2, 3]
-    assert same_trials(runs[0], runs[1]) and same_trials(runs[0], runs[2])
-    assert all(len(column) == trials for column in runs[0])
 
 
 def test_wilson_half_width_values():
