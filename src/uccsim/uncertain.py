@@ -13,7 +13,7 @@ with his list and picks the decider that disagrees least with them.
 
 A run sends the m revealed bits plus the sampling payload, about 3 m I + s
 bits for mutual information I (see sampling): O(k (1 + I)) for a fixed
-theta, about 2,750 bits on NoisyHypercube(12, 0.1) at k = 2, theta = 0.3.
+theta, about 1,840 bits on NoisyHypercube(12, 0.1) at k = 2, theta = 0.3.
 """
 
 from __future__ import annotations
@@ -38,25 +38,30 @@ TRIAL_BLOCK = 1 << 17
 
 WILSON_Z = 1.959963984540054
 
+_LN2 = math.log(2.0)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# _tail_deviation's search stops once its bracket on t is below this share of c
+_T_TOL = 1e-5
+# choose_sample_count searches below Hoeffding's m only up to this one
+_SEARCH_MAX = 1 << 20
+
 
 def _sample_eps(theta: float) -> float:
     """The sampler's failure budget in a run at slack theta."""
     return (theta / 10.0) ** 2
 
 
-def _error_split(k: int, theta: float) -> tuple[float, float]:
-    """(t, c) of choose_sample_count's error split: the deviation and the budget of 2 t + beta.
+def _hoeffding_count(k: int, c: float) -> tuple[int, float]:
+    """(m, t): the least m with 2 t + 2^k exp(-2 m t^2) <= c at some deviation t, and that t.
 
-    c = theta - phi is what the sampler's failure phi = 1.5 sample_eps
-    leaves.  At deviation t the least m with 2 t + 2^k exp(-2 m t^2) <= c is
-    M(t) = ln(2^k / u) / (2 t^2), u = c - 2 t, for 0 < t < c / 2.  M' = 0
-    where c / (2 u) + ln u = k ln 2 + 1/2 >= 1/2.  The left side falls from
-    infinity to 1 + ln(c / 2) < 1/2 as u runs over (0, c / 2] and stays
-    below 1/2 on [c / 2, c), so one bisection over t in (0, c / 2) finds the
-    only stationary point t, which is M's minimum.
+    At deviation t the least such m is M(t) = ln(2^k / u) / (2 t^2), u = c -
+    2 t, for 0 < t < c / 2.  M' = 0 where c / (2 u) + ln u = k ln 2 + 1/2 >=
+    1/2.  The left side falls from infinity to 1 + ln(c / 2) < 1/2 as u runs
+    over (0, c / 2] and stays below 1/2 on [c / 2, c), so one bisection over t
+    in (0, c / 2) finds the only stationary point t, which is M's minimum.
+    Raises OverflowError when k ln 2 or M(t) overflows a float.
     """
-    c = theta - 1.5 * _sample_eps(theta)
-    target = k * math.log(2.0) + 0.5
+    target = k * _LN2 + 0.5
 
     def past_root(t: float) -> bool:
         u = c - 2.0 * t
@@ -67,14 +72,107 @@ def _error_split(k: int, theta: float) -> tuple[float, float]:
     while lo < mid < hi:
         lo, hi = (lo, mid) if past_root(mid) else (mid, hi)
         mid = 0.5 * (lo + hi)
-    return lo, c
+    # k ln 2 - ln u rather than ln(2^k / u): 2.0 ** k overflows past k = 1023
+    return math.ceil((k * _LN2 - math.log(c - 2.0 * lo)) / (2.0 * lo * lo)), lo
+
+
+class _BinomialTails:
+    """Upper bounds on B(m, t), the worst binomial tail at deviation t, for one m.
+
+    B(m, t) is the sup over q in [0, 1] of P(Bin(m, q) >= m (q + t)): the
+    largest chance that a mean of m i.i.d. bits lands t or more above its
+    mean q.  With j = ceil(m (q + t)) the tail is P(Bin(m, q) >= j), which
+    rises with q on each interval of q where j is fixed, so B is the largest
+    tail T_j at the right ends q_j = j / m - t, over j in (m t, m].  The lower
+    tail P(Bin(m, q) <= m (q - t)) is the upper tail of m minus the count,
+    which is Bin(m, 1 - q), so B bounds it too.
+
+    T_j <= pmf(j; m, q_j) j (1 - q_j) / (m t): for i >= j the ratio pmf(i +
+    1) / pmf(i) = (m - i) q / ((i + 1)(1 - q)) stays below r = (m - j) q /
+    (j (1 - q)) < 1 at q = q_j, and the geometric sum 1 / (1 - r) is j (1 -
+    q_j) / (j - m q_j), with j - m q_j = m t.  Hoeffding's inequality
+    (Hoeffding, JASA 1963) puts every T_j at exp(-2 m t^2) or less, and
+    log_worst takes the smaller bound, so it never exceeds Hoeffding's.
+
+    Everything is in logs, over O(m) floats.  ln C(m, j) is a cumulative sum,
+    within 3e-8 of lgamma's up to m = 2^20.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self.j = np.arange(m + 1, dtype=np.float64)
+        self.rest = m + 1.0 - self.j
+        self.left = 1.0 - self.j / m
+        # head[j] = ln C(m, j) + ln j, ln C(m, j) the sum of ln((m - i + 1) / i)
+        # over i <= j; head[0] = -inf is never read
+        logs = np.log(self.j[1:])
+        self.head = np.empty(m + 1)
+        self.head[0] = -math.inf
+        np.cumsum(logs[::-1] - logs, out=self.head[1:])
+        self.head[1:] += logs
+
+    def log_terms(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(j, ln of pmf(j; m, q_j) j (1 - q_j) / (m t), T_j's bound) for j in (m t, m]."""
+        m = self.m
+        lo = math.floor(m * t) + 1
+        j = self.j[lo:]
+        q = j / m - t
+        # j > m t, so q_j > 0; rounding could take it to zero or just below
+        np.maximum(q, 0.0, out=q)
+        with np.errstate(divide="ignore"):
+            np.log(q, out=q)
+        q *= j
+        # ln(1 - q_j) from 1 - j / m + t
+        terms = np.log(self.left[lo:] + t)
+        terms *= self.rest[lo:]
+        terms += q
+        terms += self.head[lo:]
+        terms -= math.log(m * t)
+        return j, terms
+
+    def log_worst(self, t: float) -> float:
+        """ln of an upper bound on B(m, t): the largest T_j's bound or Hoeffding's, the smaller."""
+        return min(float(self.log_terms(t)[1].max()), -2.0 * self.m * t * t)
+
+
+def _tail_deviation(k: int, c: float, m: int) -> float | None:
+    """A deviation t with 2 t + 2^k B(m, t) <= c, or None if the search finds none.
+
+    Golden-section search over t in (0, c / 2) for the least h(t) = k ln 2 +
+    ln B(m, t) - ln(c - 2 t), in logs so that no 2^k overflows; h(t) <= 0 is
+    the condition.  It answers with the first probe that meets it, and stops
+    when the bracket is narrower than _T_TOL c.  B is _BinomialTails's bound.
+    """
+    tails = _BinomialTails(m)
+    log_deciders = k * _LN2
+
+    def h(t: float) -> float:
+        return log_deciders + tails.log_worst(t) - math.log(c - 2.0 * t)
+
+    a, b = 0.0, 0.5 * c
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    h1, h2 = h(x1), h(x2)
+    while True:
+        if min(h1, h2) <= 0.0:
+            return x1 if h1 <= h2 else x2
+        if b - a < _T_TOL * c:
+            return None
+        if h1 < h2:
+            b, x2, h2 = x2, x1, h1
+            x1 = b - _GOLDEN * (b - a)
+            h1 = h(x1)
+        else:
+            a, x1, h1 = x1, x2, h2
+            x2 = a + _GOLDEN * (b - a)
+            h2 = h(x2)
 
 
 # cached: every trial of a run asks for the same (k, theta)
 @functools.lru_cache
 def choose_sample_count(k: int, theta: float) -> int:
-    """Least m for which some deviation t has 2 t + 2^k exp(-2 m t^2) + phi <= theta.
+    """Least m, by bisection, for which some deviation t has 2 t + 2^k B(m, t) + phi <= theta.
 
+    B(m, t) bounds the worst binomial tail at deviation t (_BinomialTails).
     The error split this m supports, for a trial (x, y) ~ mu:
 
     - Bob's m samples are i.i.d. from mu(.|x) and independent of y.  Decider
@@ -83,10 +181,10 @@ def choose_sample_count(k: int, theta: float) -> int:
       mu(.|x).
     - Let j* be the right decider, protocol.assignment[x].  Bob's choice can
       only go wrong by much if j*'s empirical disagreement lands above
-      D_j*(x) + t or another decider's below D_j(x) - t.  Hoeffding's
-      inequality (Hoeffding, JASA 1963) puts each of these one-sided tails
-      at probability at most exp(-2 m t^2), so a union bound over the 2^k
-      deciders puts the chance of any at beta <= 2^k exp(-2 m t^2).
+      D_j*(x) + t or another decider's below D_j(x) - t.  Each of these
+      one-sided tails has probability at most B(m, t), whatever D_j(x) is,
+      so a union bound over the 2^k deciders puts the chance of any at beta
+      <= 2^k B(m, t).
     - When none happens, the chosen decider j has D_j(x) - t <= its
       empirical disagreement <= j*'s <= D_j*(x) + t, so its D is at most the
       right decider's plus 2 t, and the right one's is at most delta_x +
@@ -107,11 +205,19 @@ def choose_sample_count(k: int, theta: float) -> int:
       log2(1 / sample_eps) >= log2 100, so by Markov's inequality the cap
       truncation_limit(mu, m, sample_eps) cuts a run with probability at
       most sample_eps.  So phi <= 1.5 sample_eps.
-    - m spends the whole budget: 2 t + beta <= c = theta - phi holds at
-      deviation t once m >= M(t) = ln(2^k / (c - 2 t)) / (2 t^2), so m =
-      ceil(min_t M(t)), at the t that _error_split finds.  So the error is
-      at most 2 delta + eps + theta.  At k = 2, theta = 0.3 the split is t =
-      0.1357, beta = 0.0267, phi = 0.00135, and m = 136.
+    - m meets 2 t + beta <= c = theta - phi at some t, so the error is at
+      most 2 delta + eps + theta.  At k = 2, theta = 0.3 the split is t =
+      0.1307, beta = 0.0366, phi = 0.00135, and m = 91; Hoeffding's exp(-2 m
+      t^2) in place of B needs m = 136.
+
+    The search: Hoeffding's m (_hoeffding_count) meets the condition, as B
+    <= exp(-2 m t^2), and bisection over (0, Hoeffding's m] keeps an upper
+    end at which a deviation is known, Hoeffding's or one that
+    _tail_deviation finds, and a lower end at which the search finds none.
+    The condition need not be monotone in m, as the binomial is discrete,
+    so m is the least one only along the bisection's path; it never exceeds
+    Hoeffding's.  Past a Hoeffding m of _SEARCH_MAX the search, which holds
+    O(m) floats, is skipped and Hoeffding's m is the answer.
 
     m carries no empirical constant.
     """
@@ -119,9 +225,22 @@ def choose_sample_count(k: int, theta: float) -> int:
         raise ValueError("k must be nonnegative")
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    t, c = _error_split(k, theta)
-    # k ln 2 - ln(c - 2 t) rather than ln(2^k / (c - 2 t)): 2.0 ** k overflows past k = 1023
-    return math.ceil((k * math.log(2.0) - math.log(c - 2.0 * t)) / (2.0 * t * t))
+    c = theta - 1.5 * _sample_eps(theta)
+    try:
+        hoeffding = _hoeffding_count(k, c)[0]
+    except OverflowError:
+        raise ValueError("k is too large: the sample count for 2^k deciders "
+                         "overflows a float") from None
+    if hoeffding > _SEARCH_MAX:
+        return hoeffding
+    lo, hi = 0, hoeffding
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _tail_deviation(k, c, mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _prefix_within(masses: np.ndarray, spent: float, budget: float) -> tuple[int, float]:

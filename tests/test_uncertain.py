@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,10 +25,14 @@ from uccsim.uncertain import (
 )
 
 
-def satisfies_budget(k, theta, m, t):
-    # 2t + beta + phi within theta at deviation t
-    beta = 2.0 ** k * math.exp(-2.0 * m * t * t)
-    return 2.0 * t + beta + 1.5 * (theta / 10.0) ** 2 <= theta
+def budget(theta):
+    # c: what the sampler's failure phi = 1.5 (theta / 10)^2 leaves of theta
+    return theta - 1.5 * (theta / 10.0) ** 2
+
+
+def satisfies_hoeffding(k, c, m, t):
+    # 2t + 2^k exp(-2 m t^2) within c at deviation t
+    return 2.0 * t + 2.0 ** k * math.exp(-2.0 * m * t * t) <= c
 
 
 def least_samples(k, c, t):
@@ -35,37 +40,128 @@ def least_samples(k, c, t):
     return math.log(2.0 ** k / (c - 2.0 * t)) / (2.0 * t * t)
 
 
+def exact_tail(m, j, q):
+    # P(Bin(m, q) >= j), summed in exact rationals
+    return sum(math.comb(m, i) * q ** i * (1 - q) ** (m - i) for i in range(j, m + 1))
+
+
 def test_choose_sample_count_frozen_values():
-    assert choose_sample_count(0, 0.5) == 30
-    assert choose_sample_count(2, 0.3) == 136
-    assert choose_sample_count(4, 0.2) == 410
+    assert choose_sample_count(0, 0.5) == 17
+    assert choose_sample_count(0, 0.2) == 143
+    assert choose_sample_count(2, 0.3) == 91
+    assert choose_sample_count(4, 0.2) == 298
+    assert choose_sample_count(2, 0.1) == 1018
 
 
-def test_choose_sample_count_is_smallest():
-    for k, theta in ((0, 0.5), (2, 0.3), (4, 0.2), (6, 0.15)):
-        m = choose_sample_count(k, theta)
-        t, c = uncertain._error_split(k, theta)
-        assert c == theta - 1.5 * (theta / 10.0) ** 2
+def test_hoeffding_count_is_smallest():
+    # the Hoeffding rule that bounds the search: m = ceil(min_t M(t))
+    for k, theta, frozen in ((0, 0.5, 30), (2, 0.3, 136), (4, 0.2, 410), (6, 0.15, None)):
+        c = budget(theta)
+        m, t = uncertain._hoeffding_count(k, c)
+        assert frozen is None or m == frozen
         # t solves the stationarity equation c/(2u) + ln u = k ln 2 + 1/2, u = c - 2t
         u = c - 2.0 * t
         assert c / (2.0 * u) + math.log(u) == pytest.approx(k * math.log(2.0) + 0.5, rel=1e-9)
         # and is the minimum of M over a grid of (0, c/2)
         grid = np.linspace(0.0, 0.5 * c, 2001)[1:-1]
         assert least_samples(k, c, t) <= min(least_samples(k, c, g) for g in grid)
-        assert satisfies_budget(k, theta, m, t)
-        assert not satisfies_budget(k, theta, m - 1, t)
+        assert satisfies_hoeffding(k, c, m, t)
+        assert not satisfies_hoeffding(k, c, m - 1, t)
 
 
-def test_decider_scores_concentrate_within_the_hoeffding_deviation():
+def test_choose_sample_count_is_smallest():
+    for k, theta in itertools.product((0, 1, 2, 4, 8, 16, 27), (0.1, 0.2, 0.3, 0.5, 0.9)):
+        m = choose_sample_count(k, theta)
+        c = budget(theta)
+        hoeffding, _ = uncertain._hoeffding_count(k, c)
+        assert m <= hoeffding
+        # a deviation the search returns meets 2t + 2^k B(m, t) <= c, checked directly
+        t = uncertain._tail_deviation(k, c, m)
+        assert 0.0 < t < c / 2.0
+        log_b = uncertain._BinomialTails(m).log_worst(t)
+        assert 2.0 * t + math.exp(k * math.log(2.0) + log_b) <= c
+        # and the search finds none at m - 1
+        assert uncertain._tail_deviation(k, c, m - 1) is None
+    # the bound is sharper than Hoeffding's: about a third fewer samples at the workload points
+    assert choose_sample_count(2, 0.3) <= 0.7 * uncertain._hoeffding_count(2, budget(0.3))[0]
+
+
+def test_tail_bound_never_exceeds_hoeffding():
+    for m in (1, 2, 7, 40, 91, 1018, 30_000):
+        tails = uncertain._BinomialTails(m)
+        for t in np.linspace(0.0, 0.5, 41)[1:-1]:
+            assert tails.log_worst(t) <= -2.0 * m * t * t
+
+
+def test_tail_bound_covers_the_exact_binomial_tail():
+    # every term's bound lies between the exact tail T_j at q_j = j/m - t and
+    # T_j times j (1 - q_j) / (m t), the geometric factor, which is below 1/t;
+    # dyadic t and q keep the rationals small
+    for m in range(1, 41):
+        tails = uncertain._BinomialTails(m)
+        for t in (1 / 32, 3 / 32, 9 / 64, 1 / 4, 13 / 32):
+            js, log_bounds = tails.log_terms(t)
+            assert list(js) == list(range(math.floor(m * t) + 1, m + 1))
+            exact = []
+            for j, log_bound in zip(js.astype(int), log_bounds):
+                q = Fraction(int(j), m) - Fraction(t)
+                tail = exact_tail(m, int(j), q)
+                factor = j * (1 - q) / (m * Fraction(t))
+                assert float(tail) <= math.exp(log_bound) * (1.0 + 1e-12)
+                assert math.exp(log_bound) <= float(tail * factor) * (1.0 + 1e-12)
+                assert factor < 1 / Fraction(t)
+                exact.append(tail)
+            worst = math.exp(tails.log_worst(t))
+            assert float(max(exact)) <= worst * (1.0 + 1e-12)
+            # B is a sup over every q, not only the right ends: also check a grid of q
+            for q in (Fraction(i, 64) for i in range(65)):
+                tail = exact_tail(m, math.ceil(m * (q + Fraction(t))), q)
+                assert float(tail) <= worst * (1.0 + 1e-12)
+
+
+def test_tail_bound_holds_by_simulation():
+    # draws of Bin(m, q_j) at the term whose bound is largest land at j or
+    # above in at most B of the draws, within four standard errors
+    draws = 200_000
+    rng = np.random.default_rng(152)
+    for m, t in ((91, 0.1307), (298, 0.09), (1018, 0.046)):
+        tails = uncertain._BinomialTails(m)
+        js, log_bounds = tails.log_terms(t)
+        j = int(js[log_bounds.argmax()])
+        bound = math.exp(tails.log_worst(t))
+        share = np.count_nonzero(rng.binomial(m, j / m - t, size=draws) >= j) / draws
+        assert share <= bound + 4.0 * math.sqrt(bound * (1.0 - bound) / draws)
+
+
+def test_choose_sample_count_holds_linear_memory():
+    # the search holds O(m) floats at a time: a (t-grid x m) array would be far larger
+    theta = 0.02
+    hoeffding, _ = uncertain._hoeffding_count(2, budget(theta))
+    choose_sample_count.cache_clear()
+    tracemalloc.start()
+    try:
+        m = choose_sample_count(2, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m < hoeffding
+    assert peak < 80 * hoeffding
+    # past _SEARCH_MAX the search is skipped and Hoeffding's m is the answer
+    hoeffding, _ = uncertain._hoeffding_count(64, budget(0.01))
+    assert hoeffding > uncertain._SEARCH_MAX
+    assert choose_sample_count(64, 0.01) == hoeffding
+
+
+def test_decider_scores_concentrate_within_the_tail_deviation():
     # choose_sample_count's concentration step, checked directly: on a fixed
     # row x, m i.i.d. samples from mu(.|x) keep the right decider's empirical
     # disagreement with f at most t above its exact conditional disagreement
     # and every other decider's at most t below its own, except in at most
-    # beta of the sample lists, with (t, beta) the split at m.
+    # beta = 2^k B(m, t) of the sample lists, with t the deviation at m.
     k, theta, rows = 2, 0.3, 20_000
     m = choose_sample_count(k, theta)
-    t, _ = uncertain._error_split(k, theta)
-    beta = 2.0 ** k * math.exp(-2.0 * m * t * t)
+    t = uncertain._tail_deviation(k, budget(theta), m)
+    beta = 2.0 ** k * math.exp(uncertain._BinomialTails(m).log_worst(t))
     inst = generate_instance(6, k, 0.0, 0.1, np.random.default_rng(150),
                              mu=NoisyHypercube(6, 0.1))
     # the row where the right decider disagrees most with f (0.60), so a
@@ -102,6 +198,9 @@ def test_choose_sample_count_validation():
         choose_sample_count(2, 1.0)
     with pytest.raises(ValueError):
         choose_sample_count(-1, 0.3)
+    # k ln 2 overflows a float
+    with pytest.raises(ValueError, match="k is too large"):
+        choose_sample_count(10 ** 400, 0.3)
 
 
 def test_generate_instance_zero_delta_keeps_f_equal_g():
@@ -227,12 +326,14 @@ def test_generate_instance_memory_below_old_permutation():
 
 
 def test_trial_blocks_are_bounded_by_list_width():
-    # n = 1 has |Y| = 2 but m = 1473 samples a run at k = 2, theta = 0.1: a
+    # n = 1 has |Y| = 2 but m = 1018 samples a run at k = 2, theta = 0.1: a
     # block sized by |Y| alone would hold every trial's lists at once, 2000 x
-    # 1473 int64s per array, 22 MiB
+    # 1018 int64s per array, 16 MiB
     inst = generate_instance(1, 2, 0.0, 0.05, np.random.default_rng(141),
                              mu=NoisyHypercube(1, 0.1))
-    assert uncertain._block_trials(inst, 0.1) == uncertain.TRIAL_BLOCK // 1473
+    m = choose_sample_count(2, 0.1)
+    assert m > 2
+    assert uncertain._block_trials(inst, 0.1) == uncertain.TRIAL_BLOCK // m
     tracemalloc.start()
     try:
         trials = run_trials(inst, 0.1, 2000, master_seed=46)
