@@ -2,10 +2,10 @@
 
 An instance is a random k-bit one-way protocol and two budgeted
 perturbations of its function: g differs from it on mass at most eps under
-the input distribution mu, and f from g on mass at most delta.  Each set of
-flipped points is a prefix of a uniformly random order of the points
-(_flip_random_points), kept as it is: g is the protocol's function flipped
-at the eps-set and f is g flipped at the delta-set (core.FlippedFunction).
+the input distribution mu, and f from g on mass at most delta.  Each flip
+set is a prefix of a uniformly random order of the points, drawn sorted in
+layers of random keys (_flip_random_points): g is the protocol's function
+flipped at the eps-set and f is g flipped at the delta-set (FlippedFunction).
 Alice computes f and Bob knows g through the protocol.  Neither knows the
 other's function, so they correlate lists of m = choose_sample_count(k, theta)
 samples of Bob's input, Alice reveals f on her list, and Bob pairs her bits
@@ -30,8 +30,8 @@ from .distributions import JointDistribution, ProductJoint, _check_bit_count, de
 from .sampling import _TAG_OUTPUT, SharedRandomness, one_way_block
 
 _DIST_TOL = 1e-12
-# at most 2^FLIP_CHUNK_BITS candidate points are drawn per round of a flip set
-FLIP_CHUNK_BITS = 20
+# a flip set's layers are drawn 2^FLIP_CHUNK_BITS skips at a time
+FLIP_CHUNK_BITS = 16
 # trials per block times the wider of size_y and m: a block's count arrays and
 # sample lists hold about this many cells each
 TRIAL_BLOCK = 1 << 17
@@ -243,36 +243,23 @@ def choose_sample_count(k: int, theta: float) -> int:
     return hi
 
 
-def _prefix_within(masses: np.ndarray, spent: float, budget: float) -> tuple[int, float]:
-    """Longest prefix of masses that fits in budget after spent, and the total spent then.
+def _bernoulli_ranks(rate: float, size: int, rng: np.random.Generator):
+    """Members of a Bernoulli(rate) subset of range(size), in order, with a uniform uint16 each."""
+    chunk = min(1 << FLIP_CHUNK_BITS, int(rate * size + 4.0 * math.sqrt(rate * size)) + 16)
+    lam = -math.log1p(-rate) if rate < 1.0 else math.inf
+    last, end = -1, chunk
+    while end == chunk:
+        # skips floor(E / lam) + 1 (Vitter, CACM 1984); E / lam >= 0, so the cast floors it
+        at = np.cumsum((rng.standard_exponential(chunk) / lam).astype(np.int64) + 1) + last
+        end = int(np.searchsorted(at, size))
+        yield at[:end], rng.bit_generator.random_raw(-(-end // 4)).view(np.uint16)[:end]
+        last = int(at[-1])
 
-    The running sum is np.cumsum seeded with spent: the same additions in the
-    same order as a loop that stops at the first mass that would overflow.
-    """
-    cum = np.cumsum(np.concatenate(([spent], masses)))
-    take = int(np.searchsorted(cum[1:], budget + _DIST_TOL, side="right"))
-    return take, float(cum[take])
 
-
-def _first_occurrences(draws: np.ndarray) -> np.ndarray:
-    """The distinct values of draws, in the order of their first occurrence.
-
-    One sort of (value << FLIP_CHUNK_BITS) | position puts each value's first
-    position first, and a scatter of those positions into a mask restores
-    draw order; draws holds at most 2^FLIP_CHUNK_BITS values.  The keys are
-    dropped before the gather, so that the allocator can reuse their memory.
-    """
-    shift = FLIP_CHUNK_BITS
-    keys = np.sort((draws << shift) | np.arange(len(draws)))
-    values = keys >> shift
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    at = keys[first]
-    at &= (1 << shift) - 1
-    del keys, values
-    first[:] = False
-    first[at] = True
-    return draws[first]
+def _point_masses(mu: JointDistribution, points: np.ndarray) -> np.ndarray:
+    """mu's masses at flat indices x * size_y + y."""
+    xs = points // mu.size_y
+    return mu.mass_array(xs, points - xs * mu.size_y)
 
 
 def _flip_random_points(mu: JointDistribution, budget: float,
@@ -280,33 +267,48 @@ def _flip_random_points(mu: JointDistribution, budget: float,
     """The longest prefix of a uniformly random order of all points whose mass fits in budget.
 
     It comes as sorted flat indices x * size_y + y, its mass taken under mu.
-    The order is never built: the first occurrences of i.i.d. uniform draws,
-    skipping points already taken (marked in a bitmap of total / 8 bytes),
-    come in a uniformly random order, so the set is a random permutation's prefix.
+    Implicit i.i.d. Uniform(0, 1) keys order the points: keys in [tau, tau') are
+    a Bernoulli((tau' - tau) / (1 - tau)) layer of the points left, drawn in
+    index order, in uniform buckets of 16 to 32 points (at most 2^16).  Only the
+    bucket where the running mass passes the budget is ordered, by a permutation
+    drawn last.  A layer that fits is taken whole, never redrawn: that would
+    condition on the shortfall.  tau' - tau is the budget left plus 3%, 1024
+    points' share and 4 sqrt(sum of the last layer's squared masses).
     """
-    total = mu.size_x * mu.size_y
-    # A uniform point has mean mass 1/total, so about budget * total points get
-    # taken; the first chunk usually covers them.
-    chunk = min(1 << FLIP_CHUNK_BITS, total, 1024 + int(1.25 * budget * total))
-    taken = np.zeros(-(-total // 8), dtype=np.uint8)
-    spent = 0.0
-    prefix = []
-    flipped = 0
-    while flipped < total:
-        points = _first_occurrences(rng.integers(0, total, size=chunk))
-        if flipped:
-            points = points[(taken[points >> 3] >> (points & 7) & 1) == 0]
-        take, spent = _prefix_within(mu.mass_array(*np.divmod(points, mu.size_y)),
-                                     spent, budget)
-        prefix.append(points[:take])
-        if take < len(points):
+    total, limit = mu.size_x * mu.size_y, budget + _DIST_TOL
+    taken = np.empty(0, dtype=np.int64)
+    spent, squares, rest = 0.0, 0.0, 1.0  # rest = 1 - tau
+    while len(taken) < total:
+        size = total - len(taken)
+        step = min(rest, 1.03 * (budget - spent) + 1024.0 / total + 4.0 * math.sqrt(squares))
+        rate, rest = step / rest, rest - step
+        shift = min(16, max(0, 21 - int(rate * size).bit_length()))
+        left_before = taken - np.arange(len(taken))  # the points left below each taken one
+        hist, squares, layer, keys = np.zeros(1 << (16 - shift)), 0.0, [], []
+        for points, key in _bernoulli_ranks(rate, size, rng):
+            if len(taken):
+                points = points + np.searchsorted(left_before, points, side="right")
+            keys.append(key >> shift)
+            masses = _point_masses(mu, points)
+            hist += np.bincount(keys[-1], masses, len(hist))
+            squares += float(masses @ masses)
+            # flat indices stay below 4^14 (generate_instance caps n), so uint32 holds them
+            layer.append(points.astype(np.uint32))
+        layer, keys = np.concatenate(layer), np.concatenate(keys)
+        run = np.cumsum(np.concatenate(([spent], hist)))  # the mass spent before each bucket
+        cut = int(np.searchsorted(run, limit, side="right")) - 1
+        at_cut = rng.permutation(np.flatnonzero(keys == cut))  # none when the layer fits
+        within = np.cumsum(_point_masses(mu, layer[at_cut].astype(np.int64))) + run[cut]
+        keep = keys < cut
+        keep[at_cut[:np.searchsorted(within, limit, side="right")]] = True
+        # in two steps, so that the whole uint32 layer is gone before the int64 copy
+        layer = layer[keep]
+        layer = layer.astype(np.int64)
+        taken = np.insert(taken, np.searchsorted(taken, layer), layer) if len(taken) else layer
+        if cut < len(hist):
             break
-        # the points are distinct and untaken, so adding their bits sets them
-        np.add.at(taken, points >> 3, (1 << (points & 7)).astype(np.uint8))
-        flipped += take
-    points = np.concatenate(prefix)
-    points.sort()
-    return points
+        spent = float(run[-1])
+    return taken
 
 
 @dataclass
@@ -348,14 +350,11 @@ def generate_instance(n: int, k: int, eps: float, delta: float, rng: np.random.G
     """Draw a random instance on {0,1}^n x {0,1}^n and certify its promises.
 
     The protocol is a uniformly random assignment into 2^k parts with uniform
-    random deciders.  g flips the protocol's function on a random set of mass
-    at most eps under mu, and f flips g on one of mass at most delta, each set
-    a prefix of a uniformly random order of the points, kept as a sorted
-    array of flat indices.  Sides are capped at MAX_SIDE = 2^14, as
-    NoisyHypercube caps n, so n is at most 14; a flip set of mass delta holds
-    about delta * 4^n points, 13M at n = 14 and delta = 0.05.  The deciders
-    are a dense 2^k x 2^n table, so 2^k * 2^n is at most 4^14.  Larger
-    requests raise before allocating.
+    random deciders.  g flips the protocol's function on a set of mass at most
+    eps under mu, and f flips g on one of mass at most delta, each a prefix of
+    a uniformly random order, drawn sorted (_flip_random_points) and kept as
+    flat indices, about delta * 4^n of them: 13M at n = 14, delta = 0.05.  n
+    <= 14 (MAX_SIDE = 2^14) and 2^k * 2^n <= 4^14.  Larger requests raise first.
     """
     if not 0.0 <= delta < 1.0 or not 0.0 <= eps < 1.0:
         raise ValueError("eps and delta must lie in [0, 1)")

@@ -82,7 +82,7 @@ def test_uncertain_run_runs_each_trial_once(tmp_path, capsys, monkeypatch):
         assert summary["sampling_failures"] == str(sum(row[7] == "0" for row in rows))
         assert summary["trials"] == str(trials)
     # the multi-block run: its seeded figures
-    assert (summary["error_rate"], summary["sampling_failures"]) == ("0.020677", "4")
+    assert (summary["error_rate"], summary["sampling_failures"]) == ("0.025376", "4")
 
 
 def test_uncertain_run_prints_the_sample_count(tmp_path, capsys):

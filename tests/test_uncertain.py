@@ -277,43 +277,156 @@ def test_flip_set_has_the_law_of_a_random_order_prefix():
             assert abs(seen[points] - runs * p) <= 4.0 * sigma, (sorted(points), seen[points], p)
 
 
-def reference_flip_set(mu, budget, seed, chunk_bits):
-    """The flip set as a plain loop over the same draws, as sorted flat indices.
+def skewed_joint():
+    # 4096 points: one of mass 0.5 that never fits a budget of 0.2, one of 0.12,
+    # and the rest 0.38 in eight mass classes by index mod 8
+    weights = 1.0 + np.arange(4096) % 8
+    weights *= 0.38 / (weights.sum() - weights[0] - weights[-1])
+    weights[0], weights[-1] = 0.5, 0.12
+    return TableJoint(weights.reshape(64, 64))
 
-    It takes first occurrences in draw order, skips points already taken and
-    stops at the first point whose mass overflows the budget.
+
+def prefix_statistics(sets, size):
+    # per set: the two heavy points' inclusion, the count taken in each mass class and in
+    # each of 16 index ranges, and its size
+    rows = []
+    for points in sets:
+        flags = np.zeros(size, dtype=bool)
+        flags[points] = True
+        light = flags[1:-1]
+        rows.append([flags[0], flags[-1]]
+                    + [light[(np.arange(1, size - 1) % 8) == c].sum() for c in range(8)]
+                    + [part.sum() for part in np.array_split(flags, 16)] + [len(points)])
+    return np.array(rows, dtype=float)
+
+
+def test_flip_set_law_holds_across_layers(monkeypatch):
+    # the first layer falls short of the budget in about 30% of seeds, so the rest of
+    # the set comes from later layers; the sets must still be random-order prefixes
+    mu, budget, runs = skewed_joint(), 0.2, 2000
+    masses = mu.table.reshape(-1)
+    layers = []
+    ranks = uncertain._bernoulli_ranks
+
+    def counted(*args):
+        layers[-1] += 1
+        return ranks(*args)
+
+    monkeypatch.setattr(uncertain, "_bernoulli_ranks", counted)
+    built = []
+    for seed in range(runs):
+        layers.append(0)
+        built.append(uncertain._flip_random_points(mu, budget, np.random.default_rng(seed)))
+    assert sum(count > 1 for count in layers) >= runs // 10
+    reference = []
+    for seed in range(runs):
+        spent, chosen = 0.0, []
+        for point in np.random.default_rng(10**6 + seed).permutation(len(masses)).tolist():
+            if spent + masses[point] > budget + 1e-12:
+                break
+            chosen.append(point)
+            spent += masses[point]
+        reference.append(chosen)
+    got, want = prefix_statistics(built, len(masses)), prefix_statistics(reference, len(masses))
+    # the heavy point never fits; each other statistic is a mean over independent sets
+    assert not got[:, 0].any() and not want[:, 0].any()
+    se = np.sqrt((got.var(axis=0) + want.var(axis=0)) / runs)
+    z = np.abs(got.mean(axis=0) - want.mean(axis=0))[1:] / se[1:]
+    assert (z <= 4.0).all(), z
+    # the size histogram, bin by bin
+    edges = np.quantile(want[:, -1], np.linspace(0.0, 1.0, 11))
+    edges[-1] += 1
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        a = ((got[:, -1] >= lo) & (got[:, -1] < hi)).sum()
+        b = ((want[:, -1] >= lo) & (want[:, -1] < hi)).sum()
+        p = (a + b) / (2 * runs)
+        assert abs(a - b) <= 4.0 * math.sqrt(2 * runs * p * (1 - p)), (lo, hi, a, b)
+
+
+def replay_flip_set(mu, budget, seed, chunk_bits):
+    """The flip set replayed in plain Python from the same draws: (sorted points, layers drawn).
+
+    Each layer draws skips floor(E / lam) + 1 over the ranks of the points not
+    taken yet, 2^chunk_bits exponentials at a time, and one uint16 per member,
+    four to a raw 64-bit draw, whose top bits are its bucket.  Buckets are
+    taken whole while their mass fits; the first that overflows is ordered by
+    one permutation and its prefix taken point by point.  The sums run in the
+    builder's order: per chunk and bucket, then across chunks and buckets, and
+    within the cut bucket from zero before the mass already spent is added.
     """
     rng = np.random.default_rng(seed)
     total = mu.size_x * mu.size_y
-    chunk = min(1 << chunk_bits, total, 1024 + int(1.25 * budget * total))
-    taken, spent = set(), 0.0
+    limit = budget + 1e-12
+    mass = [float(mu.mass_array(*divmod(point, mu.size_y))) for point in range(total)]
+    taken, spent, squares, rest, layers = [], 0.0, 0.0, 1.0, 0
     while len(taken) < total:
-        for point in rng.integers(0, total, size=chunk).tolist():
-            if point in taken:
+        layers += 1
+        left = sorted(set(range(total)) - set(taken))
+        step = min(rest, 1.03 * (budget - spent) + 1024.0 / total + 4.0 * math.sqrt(squares))
+        rate = step / rest
+        rest -= step
+        expected = rate * len(left)
+        chunk = min(1 << chunk_bits, int(expected + 4.0 * math.sqrt(expected)) + 16)
+        lam = -math.log1p(-rate) if rate < 1.0 else math.inf
+        shift = min(16, max(0, 21 - int(expected).bit_length()))
+        hist = [0.0] * (1 << (16 - shift))
+        squares, members, rank, drawing = 0.0, [], -1, True
+        while drawing:
+            ranks = []
+            for e in rng.standard_exponential(chunk).tolist():
+                rank += int(e / lam) + 1
+                if rank >= len(left):
+                    drawing = False
+                    break
+                ranks.append(rank)
+            raw = rng.bit_generator.random_raw(-(-len(ranks) // 4))
+            keys = raw.view(np.uint16)[:len(ranks)].tolist()
+            part = [0.0] * len(hist)
+            for r, key in zip(ranks, keys):
+                members.append((key >> shift, left[r]))
+                part[key >> shift] += mass[left[r]]
+            hist = [h + p for h, p in zip(hist, part)]
+            chunk_masses = np.array([mass[left[r]] for r in ranks])
+            squares += float(chunk_masses @ chunk_masses)
+        for bucket, bucket_mass in enumerate(hist):
+            if spent + bucket_mass <= limit:
+                spent += bucket_mass
                 continue
-            mass = float(mu.mass_array(*divmod(point, mu.size_y)))
-            if spent + mass > budget + 1e-12:
-                return sorted(taken)
-            taken.add(point)
-            spent += mass
-    return sorted(taken)
+            points = [point for b, point in members if b == bucket]
+            within = 0.0
+            for i in rng.permutation(len(points)).tolist():
+                within += mass[points[i]]
+                if within + spent > limit:
+                    break
+                taken.append(points[i])
+            return sorted(taken + [p for b, p in members if b < bucket]), layers
+        taken += [point for _, point in members]
+    return sorted(taken), layers
 
 
 def test_flip_set_matches_a_plain_loop_over_the_same_draws(monkeypatch):
-    # at the real chunk size one chunk holds every set here; at 2^4 draws a
-    # chunk, the sets span many chunks and later chunks skip taken points
+    # at the real chunk size one chunk holds every layer here; at 2^4 draws a
+    # chunk, a layer spans many chunks.  The grid's sets fit in their first
+    # layer; the skewed joint's first layer falls short for some seeds.
+    cases = [(mu, budget, seed) for n in range(3, 7)
+             for mu in (ProductJoint.uniform_bits(n), NoisyHypercube(n, 0.1))
+             for budget in (0.05, 0.3, 0.999) for seed in range(2)]
+    cases += [(skewed_joint(), 0.2, seed) for seed in range(12)]
+    layers = Counter()
     for chunk_bits in (uncertain.FLIP_CHUNK_BITS, 4):
         monkeypatch.setattr(uncertain, "FLIP_CHUNK_BITS", chunk_bits)
-        for n in range(3, 7):
-            for mu in (ProductJoint.uniform_bits(n), NoisyHypercube(n, 0.1)):
-                for budget, seed in ((0.05, 1), (0.3, 2), (0.999, 3)):
-                    got = uncertain._flip_random_points(mu, budget, np.random.default_rng(seed))
-                    assert got.dtype == np.int64
-                    assert got.tolist() == reference_flip_set(mu, budget, seed, chunk_bits), \
-                        (chunk_bits, n, budget)
+        for mu, budget, seed in cases:
+            got = uncertain._flip_random_points(mu, budget, np.random.default_rng(seed))
+            want, drawn = replay_flip_set(mu, budget, seed, chunk_bits)
+            assert got.dtype == np.int64
+            assert got.tolist() == want, (chunk_bits, mu.size_x, budget, seed)
+            layers[chunk_bits, drawn > 1] += 1
+    assert layers[4, True] > 0 and layers[uncertain.FLIP_CHUNK_BITS, True] > 0, layers
 
 
-def test_generate_instance_memory_below_old_permutation():
+def test_generate_instance_peaks_below_2_5_bytes_a_point():
+    # traced peaks read 2.07 and 2.11 bytes a point; verify's distance pass sets
+    # them, the flip-set build alone peaks near 0.84
     n = 12
     for eps in (0.0, 0.01):
         tracemalloc.start()
@@ -322,7 +435,7 @@ def test_generate_instance_memory_below_old_permutation():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (4 ** n) * 3.5
+        assert peak < (4 ** n) * 2.5
 
 
 def test_trial_blocks_are_bounded_by_list_width():
