@@ -11,9 +11,10 @@ other's function, so they correlate lists of m = choose_sample_count(k, theta)
 samples of Bob's input, Alice reveals f on her list, and Bob pairs her bits
 with his list and picks the decider that disagrees least with them.
 
-A run sends the m revealed bits plus the sampling payload, about 3 m I + s
-bits for mutual information I (see sampling): O(k (1 + I)) for a fixed
-theta, about 1,840 bits on NoisyHypercube(12, 0.1) at k = 2, theta = 0.3.
+A run sends the m revealed bits plus the sampling payload, about m I +
+O(sqrt(m I)) + s bits for mutual information I (see sampling): O(k (1 + I))
+for a fixed theta, about 740 bits on NoisyHypercube(12, 0.1) at k = 2,
+theta = 0.3.
 """
 
 from __future__ import annotations
@@ -197,12 +198,16 @@ def choose_sample_count(k: int, theta: float) -> int:
       runs the sampler at budget sample_eps = (theta / 10)^2.  Its first
       block of s = hash_bits_per_round(sample_eps / 2) bits keeps the mean
       number of false matches, 2^(2-s), and so their failures below
-      sample_eps / 2.  Alice's candidate enters Bob's set at round max(A, H)
-      (one_way_rows), with E[A] <= m I + 1 / ln 2 + 1 (the negative part of
-      her log-ratio has mean at most 1 / ln 2) and E[H - 1] < 0.53, so the
-      uncapped payload averages at most 3 m I + s + 6 bits.  That is at most
-      4 (m I + log2(1 / sample_eps)), as s <= log2(1 / sample_eps) + 4 and
-      log2(1 / sample_eps) >= log2 100, so by Markov's inequality the cap
+      sample_eps / 2, at any r = fresh_bits_per_round(m, I) fresh bits a
+      round.  Alice's candidate enters Bob's set at round max(A, H)
+      (one_way_rows), with E[A] <= (m I + 1 / ln 2) / (r - 2) + 1 (the
+      negative part of her log-ratio has mean at most 1 / ln 2) and E[H - 1]
+      < 0.53, and false matches add under 0.01 rounds (s >= 10), so the
+      uncapped payload, s - 3 + r T bits, averages at most s - 3 + r / (r -
+      2) (m I + 1 / ln 2) + 1.54 r.  As r / (r - 2) <= 3, r <= 3 + sqrt(m I)
+      and 1.54 sqrt(m I) <= m I + 0.6, that is at most 4 m I + s + 7, and at
+      most 4 (m I + log2(1 / sample_eps)), as s <= log2(1 / sample_eps) + 4
+      and log2(1 / sample_eps) >= log2 100, so by Markov's inequality the cap
       truncation_limit(mu, m, sample_eps) cuts a run with probability at
       most sample_eps.  So phi <= 1.5 sample_eps.
     - m meets 2 t + beta <= c = theta - phi at some t, so the error is at

@@ -40,7 +40,6 @@ from uccsim.distributions import (
 from uccsim.oracle import exact_one_way_cc
 from uccsim.parity import ParityFunction, parity_distance
 from uccsim.sampling import (
-    FRESH_BITS_PER_ROUND,
     SharedRandomness,
     correlated_rows,
     hash_bits_per_round,
@@ -413,38 +412,41 @@ def test_criterion_12_cli_byte_identical(capsys, tmp_path):
 
 
 def test_criterion_13_communication_follows_information(capsys):
-    """Mean bits are m + s + c (E[T] - 1), and E[T] is m I up to a derived O(1).
+    """Mean bits are m + s' + c (E[T] - 1), and E[T] is m I / (c - 2) up to a derived O(1).
 
-    A run of _run_rows sends the m revealed bits plus payload_bits(s, T)
-    = s + c (T - 1) for its termination round T, with s from
-    hash_bits_per_round at the sampler's budget and c =
-    FRESH_BITS_PER_ROUND, so each trial's rounds are (bits - m - s) / c + 1.
+    A run of _run_rows sends the m revealed bits plus the payload s' + c (T
+    - 1) for its termination round T, with c = max(3, 2 + round(sqrt(m I)))
+    fresh bits a round and a first block of s' = s + c - 3 bits, s from
+    hash_bits_per_round at the sampler's budget; so each trial's rounds are
+    (bits - m - s') / c + 1.  The bound is on that schedule, so c is written
+    here, not read from sampling: a costlier schedule must fail it.
 
-    Alice's candidate enters Bob's set at e = max(A, H) (one_way_rows).  A =
-    max(floor(z) + 1, 1) with z = log2 u + L, her level u uniform and L the
-    sum of log2(P_x/Q) over her m draws, so E[L] = m D(P_x||Q) and E_x D = I
-    (on NoisyHypercube every x has D = I).  E[log2 u] = -1/ln 2, and z <
-    floor(z) + 1 <= z + 1, so mI - 1/ln 2 < E[A] <= mI - 1/ln 2 + 1; the
-    floor at 1 acts only when z < 0, dozens of standard deviations below
-    its mean at every point here.  H is the first round whose horizon
-    passes her index, which over N is Exp(1) on these astronomically large
-    universes, and max(A, H) <= A + H - 1 with E[H - 1] = sum_j P(index >=
-    2^j) = sum_j exp(-2^j) < 0.53.
+    Alice's candidate enters Bob's set at e = max(A, H) (one_way_rows), as
+    Bob's acceptance grows 2^b x a round, b = c - 2.  A = max(floor(z / b) +
+    1, 1) with z = log2 u + L, her level u uniform and L the sum of
+    log2(P_x/Q) over her m draws, so E[L] = m D(P_x||Q) and E_x D = I (on
+    NoisyHypercube every x has D = I).  E[log2 u] = -1/ln 2, and z / b <
+    floor(z / b) + 1 <= z / b + 1, so J < E[A] <= J + 1 for J = (m I -
+    1/ln 2) / b; the floor at 1 acts only when z < 0, dozens of standard
+    deviations below its mean at every point here.  H is the first round
+    whose horizon passes her index, which over N is Exp(1) on these
+    astronomically large universes, and max(A, H) <= A + H - 1 with E[H -
+    1] = sum_j P(index >= 2^j) = sum_j exp(-2^j) < 0.53.
 
-    False matches are proposed F = 2^(1-s) / (1 - 2^(2-c)) times a run on
-    average, independently of e, and each stays a Geometric(1 - 2^-c)
-    number of rounds.  Without one, T = e.  Rounds from e on before T hold
-    Alice's candidate and a false match, so E[T] <= E[e] + F / (1 - 2^-c);
-    and T >= 1 gives E[T] >= E[e] P(no proposal) >= E[e] (1 - F).  So
-        -1/ln 2 - F (mI - 1/ln 2) < E[T] - mI <= 1 - 1/ln 2 + 0.53 + F / (1 - 2^-c),
-    and each point's mean rounds minus mI must lie in that interval, give
-    or take 4 standard errors of the mean.  The mean payload must also be
-    at most 4 m I + s.  The truncation cap sits far above these payloads.
+    False matches are proposed F = 2^(2-s) times a run on average at every
+    c, independently of e, and each stays a Geometric(1 - 2^-c) number of
+    rounds.  Without one, T = e.  Rounds from e on before T hold Alice's
+    candidate and a false match, so E[T] <= E[e] + F / (1 - 2^-c); and T >=
+    1 gives E[T] >= E[e] P(no proposal) >= E[e] (1 - F).  So
+        J - F J < E[T] <= J + 1 + 0.53 + F / (1 - 2^-c),
+    and each point's mean rounds must lie in that interval, give or take 4
+    standard errors of the mean.  The mean payload must also be at most
+    that of the interval's upper end, s' + c (upper - 1).  The truncation
+    cap sits far above these payloads.
     """
     theta, delta, trials = 0.3, 0.05, 400
-    c = FRESH_BITS_PER_ROUND
     s = hash_bits_per_round((theta / 10.0) ** 2 / 2.0)
-    false_matches = 2.0 ** (1 - s) / (1.0 - 2.0 ** (2 - c))
+    false_matches = 2.0 ** (2 - s)
     horizon = sum(math.exp(-2.0 ** j) for j in range(8))
     start = time.time()
     ok = True
@@ -460,21 +462,26 @@ def test_criterion_13_communication_follows_information(capsys):
                 inst = generate_instance(n, k, 0.0, delta, derive_rng(1500, point), mu=mu)
                 bits = run_trials(inst, theta, trials, 1501 + point).bits
                 info = m * mu.mutual_information()
-                rounds = (bits - m - s) / c + 1.0
+                c = max(3, 2 + round(math.sqrt(info)))
+                first = s + c - 3
+                rounds = (bits - m - first) / c + 1.0
                 slack = 4.0 * rounds.std() / math.sqrt(trials)
-                low = -1.0 / math.log(2.0) - false_matches * (info - 1.0 / math.log(2.0))
-                high = 1.0 - 1.0 / math.log(2.0) + horizon + false_matches / (1.0 - 2.0 ** -c)
-                excess = rounds.mean() - info
+                entry = (info - 1.0 / math.log(2.0)) / (c - 2)
+                low = entry - false_matches * entry
+                high = entry + 1.0 + horizon + false_matches / (1.0 - 2.0 ** -c)
+                mean = rounds.mean()
                 # distance inside the interval, in standard errors of the mean
-                margin = min(excess - (low - slack), high + slack - excess) / (slack / 4.0)
+                margin = min(mean - (low - slack), high + slack - mean) / (slack / 4.0)
                 if margin < worst[0]:
                     worst = (margin, (k, p, n))
                 payload = bits.mean() - m
-                payload_ratio = max(payload_ratio, payload / (4.0 * info + s))
-                ok &= margin >= 0.0 and payload <= 4.0 * info + s
+                payload_cap = first + c * (high - 1.0)
+                payload_ratio = max(payload_ratio, payload / payload_cap)
+                ok &= margin >= 0.0 and payload <= payload_cap
     seconds = time.time() - start
     ok &= seconds < 10.0
     report(capsys, 13, "communication follows O(k(1+I))", ok,
-           f"27 points x {trials} trials, mean rounds - mI inside its derived interval with "
+           f"27 points x {trials} trials, mean rounds inside their derived interval with "
            f"{worst[0]:.1f} standard errors to spare at worst (need >= 0, at (k, p, n) = "
-           f"{worst[1]}), max payload / (4 m I + s) {payload_ratio:.3f}, {seconds:.1f}s")
+           f"{worst[1]}), max payload / (s' + c (upper - 1)) {payload_ratio:.3f} (need <= 1), "
+           f"{seconds:.1f}s")

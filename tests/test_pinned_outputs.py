@@ -23,6 +23,7 @@ from uccsim.sampling import (
     DEFAULT_MAX_CANDIDATES,
     SharedRandomness,
     correlated_sample,
+    fresh_bits_per_round,
     hash_bits_per_round,
     one_way_rows,
     truncation_limit,
@@ -69,13 +70,17 @@ def _cli_stdout(argv, strategy: Path) -> bytes:
 
 
 def _one_way_batch() -> bytes:
-    """Every output of two blocks of one_way_rows: small and large universes, many rows."""
+    """Every output of two blocks of one_way_rows at one_way_block's c fresh bits a round.
+
+    Small and large universes, many rows; c is 3 on the first and 38 on the second.
+    """
     parts = []
     for n, noise, m, eps, repeats, seed in ((2, 0.2, 2, 0.2, 100, 50),
                                             (8, 0.1, 300, 0.01, 1, 51)):
         mu = NoisyHypercube(n, noise)
         xs = np.arange(mu.size_x).repeat(repeats)
         outputs = one_way_rows(mu, xs, mu.marginal_y(), m, hash_bits_per_round(eps / 2.0),
+                               fresh_bits_per_round(m, mu.mutual_information()),
                                truncation_limit(mu, m, eps), np.random.default_rng(seed))
         parts += [np.asarray(out).astype("<i8").tobytes() for out in outputs]
     return b"".join(parts)

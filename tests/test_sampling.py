@@ -1,5 +1,6 @@
 """Tests for the correlated sampling protocols, interactive and one-way."""
 
+import hashlib
 import math
 import warnings
 
@@ -14,6 +15,7 @@ from uccsim.sampling import (
     SharedRandomness,
     correlated_rows,
     correlated_sample,
+    fresh_bits_per_round,
     hash_bits_per_round,
     one_way_block,
     one_way_correlated_sample,
@@ -35,12 +37,49 @@ def test_hash_bits_per_round():
 
 
 def test_payload_schedule():
-    # an s-bit first block, then 3 fresh bits a round; rounds_within inverts it
+    # an (s + c - 3)-bit first block, then c fresh bits a round; rounds_within inverts it
     assert FRESH_BITS_PER_ROUND == 3
-    assert [payload_bits(6, t) for t in (1, 2, 3, 10)] == [6, 9, 12, 33]
-    assert [rounds_within(6, bits) for bits in (0, 5, 6, 8, 9, 33, 35)] == [0, 0, 1, 1, 2, 10, 10]
+    assert [payload_bits(6, t, 3) for t in (1, 2, 3, 10)] == [6, 9, 12, 33]
+    assert [rounds_within(6, bits, 3) for bits in (0, 5, 6, 8, 9, 33, 35)] \
+        == [0, 0, 1, 1, 2, 10, 10]
+    assert [payload_bits(14, t, 26) for t in (1, 2, 3)] == [37, 63, 89]
+    assert [rounds_within(14, bits, 26) for bits in (0, 36, 37, 62, 63, 89)] == [0, 0, 1, 1, 2, 3]
     rounds = np.arange(1, 50)
-    assert np.array_equal(rounds_within(14, payload_bits(14, rounds)), rounds)
+    for c in (3, 4, 26):
+        bits = payload_bits(14, rounds, c)
+        assert bits[0] == 14 + c - 3 and (np.diff(bits) == c).all()
+        assert np.array_equal(rounds_within(14, bits, c), rounds)
+        # a bit short of a round's payload buys one round fewer
+        assert np.array_equal(rounds_within(14, bits - 1, c), rounds - 1)
+
+
+def test_fresh_bits_rule():
+    # c = max(3, 2 + round(sqrt(m I))): 3 up to m I = 2, 26 at the uncertain-run
+    # example (NoisyHypercube(12, 0.1), m = 91, m I = 580), never below 3
+    assert [fresh_bits_per_round(m, info) for m, info in
+            ((1, 0.0), (91, 0.0), (1, 2.0), (2, 1.0), (40, 0.05))] == [3] * 5
+    assert fresh_bits_per_round(1, 2.3) == 4
+    assert fresh_bits_per_round(91, NoisyHypercube(12, 0.1).mutual_information()) == 26
+
+
+def _digest(outputs) -> str:
+    return hashlib.sha256(b"".join(np.asarray(out).astype("<i8").tobytes()
+                                   for out in outputs)).hexdigest()
+
+
+def test_zero_information_runs_keep_the_three_bit_schedule():
+    # At I(X;Y) = 0 the rule gives c = 3, the interactive run's schedule, and
+    # the draws are pinned bit for bit: one_way_block on a product joint, and
+    # correlated_rows, whose one-point x side has I = 0.  The sums were taken
+    # with numpy 2.4.6 on the 3-bit schedule with an s-bit first block.
+    mu = ProductJoint.uniform_bits(8)
+    assert fresh_bits_per_round(30, mu.mutual_information()) == 3
+    block = one_way_block(mu, np.arange(256).repeat(4), 30, 0.05, np.random.default_rng(60))
+    assert _digest(block) == "653a518dfd809556d5593ecb3bf151766d364656d00183cb37627d20a154130c"
+    weights = np.arange(1.0, 17.0)
+    rows = correlated_rows(Distribution(weights / weights.sum()), Distribution.uniform(16), 0.1,
+                           4000, np.random.default_rng(61))
+    assert _digest(rows) == "f8536fe20f267e36aaf87d3668b62d531301f13ce06d4cca2a0a09e0ff3efdd4"
 
 
 def test_shared_randomness_streams_reproduce():
@@ -87,16 +126,16 @@ def test_correlated_sample_is_the_one_row_case():
     eps = 0.1
     s = hash_bits_per_round(eps)
     for max_candidates in (2000, 100_000, DEFAULT_MAX_CANDIDATES):
-        limit = payload_bits(s, (max_candidates // 16).bit_length())
+        limit = payload_bits(s, (max_candidates // 16).bit_length(), FRESH_BITS_PER_ROUND)
         for index, (p, q) in enumerate(pairs):
             for seed in range(200):
                 shared = SharedRandomness((40, index, seed))
                 a, b, stats = correlated_sample(p, q, eps, shared, max_candidates)
                 alice, bob, bits, ok = one_way_rows(one_point_joint(p), np.zeros(1, np.int64),
-                                                    q, 1, s, limit,
+                                                    q, 1, s, FRESH_BITS_PER_ROUND, limit,
                                                     shared.stream(sampling._TAG_OUTPUT))
                 assert (a, b) == (alice[0, 0], bob[0, 0])
-                assert payload_bits(s, stats.rounds) == bits[0]
+                assert payload_bits(s, stats.rounds, FRESH_BITS_PER_ROUND) == bits[0]
                 assert stats == sampling.TranscriptStats(
                     bits_alice=bits[0], bits_bob=stats.rounds, rounds=stats.rounds,
                     success=ok[0])
@@ -323,16 +362,19 @@ def _hash_block(mult: int, shift: int, indices: np.ndarray, width: int) -> np.nd
 class _DenseRun:
     """Literal protocol run over a materialized candidate stream: the reference for the lazy run.
 
-    Round 1 hashes every candidate to s bits, each later round to
-    FRESH_BITS_PER_ROUND fresh bits, each round with its own hash function.
+    Round 1 hashes every candidate to s + c - 3 bits, each later round to c
+    fresh bits, each round with its own hash function.  Bob's set at round t
+    holds the candidates among the first size 2^(t-1) whose level is below
+    min(1, 2^((c-2) t) Q(value)).
     """
 
     def __init__(self, p: np.ndarray, q: np.ndarray, eps: float, shared: SharedRandomness,
-                 max_candidates: int):
+                 max_candidates: int, c: int = FRESH_BITS_PER_ROUND):
         self.p = p
         self.q = q
         self.size = len(p)
         self.s = hash_bits_per_round(eps)
+        self.c = c
         self.shared = shared
         self.max_candidates = max_candidates
         self.rng_c = shared.stream(_TAG_CANDIDATES)
@@ -389,13 +431,14 @@ class _DenseRun:
             self._grow(horizon)
             mult = int(self.rng_h.integers(1, HASH_PRIME))
             shift = int(self.rng_h.integers(HASH_PRIME))
-            width = self.s if t == 1 else FRESH_BITS_PER_ROUND
+            width = self.s + self.c - 3 if t == 1 else self.c
             alice_bits = int(_hash_block(mult, shift, np.array([i_star], dtype=np.int64),
                                          width)[0])
             self.round_hashes.append((mult, shift, width, alice_bits))
             indices = np.arange(1, len(self.values) + 1, dtype=np.int64)
             self.match_ok &= _hash_block(mult, shift, indices, width) == alice_bits
-            in_set = self.levels[:horizon] < np.minimum(1.0, np.ldexp(self.q[self.values[:horizon]], t))
+            acceptance = np.ldexp(self.q[self.values[:horizon]], (self.c - 2) * t)
+            in_set = self.levels[:horizon] < np.minimum(1.0, acceptance)
             matches = np.flatnonzero(in_set & self.match_ok[:horizon])
             bits_alice += width
             rounds = t
@@ -412,34 +455,101 @@ class _DenseRun:
         return a, b, bits_alice, rounds, terminated
 
 
-def test_literal_and_lazy_interactive_runs_agree():
-    # Criterion 04's six pairs: 2,000 literal runs against 100,000 lazy rows.
-    # They draw from different streams, so the agreement rate (a == b) and
-    # the mean payload must match within 4 sigma of their difference.
-    size, eps = 16, 0.1
-    weights = np.arange(1.0, size + 1)
-    q = Distribution.uniform(size)
+def criterion_04_pairs():
+    """Criterion 04's six (P, Q) pairs on 16 points."""
+    weights = np.arange(1.0, 17.0)
+    q = Distribution.uniform(16)
     half = Distribution(np.r_[np.full(8, 1 / 8), np.zeros(8)])
     quarter = Distribution(np.r_[np.full(4, 1 / 4), np.zeros(12)])
     linear = Distribution(weights / weights.sum())
-    pairs = [(q, q), (Distribution.point_mass(size, 0), q), (half, q), (quarter, q),
-             (linear, q), (quarter, linear)]
+    return [(q, q), (Distribution.point_mass(16, 0), q), (half, q), (quarter, q), (linear, q),
+            (quarter, linear)]
+
+
+def test_literal_and_lazy_interactive_runs_agree():
+    # Criterion 04's six pairs at c = 3, 4 and 6 fresh bits a round: 2,000
+    # literal runs against 100,000 lazy m = 1 rows, with the round cap that
+    # DEFAULT_MAX_CANDIDATES allows; at c = 3 the lazy rows are correlated_rows'.
+    # They draw from different streams, so the agreement rate (a == b) and
+    # the mean payload must match within 4 sigma of their difference.
+    size, eps = 16, 0.1
+    s = hash_bits_per_round(eps)
     literal_runs, lazy_runs = 2000, 100_000
-    for index, (p, qq) in enumerate(pairs):
-        a, b, bits, _, _ = interactive_rows(p, qq, eps, lazy_runs, (43, index))
-        literal = np.array([_DenseRun(p.probs, qq.probs, eps, SharedRandomness((44, index, seed)),
-                                      DEFAULT_MAX_CANDIDATES).run()[:3]
-                            for seed in range(literal_runs)])
-        for lazy_sample, literal_sample in ((a == b, literal[:, 0] == literal[:, 1]),
-                                            (bits, literal[:, 2])):
-            sigma = math.sqrt(lazy_sample.var() / lazy_runs
-                              + literal_sample.var() / literal_runs)
-            gap = abs(lazy_sample.mean() - literal_sample.mean())
-            assert gap <= 4.0 * sigma, (index, lazy_sample.mean(), literal_sample.mean(), sigma)
+    for c in (3, 4, 6):
+        limit = payload_bits(s, (DEFAULT_MAX_CANDIDATES // size).bit_length(), c)
+        for index, (p, qq) in enumerate(criterion_04_pairs()):
+            a, b, bits, _ = one_way_rows(one_point_joint(p), np.zeros(lazy_runs, np.int64), qq,
+                                         1, s, c, limit, np.random.default_rng((43, c, index)))
+            literal = np.array([_DenseRun(p.probs, qq.probs, eps,
+                                          SharedRandomness((44, c, index, seed)),
+                                          DEFAULT_MAX_CANDIDATES, c).run()[:3]
+                                for seed in range(literal_runs)])
+            for lazy_sample, literal_sample in ((a[:, 0] == b[:, 0],
+                                                 literal[:, 0] == literal[:, 1]),
+                                                (bits, literal[:, 2])):
+                sigma = math.sqrt(lazy_sample.var() / lazy_runs
+                                  + literal_sample.var() / literal_runs)
+                gap = abs(lazy_sample.mean() - literal_sample.mean())
+                assert gap <= 4.0 * sigma, (c, index, lazy_sample.mean(), literal_sample.mean(),
+                                            sigma)
 
 
-def literal_one_way(p, q, m, eps, limit, seeds):
-    """The literal one-way run, seed by seed: Alice's digit counts summed, and agreements.
+def literal_false_match_counts(p, q, s, c, rounds, runs, rng):
+    """Per run and round 1..rounds, the candidates other than Alice's in a literal Bob's set.
+
+    A literal stream over each run's first size 2^(rounds-1) candidates:
+    uniform values, uniform levels, Alice's index the first whose level is
+    below p, and each candidate matching a round's b bits with probability
+    2^-b, independently, as under the fully random hash the lazy model
+    assumes.  Returns a runs x rounds count array.
+    """
+    size = len(p)
+    width = size << (rounds - 1)
+    values = rng.integers(size, size=(runs, width))
+    levels = rng.random((runs, width))
+    accepted = levels < p[values]
+    alice = np.where(accepted.any(axis=1), accepted.argmax(axis=1), width)
+    others = np.arange(width) != alice[:, None]
+    matched = np.ones((runs, width), bool)
+    counts = np.empty((runs, rounds), np.int64)
+    for t in range(1, rounds + 1):
+        matched &= rng.random((runs, width)) < 2.0 ** -(s + c - 3 if t == 1 else c)
+        in_set = (np.arange(width) < size << (t - 1)) \
+            & (levels < np.minimum(1.0, np.ldexp(q[values], (c - 2) * t)))
+        counts[:, t - 1] = (in_set & matched & others).sum(axis=1)
+    return counts
+
+
+def test_false_matches_follow_a_literal_count():
+    # On criterion 04's six pairs at c = 3, 4 and 6, the mean number of false
+    # matches in Bob's set at each of rounds 1 to 3 must match a literal
+    # count within 4 sigma, 100,000 runs a side.  s = 0, far below any
+    # hash_bits_per_round, makes about 4 proposals a run, so that the counts
+    # see the thinning of candidates that entered Bob's set in an earlier
+    # round: the proposal's level below 2^-(c-2), for a set whose
+    # acceptance grew 2^(c-2)x.
+    size, s, rounds, runs = 16, 0, 3, 100_000
+    chunk = 25_000
+    for c in (3, 4, 6):
+        for index, (p, qq) in enumerate(criterion_04_pairs()):
+            rng = np.random.default_rng((45, c, index))
+            literal = np.concatenate([literal_false_match_counts(p.probs, qq.probs, s, c,
+                                                                 rounds, chunk, rng)
+                                      for _ in range(runs // chunk)])
+            # Alice's index over N, drawn as one_way_rows draws it
+            alice_index = rng.standard_exponential(runs) / (-size * math.log1p(-1.0 / size))
+            row, entry, last, _ = sampling._false_matches(
+                one_point_joint(p), np.zeros(runs, np.int64), qq, 1, s, c, alice_index, rounds,
+                rng)
+            for t in range(1, rounds + 1):
+                lazy = np.bincount(row[(entry <= t) & (t <= last)], minlength=runs)
+                sigma = math.sqrt((lazy.var() + literal[:, t - 1].var()) / runs)
+                gap = abs(lazy.mean() - literal[:, t - 1].mean())
+                assert gap <= 4.0 * sigma, (c, index, t, lazy.mean(), literal[:, t - 1].mean())
+
+
+def literal_one_way(p, q, m, eps, c, limit, seeds):
+    """The literal one-way run at c fresh bits a round, seed by seed: digit counts and agreements.
 
     An uncapped _DenseRun runs over the explicit product universe, whose
     index has base-d digit j, of weight d^j, for copy j.  A run that
@@ -450,12 +560,12 @@ def literal_one_way(p, q, m, eps, limit, seeds):
     full_p, full_q = p, q
     for _ in range(m - 1):
         full_p, full_q = np.kron(p, full_p), np.kron(q, full_q)
-    budget = rounds_within(hash_bits_per_round(eps / 2.0), limit)
+    budget = rounds_within(hash_bits_per_round(eps / 2.0), limit, c)
     digits = np.zeros(d)
     agree = 0
     for seed in seeds:
         a, b, _, rounds, ok = _DenseRun(full_p, full_q, eps / 2.0, SharedRandomness(seed),
-                                        DEFAULT_MAX_CANDIDATES).run()
+                                        DEFAULT_MAX_CANDIDATES, c).run()
         digits += np.bincount(a // d ** np.arange(m) % d, minlength=d)
         agree += ok and rounds <= budget and a == b
     return digits, agree
@@ -466,15 +576,17 @@ def assert_lazy_matches_literal(mu, x, m, eps, trials, seed):
     # draw from different streams, so Alice's digit frequencies and the
     # agreement rates must match within 4 sigma.  Both agree only on the
     # same ordered tuple: the literal run compares product-universe indices,
-    # whose digit j is copy j, and the lazy run whole lists.
+    # whose digit j is copy j, and the lazy run whole lists.  Both take
+    # one_way_block's c fresh bits a round.
     p = mu.conditional_y_given_x(x).probs
     q = mu.marginal_y().probs
     limit = truncation_limit(mu, m, eps)
+    c = fresh_bits_per_round(m, mu.mutual_information())
     alice, bob, _, ok = one_way_rows(mu, np.full(trials, x), mu.marginal_y(), m,
-                                     hash_bits_per_round(eps / 2.0), limit,
+                                     hash_bits_per_round(eps / 2.0), c, limit,
                                      np.random.default_rng(seed))
     assert (alice[ok] == bob[ok]).all()
-    digits, agree = literal_one_way(p, q, m, eps, limit,
+    digits, agree = literal_one_way(p, q, m, eps, c, limit,
                                     [(seed, x, run) for run in range(trials)])
     draws = trials * m
     sigma = np.sqrt(2.0 * p * (1.0 - p) / draws)
@@ -491,6 +603,10 @@ def test_one_way_lazy_and_dense_paths_agree_statistically():
     mu = NoisyHypercube(2, 0.2)
     for x, eps in ((1, 0.2), (1, 0.05), (0, 0.05)):
         assert_lazy_matches_literal(mu, x, 2, eps, 2000, 17)
+    # m I = 4.3 here, so both runs reveal c = 4 fresh bits a round
+    mu = NoisyHypercube(2, 0.05)
+    assert fresh_bits_per_round(3, mu.mutual_information()) == 4
+    assert_lazy_matches_literal(mu, 1, 3, 0.1, 2000, 18)
     # and the lazy run keeps the agreement contract on a universe of 4096^10 points
     mu = NoisyHypercube(12, 0.1)
     agree = 0
@@ -536,6 +652,7 @@ def test_lazy_alice_lists_are_iid_draws_of_the_conditional():
     for x, m in ((0, 37), (173, 9935)):
         p = mu.conditional_y_given_x(x).probs
         lists = one_way_rows(mu, np.full(rows, x), mu.marginal_y(), m, hash_bits_per_round(0.05),
+                             fresh_bits_per_round(m, mu.mutual_information()),
                              truncation_limit(mu, m, 0.1), np.random.default_rng((33, x)))[0]
         assert lists.shape == (rows, m) and lists.dtype == np.int64
         assert_binomial(lists.ravel(), p, rows * m)
@@ -566,15 +683,18 @@ def test_lazy_run_never_draws_a_zero_mass_cell():
         p = mu.conditional_rows(xs)
         q = mu.marginal_y().probs
         assert (p[:, -1] == 0).any() and q[4] == 0
+        c = fresh_bits_per_round(m, mu.mutual_information())
+        assert c > FRESH_BITS_PER_ROUND
         # a one-round cap makes most runs fall back to Bob's own draw
-        for limit, seed in ((truncation_limit(mu, m, eps), 35), (s, 36)):
-            alice, bob, _, ok = one_way_rows(mu, xs, mu.marginal_y(), m, s, limit,
+        one_round = payload_bits(s, 1, c)
+        for limit, seed in ((truncation_limit(mu, m, eps), 35), (one_round, 36)):
+            alice, bob, _, ok = one_way_rows(mu, xs, mu.marginal_y(), m, s, c, limit,
                                              np.random.default_rng(seed))
             assert alice.shape == bob.shape == (len(xs), m)
             assert (p[np.arange(len(xs))[:, None], alice] > 0).all()
             assert (q[bob] > 0).all()
             assert np.array_equal(alice[ok], bob[ok])
-            if limit == s:
+            if limit == one_round:
                 assert (~ok).sum() > len(xs) // 2
 
 
@@ -591,7 +711,7 @@ def test_lazy_run_never_enters_on_a_digit_bob_cannot_draw(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         alice, _, _, ok = one_way_rows(one_point_joint(p), np.zeros(50, np.int64), q, 20, 6,
-                                       40 * 6, np.random.default_rng(31))
+                                       FRESH_BITS_PER_ROUND, 40 * 6, np.random.default_rng(31))
     assert (alice == 0).any(axis=1).all()
     assert len(entries) == 1 and not entries[0].any()
     assert not ok.any()
@@ -606,9 +726,10 @@ def test_block_that_all_terminates_draws_no_fallback(monkeypatch):
     monkeypatch.setattr(Distribution, "sample",
                         lambda self, rng, size: calls.append(size) or sample(self, rng, size))
     q = Distribution.uniform(4)
+    cap = payload_bits(40, 40, FRESH_BITS_PER_ROUND)
     _, _, payload, ok = one_way_rows(one_point_joint(q), np.zeros(50, np.int64), q, 1, 40,
-                                     payload_bits(40, 40), np.random.default_rng(37))
-    assert ok.all() and (payload < payload_bits(40, 40)).all()
+                                     FRESH_BITS_PER_ROUND, cap, np.random.default_rng(37))
+    assert ok.all() and (payload < cap).all()
     assert calls == [(50, 1)]
 
 
@@ -625,11 +746,12 @@ def test_lone_false_match_in_another_order_is_no_agreement(monkeypatch):
                         lambda self, xs, m, rng: drawn.append(sample_lists(self, xs, m, rng))
                         or drawn[-1])
     monkeypatch.setattr(sampling, "_false_matches",
-                        lambda mu, xs, q, m, s, index, last_round, rng:
+                        lambda mu, xs, q, m, s, c, index, last_round, rng:
                         (np.arange(len(xs)), np.ones(len(xs), np.int64),
                          np.full(len(xs), 1000), drawn[-1][:, ::-1]))
-    alice, bob, _, ok = one_way_rows(mu, np.arange(16).repeat(20), mu.marginal_y(), 3, 40,
-                                     payload_bits(40, 60), np.random.default_rng(41))
+    c = fresh_bits_per_round(3, mu.mutual_information())
+    alice, bob, _, ok = one_way_rows(mu, np.arange(16).repeat(20), mu.marginal_y(), 3, 40, c,
+                                     payload_bits(40, 60, c), np.random.default_rng(41))
     permuted = (np.sort(bob, axis=1) == np.sort(alice, axis=1)).all(axis=1) \
         & (bob != alice).any(axis=1)
     assert permuted.sum() > 20
@@ -678,10 +800,11 @@ def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
     s = hash_bits_per_round(eps / 2.0)
     xs = np.array([101])
     q = mu.marginal_y()
+    c = fresh_bits_per_round(m, mu.mutual_information())
     uncapped = {seed: one_way_correlated_sample(mu, 101, m, eps, SharedRandomness((32, seed)))
                 for seed in range(10)}
-    cap = payload_bits(s, 3)
-    monkeypatch.setattr(sampling, "truncation_limit", lambda mu, m, eps: cap)
+    cap = payload_bits(s, 3, c)
+    monkeypatch.setattr(sampling, "truncation_limit", lambda mu, m, eps, info: cap)
     for seed, (full_alice, _, full_stats) in uncapped.items():
         assert full_stats.bits_alice > cap
         shared = SharedRandomness((32, seed))
@@ -696,7 +819,7 @@ def test_truncated_lazy_run_pays_the_cap_and_falls_back(monkeypatch):
         mu.sample_lists(xs, m, rng)
         rng.random(1)
         position = rng.standard_exponential(1)
-        sampling._false_matches(mu, xs, q, m, s, position, 3, rng)
+        sampling._false_matches(mu, xs, q, m, s, c, position, 3, rng)
         assert np.array_equal(bob, q.sample(rng, (1, m))[0])
 
 
