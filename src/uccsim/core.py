@@ -16,8 +16,10 @@ import numpy as np
 
 # Dense truth tables are capped at 2^14 per side.
 MAX_SIDE = 1 << 14
-# distance() compares about this many entries at a time
-DISTANCE_BLOCK = 1 << 20
+# distance() compares rows about this many cells at a time
+DISTANCE_ROW_CELLS = 1 << 20
+# and reads masses this many points at a time, so that its temporaries stay in cache
+DISTANCE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -212,31 +214,30 @@ def _check_same_rectangle(f, g, mu) -> None:
 
 
 def _disagreements(f: BoolFunction, g: BoolFunction):
-    """Flat indices x * size_y + y where f and g differ, about DISTANCE_BLOCK at a time.
+    """Flat indices x * size_y + y where f and g differ, in increasing order.
 
     When one is a FlippedFunction of the other they differ exactly at its
     points, so no row is read; every other pair is compared row block by row
-    block.
+    block, about DISTANCE_ROW_CELLS cells at a time.
     """
     if isinstance(g, FlippedFunction) and g.base is f:
         f, g = g, f
     if isinstance(f, FlippedFunction) and f.base is g:
-        for lo in range(0, len(f.points), DISTANCE_BLOCK):
-            yield f.points[lo:lo + DISTANCE_BLOCK]
+        yield f.points
         return
-    block = max(1, DISTANCE_BLOCK // f.size_y)
+    block = max(1, DISTANCE_ROW_CELLS // f.size_y)
     for lo in range(0, f.size_x, block):
         xs = np.arange(lo, min(lo + block, f.size_x))
         yield lo * f.size_y + np.flatnonzero(f.rows(xs) != g.rows(xs))
 
 
 def distance(f: BoolFunction, g: BoolFunction, mu) -> float:
-    """Mass, under mu, of the inputs where f and g disagree."""
+    """Mass, under mu, of the inputs where f and g disagree: DISTANCE_BLOCK points a read."""
     _check_same_rectangle(f, g, mu)
     total = 0.0
     for flat in _disagreements(f, g):
-        if len(flat):
-            total += float(mu.mass_array(*np.divmod(flat, f.size_y)).sum())
+        for lo in range(0, len(flat), DISTANCE_BLOCK):
+            total += float(mu.flat_masses(flat[lo:lo + DISTANCE_BLOCK]).sum())
     return total
 
 

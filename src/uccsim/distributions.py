@@ -121,7 +121,8 @@ class JointDistribution:
     """A joint distribution over [0, size_x) x [0, size_y).
 
     Subclasses implement mass_array, the marginals and sample; the
-    conditionals, sample lists and dense table read through mass_array.
+    conditionals, sample lists, flat reads and dense table read through
+    mass_array unless a subclass has a cheaper read.
     """
 
     size_x: int
@@ -130,6 +131,12 @@ class JointDistribution:
     def mass_array(self, xs, ys) -> np.ndarray:
         """Joint masses of aligned index arrays; IndexError for an index off the rectangle."""
         raise NotImplementedError
+
+    def flat_masses(self, flat) -> np.ndarray:
+        """Joint masses at flat indices x * size_y + y; IndexError off [0, size_x * size_y)."""
+        flat = _as_indices(flat, self.size_x * self.size_y, "flat")
+        xs = flat // self.size_y
+        return self.mass_array(xs, flat - xs * self.size_y)
 
     def marginal_x(self) -> Distribution:
         raise NotImplementedError
@@ -266,6 +273,8 @@ class NoisyHypercube(JointDistribution):
         self._pc = popcount_table(n)
         d = np.arange(n + 1, dtype=np.float64)
         self._cond_by_distance = (p ** d) * ((1.0 - p) ** (n - d))
+        # the mass of (x, x ^ z) by flip pattern z, one lookup a point
+        self._mass_by_flips = self._cond_by_distance[self._pc] / self.size_x
         # x is uniform, and flipping uniform bits leaves y uniform too.
         self._uniform = Distribution.uniform(self.size_x)
         # y = x ^ z, with one law of the flip pattern z for every x
@@ -273,8 +282,16 @@ class NoisyHypercube(JointDistribution):
         self._log2_by_distance = _log2_floored(self._cond_by_distance)
 
     def mass_array(self, xs, ys) -> np.ndarray:
-        d = self._pc[_as_indices(xs, self.size_x, "x") ^ _as_indices(ys, self.size_y, "y")]
-        return self._cond_by_distance[d] / self.size_x
+        return self._mass_by_flips.take(_as_indices(xs, self.size_x, "x")
+                                        ^ _as_indices(ys, self.size_y, "y"))
+
+    def flat_masses(self, flat) -> np.ndarray:
+        """x = flat >> n and y = the low n bits differ by ((flat >> n) ^ flat) & (2^n - 1)."""
+        flat = _as_indices(flat, self.size_x * self.size_y, "flat")
+        flips = flat >> self.n
+        flips ^= flat
+        flips &= self.size_y - 1
+        return self._mass_by_flips.take(flips)
 
     def marginal_x(self) -> Distribution:
         return self._uniform

@@ -261,12 +261,6 @@ def _bernoulli_ranks(rate: float, size: int, rng: np.random.Generator):
         last = int(at[-1])
 
 
-def _point_masses(mu: JointDistribution, points: np.ndarray) -> np.ndarray:
-    """mu's masses at flat indices x * size_y + y."""
-    xs = points // mu.size_y
-    return mu.mass_array(xs, points - xs * mu.size_y)
-
-
 def _flip_random_points(mu: JointDistribution, budget: float,
                         rng: np.random.Generator) -> np.ndarray:
     """The longest prefix of a uniformly random order of all points whose mass fits in budget.
@@ -294,20 +288,24 @@ def _flip_random_points(mu: JointDistribution, budget: float,
             if len(taken):
                 points = points + np.searchsorted(left_before, points, side="right")
             keys.append(key >> shift)
-            masses = _point_masses(mu, points)
+            masses = mu.flat_masses(points)
             hist += np.bincount(keys[-1], masses, len(hist))
             squares += float(masses @ masses)
             # flat indices stay below 4^14 (generate_instance caps n), so uint32 holds them
             layer.append(points.astype(np.uint32))
-        layer, keys = np.concatenate(layer), np.concatenate(keys)
+        # one large array at a time: each list goes as its array is made, the keys
+        # before the kept layer is copied and the uint32 layer before its int64 copy
+        layer = np.concatenate(layer)
+        keys = np.concatenate(keys)
         run = np.cumsum(np.concatenate(([spent], hist)))  # the mass spent before each bucket
         cut = int(np.searchsorted(run, limit, side="right")) - 1
         at_cut = rng.permutation(np.flatnonzero(keys == cut))  # none when the layer fits
-        within = np.cumsum(_point_masses(mu, layer[at_cut].astype(np.int64))) + run[cut]
+        within = np.cumsum(mu.flat_masses(layer[at_cut])) + run[cut]
         keep = keys < cut
         keep[at_cut[:np.searchsorted(within, limit, side="right")]] = True
-        # in two steps, so that the whole uint32 layer is gone before the int64 copy
+        del keys
         layer = layer[keep]
+        del keep
         layer = layer.astype(np.int64)
         taken = np.insert(taken, np.searchsorted(taken, layer), layer) if len(taken) else layer
         if cut < len(hist):

@@ -7,6 +7,7 @@ import pytest
 
 from uccsim.core import (
     DISTANCE_BLOCK,
+    DISTANCE_ROW_CELLS,
     BitString,
     BoolFunction,
     FlippedFunction,
@@ -234,7 +235,7 @@ def test_distance_matches_brute_force():
 def test_distance_matches_brute_force_across_row_blocks():
     n = 11
     size = 1 << n
-    assert size * size > 2 * DISTANCE_BLOCK
+    assert size * size > 2 * DISTANCE_ROW_CELLS
     mu = NoisyHypercube(n, 0.2)
     rng = np.random.default_rng(13)
     f = TableFunction(rng.integers(0, 2, size=(size, size)))
@@ -340,6 +341,20 @@ def test_distance_of_a_flip_set_matches_the_block_scan(monkeypatch):
             assert abs(sums[2] - scans[1]) <= 1e-12
             if n == 6:
                 assert sums[0] > 0.0 and sums[2] > 0.0
+
+
+def test_distance_of_a_flip_set_matches_fsum_across_blocks():
+    # the flip-set path reads masses DISTANCE_BLOCK points at a time
+    n = 10
+    mu = NoisyHypercube(n, 0.1)
+    for index, delta in enumerate((0.05, 0.3)):
+        inst = generate_instance(n, 2, 0.0, delta, np.random.default_rng((18, index)), mu=mu)
+        points = inst.f.points
+        assert len(points) > 2 * DISTANCE_BLOCK
+        xs, ys = divmod(points, mu.size_y)
+        expected = math.fsum(mu.mass_array(xs, ys).tolist())
+        assert abs(distance(inst.f, inst.g, mu) - expected) <= 1e-12
+        assert abs(distance(inst.g, inst.f, mu) - expected) <= 1e-12
 
 
 def test_distance_symmetry_and_triangle():

@@ -362,6 +362,23 @@ def test_joints_reject_out_of_range_x():
         NoisyHypercube(3, 0.1).mass_array([8], [8])
 
 
+def test_flat_masses_match_mass_array_bit_for_bit():
+    weights = np.random.default_rng(21).random((3, 5))
+    joints = [TableJoint(weights / weights.sum()), ProductJoint.uniform_bits(4)]
+    joints += [NoisyHypercube(n, p) for n in (1, 5, 12) for p in (0.0, 0.1, 1.0)]
+    for mu in joints:
+        total = mu.size_x * mu.size_y
+        flat = np.arange(total) if total <= 1 << 12 else np.concatenate(
+            (np.arange(1 << 10), np.random.default_rng(22).integers(0, total, 1 << 14),
+             np.arange(total - (1 << 10), total)))
+        expected = mu.mass_array(*divmod(flat, mu.size_y))
+        assert np.array_equal(mu.flat_masses(flat), expected)
+        assert np.array_equal(mu.flat_masses(flat.astype(np.uint32)), expected)
+        for bad in (-1, total):
+            with pytest.raises(IndexError):
+                mu.flat_masses([0, bad])
+
+
 def test_one_way_sample_rejects_out_of_range_x():
     mu = NoisyHypercube(3, 0.1)
     for bad in (-1, mu.size_x):

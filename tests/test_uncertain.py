@@ -9,7 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uccsim.core import BoolFunction, FlippedFunction, OneWayProtocol, distance, protocol_error
+from uccsim.core import (
+    DISTANCE_BLOCK,
+    BoolFunction,
+    FlippedFunction,
+    OneWayProtocol,
+    distance,
+    protocol_error,
+)
 from uccsim.distributions import NoisyHypercube, ProductJoint, TableJoint, derive_rng
 from uccsim.sampling import SharedRandomness, one_way_correlated_sample, truncation_limit
 from uccsim import uncertain
@@ -424,9 +431,9 @@ def test_flip_set_matches_a_plain_loop_over_the_same_draws(monkeypatch):
     assert layers[4, True] > 0 and layers[uncertain.FLIP_CHUNK_BITS, True] > 0, layers
 
 
-def test_generate_instance_peaks_below_2_5_bytes_a_point():
-    # traced peaks read 2.07 and 2.11 bytes a point; verify's distance pass sets
-    # them, the flip-set build alone peaks near 0.84
+def test_generate_instance_peaks_below_1_25_bytes_a_point():
+    # traced peaks read 0.73 and 0.76 bytes a point, set by the flip-set build;
+    # verify reads masses in cache-sized blocks and adds almost nothing
     n = 12
     for eps in (0.0, 0.01):
         tracemalloc.start()
@@ -435,7 +442,7 @@ def test_generate_instance_peaks_below_2_5_bytes_a_point():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (4 ** n) * 2.5
+        assert peak < (4 ** n) * 1.25
 
 
 def test_trial_blocks_are_bounded_by_list_width():
@@ -471,6 +478,16 @@ def test_verify_rejects_over_budget_flip_sets():
                                  f=FlippedFunction(g, []), k=2, eps=0.05, delta=0.05)
     with pytest.raises(ValueError, match="errs"):
         over_eps.verify()
+    # a set over delta spanning many of distance's blocks: the built delta-set plus the
+    # diagonal of NoisyHypercube(10, 0.1), which holds 0.9^10 = 0.35 of the mass
+    mu = NoisyHypercube(10, 0.1)
+    inst = generate_instance(10, 2, 0.0, 0.05, np.random.default_rng(140), mu=mu)
+    wide = np.union1d(inst.f.points, np.arange(mu.size_x) * (mu.size_y + 1))
+    assert len(wide) > 2 * DISTANCE_BLOCK
+    over_delta = UncertainInstance(mu=mu, protocol=inst.protocol, g=inst.g,
+                                   f=FlippedFunction(inst.g, wide), k=2, eps=0.0, delta=0.05)
+    with pytest.raises(ValueError, match="apart"):
+        over_delta.verify()
 
 
 def test_trials_read_no_whole_table(monkeypatch):
